@@ -25,7 +25,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 
@@ -205,10 +204,7 @@ def _cmd_scan(args) -> int:
     pres = _load_presentation(args.pres)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
-    with ThreadPoolExecutor(max_workers=min(8, len(meridians))) as pool:
-        chunks = list(pool.map(
-            lambda M: _records_at(pres, M, args.tol), meridians))
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for M in meridians for rec in _records_at(pres, M, args.tol)]
     _emit_records(records, args.format)
     return 0
 
@@ -284,9 +280,7 @@ def _cmd_verify(args) -> int:
             out.append(entry)
         return out
 
-    with ThreadPoolExecutor(max_workers=min(8, len(meridians))) as pool:
-        chunks = list(pool.map(check, meridians))
-    samples = [s for chunk in chunks for s in chunk]
+    samples = [s for M in meridians for s in check(M)]
     comparable = [s for s in samples if s["relative_deviation"] is not None]
     max_dev = max((s["relative_deviation"] for s in comparable), default=None)
     max_resid = max((s["apoly_residual"] for s in samples

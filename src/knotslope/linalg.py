@@ -51,11 +51,17 @@ def sl2_coordinates(X: np.ndarray) -> np.ndarray:
     return np.array([X[0, 1], X[0, 0], X[1, 0]], dtype=complex)
 
 
-def adjoint_of(A, det_tol: float = 1e-9) -> np.ndarray:
-    """The 3x3 matrix of ``X -> A^-1 X A`` on sl(2), rows in (E, H, F)."""
-    A = as_sl2(A, det_tol)
-    Ai = sl2_inverse(A)
-    return np.array([sl2_coordinates(Ai @ X @ A) for X in SL2_BASIS])
+def adjoint_of(A) -> np.ndarray:
+    """The 3x3 matrix of ``X -> A^-1 X A`` on sl(2), rows in (E, H, F), for
+    each matrix of a ``(..., 2, 2)`` stack; ``det A = 1`` is assumed."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {A.shape}")
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    entries = [d * d, c * d, -c * c,
+               2 * b * d, a * d + b * c, -2 * a * c,
+               -b * b, -a * b, a * a]
+    return np.stack(entries, axis=-1).reshape(A.shape[:-2] + (3, 3))
 
 
 def _singular_triplet(A: np.ndarray):

@@ -13,15 +13,15 @@ translation ratio at boundary-parabolic representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_inverse
-from .presentation import (GroupRingElement, KnotPresentation, Word,
-                           format_presentation, parse_presentation)
+from .presentation import (KnotPresentation, Word, format_presentation,
+                           parse_presentation)
 
 
 class RepresentationError(ValueError):
@@ -35,13 +35,14 @@ class Representation:
     ``riley_t`` records the Riley parameter when the representation came
     from ``riley_family``; ``reducible`` records whether all generator
     images share an eigenvector (trace of every commutator equal to 2).
+    The generator images are checked to lie in SL(2) once, on construction;
+    products of them are not checked again.
     """
 
     presentation: KnotPresentation
     images: dict[str, np.ndarray]
     riley_t: complex | None = None
     reducible: bool | None = None
-    _inverses: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         names = set(self.presentation.generators)
@@ -56,17 +57,11 @@ class Representation:
 
     def image(self, word: Word) -> np.ndarray:
         """Evaluate the representation on a word."""
-        out = np.eye(2, dtype=complex)
-        for g, e in word.letters:
-            if g not in self.images:
-                raise RepresentationError(f"word uses unknown generator {g!r}")
-            if e == 1:
-                out = out @ self.images[g]
-            else:
-                if g not in self._inverses:
-                    self._inverses[g] = sl2_inverse(self.images[g])
-                out = out @ self._inverses[g]
-        return out
+        try:
+            return evaluate_word(self.images, word)
+        except KeyError as exc:
+            raise RepresentationError(
+                f"word uses unknown generator {exc.args[0]!r}") from None
 
     def meridian_image(self) -> np.ndarray:
         return self.image(self.presentation.meridian)
@@ -82,38 +77,26 @@ class Representation:
         return worst
 
 
+def prefix_images(images: Mapping[str, np.ndarray], word: Word) -> np.ndarray:
+    """Prefix images ``P[0] = I``, ``P[i] = P[i-1] @ image(letter i)`` of a
+    word, stacked ``(len(word) + 1, 2, 2)``; inverses map to adjugates."""
+    letter_entries: dict = {}
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    prefixes = [(a, b, c, d)]
+    for letter in word.letters:
+        if letter not in letter_entries:
+            g, e = letter
+            (p, q), (r, s) = np.asarray(images[g], dtype=complex).tolist()
+            letter_entries[letter] = (p, q, r, s) if e == 1 else (s, -q, -r, p)
+        p, q, r, s = letter_entries[letter]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        prefixes.append((a, b, c, d))
+    return np.array(prefixes, dtype=complex).reshape(-1, 2, 2)
+
+
 def evaluate_word(images: Mapping[str, np.ndarray], word: Word) -> np.ndarray:
     """Evaluate a word in a plain ``{generator: matrix}`` mapping."""
-    out = np.eye(2, dtype=complex)
-    inv: dict[str, np.ndarray] = {}
-    for g, e in word.letters:
-        if e == 1:
-            out = out @ images[g]
-        else:
-            if g not in inv:
-                inv[g] = sl2_inverse(np.asarray(images[g], dtype=complex))
-            out = out @ inv[g]
-    return out
-
-
-def evaluate_groupring(images: Mapping[str, np.ndarray],
-                       element: GroupRingElement,
-                       via: Callable[[Word], np.ndarray] | None = None) -> np.ndarray:
-    """Evaluate an integer group-ring element, ``sum c * via(word)``.
-
-    ``via`` defaults to evaluation in SL(2); passing e.g. the composite
-    ``adjoint_of . evaluate_word`` evaluates in the adjoint representation.
-    """
-    if via is None:
-        via = lambda w: evaluate_word(images, w)
-    out = None
-    for w, c in element.terms.items():
-        m = c * via(w)
-        out = m if out is None else out + m
-    if out is None:
-        first = via(Word.identity())
-        return np.zeros_like(first)
-    return out
+    return prefix_images(images, word)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +155,17 @@ def _poly_word_image(word: Word, mats: Mapping[str, list]) -> list:
     return out
 
 
+def _runs(items: list, close: Callable) -> list[list]:
+    """Split ``items`` into maximal runs whose neighbours satisfy ``close``."""
+    runs: list[list] = []
+    for z in items:
+        if runs and close(runs[-1][-1], z):
+            runs[-1].append(z)
+        else:
+            runs.append([z])
+    return runs
+
+
 def riley_family(pres: KnotPresentation, M: complex,
                  tol: float = 1e-8) -> list[Representation]:
     """All Riley representations at meridian eigenvalue ``M``.
@@ -180,8 +174,9 @@ def riley_family(pres: KnotPresentation, M: complex,
     parameter ``t``; roots are taken from the first entry polynomial that is
     not identically zero and kept when every entry polynomial vanishes there
     (residuals measured relative to the entry's coefficient scale).  Roots
-    closer than 1e-6 are merged.  Returns one representation per root,
-    sorted by ``(re t, im t)``, with ``riley_t`` and ``reducible`` set.
+    closer than ``1e-6 * max(1, |t|)`` are merged.  Returns one
+    representation per root, with ``riley_t`` and ``reducible`` set, sorted
+    by ``re t`` with real parts within that tolerance ordered by ``im t``.
     """
     M = complex(M)
     if M == 0:
@@ -228,14 +223,14 @@ def riley_family(pres: KnotPresentation, M: complex,
                 return False
         return True
 
+    near = lambda z: 1e-6 * max(1.0, abs(z))
     kept = sorted((complex(t) for t in roots if residual_ok(complex(t))),
-                  key=lambda z: (z.real, z.imag))
-    merged: list[list[complex]] = []
-    for t0 in kept:
-        if merged and abs(t0 - merged[-1][-1]) <= 1e-6 * max(1.0, abs(t0)):
-            merged[-1].append(t0)
-        else:
-            merged.append([t0])
+                  key=lambda z: z.real)
+    # real parts equal up to rounding must not decide the order: sort each
+    # run of close real parts by imaginary part instead
+    kept = [z for run in _runs(kept, lambda u, z: z.real - u.real <= near(z))
+            for z in sorted(run, key=lambda z: z.imag)]
+    merged = _runs(kept, lambda u, z: abs(z - u) <= near(z))
 
     out: list[Representation] = []
     for cluster in merged:
@@ -369,17 +364,23 @@ class InvariantVector:
     residual_longitude: float
 
 
+def peripheral_fixed_space(rep: Representation, tol: float = 1e-8):
+    """The adjoint meridian and longitude images ``(Am, Al)`` and an
+    orthonormal row basis of the vectors fixed by both."""
+    Am, Al = adjoint_of(np.stack([rep.meridian_image(),
+                                  rep.longitude_image()]))
+    eye = np.eye(3)
+    return Am, Al, nullspace(np.vstack([(Am - eye).T, (Al - eye).T]), tol)
+
+
 def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
     """The unique row vector fixed by both peripheral adjoint images.
 
     Raises ``RepresentationError`` when the common fixed space does not
     have dimension exactly 1.
     """
-    Am = adjoint_of(rep.meridian_image())
-    Al = adjoint_of(rep.longitude_image())
+    Am, Al, ns = peripheral_fixed_space(rep, tol)
     eye = np.eye(3)
-    stacked = np.vstack([(Am - eye).T, (Al - eye).T])
-    ns = nullspace(stacked, tol)
     if ns.shape[0] != 1:
         raise RepresentationError(
             f"peripheral invariant subspace has dimension {ns.shape[0]}, "

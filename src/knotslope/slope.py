@@ -6,6 +6,12 @@ relators ``ell * l^-1`` and ``m ell m^-1 ell^-1``.  Fox derivatives of all
 relators, evaluated in the adjoint representation, give a block matrix
 with one 3-column block per generator, blocks ordered ``(ell, m, rest)``.
 
+Each Fox term of a relator ``x_1 ... x_n`` is a signed prefix product
+(``P_0 = I``, ``P_i = P_{i-1} rho(x_i)``): a letter ``g`` at position ``i``
+adds ``+Ad(P_{i-1})`` to the block of ``g``, a letter ``g^-1`` adds
+``-Ad(P_i)``.  One pass of prefix products fills a relator's row block;
+the products of the (once validated) generator images are not re-checked.
+
 For an admissible representation the row space of that matrix meets the
 six-dimensional peripheral space ``span{v⊗d_ell, v⊗d_m}`` (``v`` the
 common adjoint-invariant vector of the peripheral images) in a line
@@ -20,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (adjoint_of, nullspace, orthonormal_row_basis,
-                     subspace_intersection)
-from .presentation import KnotPresentation, Word, fox_derivative
+from .linalg import adjoint_of, orthonormal_row_basis, subspace_intersection
+from .presentation import KnotPresentation, Word
 from .representations import (Representation, RepresentationError,
-                              evaluate_groupring, evaluate_word,
+                              commutation_residual, evaluate_word,
                               invariant_vector, is_boundary_parabolic,
-                              parabolic_modulus)
+                              parabolic_modulus, peripheral_fixed_space,
+                              prefix_images)
 
 
 class SlopeError(ValueError):
@@ -102,21 +108,28 @@ class TwistedAlexanderMatrix:
                            self.column_slice(gen)]
 
 
+def _fox_coefficients(relator: Word, generators: tuple[str, ...]) -> np.ndarray:
+    """Integer ``C`` with ``d relator / d generators[j] = sum_i C[i, j] P_i``
+    for the prefixes ``P_0 .. P_n`` of ``relator``."""
+    C = np.zeros((len(relator) + 1, len(generators)), dtype=int)
+    for i, (g, e) in enumerate(relator.letters):
+        # g at position i + 1 adds +P_i; g^-1 there adds -P_{i+1}
+        C[i + (e < 0), generators.index(g)] += e
+    return C
+
+
 def build_twisted_alexander(aug: AugmentedPresentation,
                             rep: Representation) -> TwistedAlexanderMatrix:
-    """Evaluate all Fox derivative blocks in the adjoint representation."""
+    """Evaluate all Fox derivative blocks in the adjoint representation,
+    one pass of prefix products per relator."""
     images = dict(rep.images)
     images[aug.longitude_name] = evaluate_word(images, aug.base.longitude)
-    via = lambda w: adjoint_of(evaluate_word(images, w))
-    zero = np.zeros((3, 3), dtype=complex)
     rows = []
     for r in aug.relators:
-        row = []
-        for g in aug.generators:
-            d = fox_derivative(r, g)
-            row.append(evaluate_groupring(images, d, via=via) if d else zero)
-        rows.append(row)
-    return TwistedAlexanderMatrix(np.block(rows), aug)
+        Ad = adjoint_of(prefix_images(images, r))
+        C = _fox_coefficients(r, aug.generators)
+        rows.append(np.einsum("ij,ikl->kjl", C, Ad).reshape(3, -1))
+    return TwistedAlexanderMatrix(np.vstack(rows), aug)
 
 
 @dataclass(frozen=True)
@@ -225,15 +238,8 @@ class AdmissibilityReport:
 
 def admissibility(rep: Representation, tol: float = 1e-8) -> AdmissibilityReport:
     """Run the slope pipeline's checks without computing the slope."""
-    m = rep.meridian_image()
-    l = rep.longitude_image()
-    scale = 1.0 + float(np.abs(m).max()) * float(np.abs(l).max())
-    comm = float(np.abs(m @ l - l @ m).max()) / scale
-
-    Am = adjoint_of(m)
-    Al = adjoint_of(l)
-    eye = np.eye(3)
-    dim = nullspace(np.vstack([(Am - eye).T, (Al - eye).T]), tol).shape[0]
+    comm = commutation_residual(rep)
+    dim = peripheral_fixed_space(rep, tol)[2].shape[0]
 
     if is_boundary_parabolic(rep, tol):
         return AdmissibilityReport(dim, comm, True, None, None, "parabolic")

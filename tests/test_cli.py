@@ -8,6 +8,8 @@ import pytest
 
 from knotslope.cli import main
 
+from helpers import two_bridge_file
+
 jsonschema = pytest.importorskip("jsonschema")
 
 PAIR = {"type": "array", "items": {"type": "number"},
@@ -179,6 +181,33 @@ def test_verify_accepts_apoly_from_file(tmp_path, capsys):
                        "--apoly", f"@{path}")
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+def test_verify_long_products_are_not_revalidated(tmp_path, capsys):
+    # on one branch here the long prefix products drift from det = 1 by
+    # 1.2e-9 of their squared scale; they are products of validated
+    # generators and must not be rejected
+    arc = ("1.9932890709584585,1.9932890709584585,"
+           "0.873951875915761,0.873951875915761")
+    code, out, err = run(capsys, "verify", two_bridge_file(tmp_path, "b9_7"),
+                         "--arc", arc, "--samples", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "PASS"
+    assert report["max_relative_deviation"] < 1e-6
+    assert "PASS" in err
+
+
+def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
+    path = two_bridge_file(tmp_path, "b15_11")
+    for seed in range(6):
+        code, out, _ = run(capsys, "scan", path, "--samples", "20",
+                           "--seed", str(seed))
+        assert code == 0
+        recs = json.loads(out)
+        assert len(recs) == 20 * 7  # (p - 1) / 2 Riley branches per sample
+        # a few land on the F1 cut and read not-admissible
+        assert all(r["verdict"] not in (None, "error") for r in recs)
 
 
 # ---------------------------------------------------------------------------

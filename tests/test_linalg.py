@@ -53,6 +53,15 @@ def test_adjoint_is_a_homomorphism():
         assert np.allclose(lhs, rhs, atol=1e-10 * (1 + np.abs(rhs).max()))
 
 
+def test_adjoint_of_a_stack_matches_each_matrix():
+    rng = Random(6)
+    stack = np.array([random_sl2(rng, scale=2.0) for _ in range(8)])
+    stacked = adjoint_of(stack)
+    assert stacked.shape == (8, 3, 3)
+    for A, Ad in zip(stack, stacked):
+        assert np.array_equal(Ad, adjoint_of(A))
+
+
 def test_adjoint_preserves_killing_form_and_volume():
     rng = Random(3)
     G = np.array(KILLING_GRAM, dtype=complex)

@@ -10,17 +10,17 @@ import pytest
 
 from knotslope.data import load_builtin
 from knotslope.linalg import adjoint_of
-from knotslope.presentation import (KnotPresentation, Word,
+from knotslope.presentation import (KnotPresentation, Word, fox_derivative,
                                     parse_presentation)
 from knotslope.representations import (Representation,
-                                       abelian_representation,
+                                       abelian_representation, evaluate_word,
                                        invariant_vector, riley_family)
 from knotslope.slope import (NotAdmissibleError, SlopeError, SlopeValue,
                              admissibility, augment, build_twisted_alexander,
                              compute_slope, slope_from_invariant_vector,
                              slope_of_character)
 
-from helpers import random_complex
+from helpers import TWO_BRIDGE, random_complex
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,34 @@ def test_twisted_matrix_commutator_block():
     # d(m ell m^-1 ell^-1)/d ell evaluates to Ad(rho(m)) - I on the relation
     expected = adjoint_of(rep.meridian_image()) - np.eye(3)
     assert np.allclose(tam.block(2, "ell"), expected, atol=1e-12)
+
+
+def _fox_reference_matrix(aug, rep) -> np.ndarray:
+    """The matrix built term by term from the symbolic Fox derivatives."""
+    images = dict(rep.images)
+    images[aug.longitude_name] = evaluate_word(images, aug.base.longitude)
+    blocks = [[sum((c * adjoint_of(evaluate_word(images, w))
+                    for w, c in fox_derivative(r, g).terms.items()),
+                   np.zeros((3, 3), dtype=complex))
+               for g in aug.generators]
+              for r in aug.relators]
+    return np.block(blocks)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "b13_5"])
+def test_prefix_pass_matches_fox_derivative_reference(name):
+    pres = (parse_presentation(TWO_BRIDGE[name]) if name in TWO_BRIDGE
+            else load_builtin(name))
+    aug = augment(pres)
+    branches = 0
+    for M in (1.3, 1.6 * np.exp(0.4j), 1.9 * np.exp(0.9j), 0.8 - 0.5j):
+        for rep in riley_family(pres, M):
+            built = build_twisted_alexander(aug, rep).matrix
+            ref = _fox_reference_matrix(aug, rep)
+            assert built.shape == ref.shape
+            assert np.abs(built - ref).max() <= 1e-12 * np.abs(ref).max()
+            branches += 1
+    assert branches == 4 * len(riley_family(pres, 1.3))
 
 
 # ---------------------------------------------------------------------------
