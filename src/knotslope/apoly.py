@@ -18,6 +18,11 @@ polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
 M-content removed and repeated factors collapsed, is the defining
 polynomial of the eigenvalue variety's closure.
+
+This module is the only place that builds the Riley matrices as
+polynomials in ``(t, M)``.  ``riley_polynomial`` is shared by both routes:
+``representations.riley_family`` takes its numeric roots from the
+coefficients of the same ``phi`` evaluated at each meridian eigenvalue.
 """
 
 from __future__ import annotations
@@ -855,13 +860,29 @@ class ApolyResult:
     includes_reducible: bool
 
 
+def _riley_generators(pres: KnotPresentation) -> tuple[str, str]:
+    """The (meridian generator, partner generator) pair, checked."""
+    if len(pres.generators) != 2:
+        raise ApolyError(
+            f"need exactly 2 generators, got {len(pres.generators)}")
+    mer = pres.meridian.reduced()
+    if len(mer.letters) != 1 or mer.letters[0][1] != 1:
+        raise ApolyError("meridian must be a single generator")
+    mgen = mer.letters[0][0]
+    other = next(g for g in pres.generators if g != mgen)
+    weights = pres.abelianization()
+    if weights[mgen] != 1 or weights[other] != 1:
+        raise ApolyError(
+            f"generators must both be conjugate meridians "
+            f"(abelianized weights {weights})")
+    return mgen, other
+
+
 def _symbolic_riley_images(pres: KnotPresentation) -> dict[tuple[str, int], list]:
-    """Exact Riley matrices over Z[M, M^-1][t] for the two generators."""
-    from .representations import _riley_generators
-    try:
-        mgen, other = _riley_generators(pres)
-    except Exception as exc:  # normalize the error type for this module
-        raise ApolyError(str(exc)) from exc
+    """Exact Riley matrices over Z[M, M^-1][t] for the two generators:
+    the meridian generator goes to ``[[M, 1], [0, 1/M]]``, its partner to
+    ``[[M, 0], [t, 1/M]]``."""
+    mgen, other = _riley_generators(pres)
     one = BiLaurent.one()
     zero = BiLaurent.zero()
     Mm = BiLaurent.monomial(0, 1)
@@ -888,11 +909,13 @@ def _tpoly_word_image(word: Word, mats: Mapping[tuple[str, int], list]) -> list:
     return out
 
 
-def riley_polynomial(pres: KnotPresentation) -> TPoly:
+def riley_polynomial(pres: KnotPresentation,
+                     allow_constant: bool = False) -> TPoly:
     """The gcd of all relator entry polynomials in t (primitive in M).
 
-    Raises ``ApolyError`` when the relators impose no polynomial condition
-    or when the gcd is constant (no irreducible Riley locus).
+    Raises ``ApolyError`` when the presentation is not in Riley form, when
+    the relators impose no polynomial condition, or when the gcd is
+    constant (no irreducible Riley locus) unless ``allow_constant``.
     """
     mats = _symbolic_riley_images(pres)
     entries: list[TPoly] = []
@@ -913,7 +936,7 @@ def riley_polynomial(pres: KnotPresentation) -> TPoly:
         if g.degree == 0:
             break
     g = g.primitive_part()
-    if g.degree < 1:
+    if g.degree < 1 and not allow_constant:
         raise ApolyError("Riley polynomial is constant: the presentation "
                          "has no irreducible Riley locus")
     return g

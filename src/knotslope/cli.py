@@ -8,7 +8,9 @@ Subcommands::
                                             ideal-point slopes
     knotslope verify PRES                   cross-validate pairing slopes
                                             against the log-Gauss map
-    knotslope presentation check FILE       parse and validate a presentation
+    knotslope presentation check FILE       parse and validate a presentation,
+                                            then check its Riley representations
+                                            at M = 1.3 numerically
 
 ``PRES`` is a bundled name (``trefoil``, ``figure8``) or a file path.
 Results are JSON on stdout (``--format csv`` for tabular records).  Exit
@@ -32,7 +34,7 @@ from . import data as data_mod
 from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     format_bilaurent, bilaurent_to_json, ideal_point_slopes,
                     ideal_report_to_json, log_gauss, newton_polygon,
-                    parse_bilaurent, polygon_to_json)
+                    parse_bilaurent, polygon_to_json, riley_polynomial)
 from .presentation import (KnotPresentation, PresentationError,
                            format_presentation, parse_presentation)
 from .representations import (RepresentationError, boundary_data,
@@ -101,13 +103,22 @@ def _sample_meridians(n: int, seed: int,
 # ---------------------------------------------------------------------------
 # record construction shared by slope/scan
 
-def _records_at(pres: KnotPresentation, M: complex, tol: float) -> list[dict]:
-    base = {"M": _pair(M), "x": _pair(M + 1.0 / M)}
+def _base_record(M: complex) -> dict:
+    return {"M": _pair(M), "x": _pair(M + 1.0 / M)}
+
+
+def _error_record(M: complex, exc: Exception) -> dict:
+    return dict(_base_record(M), t=None, root_index=None, L=None, slope=None,
+                verdict="error", residuals={}, error=str(exc))
+
+
+def _records_at(pres: KnotPresentation, M: complex, tol: float,
+                phi=None) -> list[dict]:
+    base = _base_record(M)
     try:
-        reps = riley_family(pres, M, tol=tol)
+        reps = riley_family(pres, M, tol=tol, phi=phi)
     except RepresentationError as exc:
-        return [dict(base, t=None, root_index=None, L=None, slope=None,
-                     verdict="error", residuals={}, error=str(exc))]
+        return [_error_record(M, exc)]
     records = []
     for k, rep in enumerate(reps):
         rec = dict(base, t=_pair(rep.riley_t), root_index=k, L=None,
@@ -204,7 +215,13 @@ def _cmd_scan(args) -> int:
     pres = _load_presentation(args.pres)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
-    records = [rec for M in meridians for rec in _records_at(pres, M, args.tol)]
+    try:
+        phi = riley_polynomial(pres, allow_constant=True)
+    except ApolyError as exc:  # riley_family would raise this at every M
+        records = [_error_record(M, exc) for M in meridians]
+    else:
+        records = [rec for M in meridians
+                   for rec in _records_at(pres, M, args.tol, phi)]
     _emit_records(records, args.format)
     return 0
 
@@ -242,16 +259,18 @@ def _cmd_verify(args) -> int:
     pres = _load_presentation(args.pres)
     if args.apoly is not None:
         A = _read_apoly_arg(args.apoly).canonical()
+        phi = riley_polynomial(pres, allow_constant=True)
         apoly_source = "supplied"
     else:
-        A = compute_apoly_twobridge_detailed(pres).apoly
+        result = compute_apoly_twobridge_detailed(pres)
+        A, phi = result.apoly, result.riley_polynomial
         apoly_source = "computed"
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
 
     def check(M: complex) -> list[dict]:
         out = []
-        for k, rep in enumerate(riley_family(pres, M, tol=1e-8)):
+        for k, rep in enumerate(riley_family(pres, M, tol=1e-8, phi=phi)):
             entry = {"M": _pair(M), "root_index": k, "t": _pair(rep.riley_t),
                      "ok": False, "error": None, "slope": None,
                      "log_gauss": None, "apoly_residual": None,
@@ -310,6 +329,7 @@ def _cmd_presentation_check(args) -> int:
         raise CLIError(f"file {str(path)!r} not found")
     pres = parse_presentation(path.read_text(encoding="utf-8"))
     weights = pres.validate()
+    data_mod.check_presentation(pres, str(path))
     payload = {
         "ok": True,
         "generators": list(pres.generators),
@@ -383,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pres = sub.add_parser("presentation", help="presentation utilities")
     pres_sub = p_pres.add_subparsers(dest="presentation_command", required=True)
-    p_check = pres_sub.add_parser("check", help="parse and validate a file")
+    p_check = pres_sub.add_parser(
+        "check", help="parse and validate a file, then check its Riley "
+                      "representations numerically at M = 1.3")
     p_check.add_argument("path", help="presentation file")
     p_check.set_defaults(func=_cmd_presentation_check)
 

@@ -6,7 +6,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .presentation import KnotPresentation, parse_presentation
-from .representations import riley_family
+from .representations import (RepresentationError, commutation_residual,
+                              riley_family)
 
 _BUILTIN_FILES = {
     "trefoil": "trefoil.txt",
@@ -39,11 +40,33 @@ def resolve_builtin(name: str) -> str | None:
     return _ALIASES.get(name)
 
 
+def check_presentation(pres: KnotPresentation, label: str) -> None:
+    """Numeric consistency check at a reference meridian eigenvalue: every
+    Riley representation satisfies the relators and has commuting meridian
+    and longitude images.  Raises ``DataError`` prefixed by ``label``."""
+    try:
+        reps = riley_family(pres, _CHECK_M, tol=_CHECK_TOL)
+    except RepresentationError as exc:
+        raise DataError(f"{label}: {exc}") from exc
+    if not reps:
+        raise DataError(f"{label}: no Riley representations at M = {_CHECK_M}")
+    for rep in reps:
+        resid = rep.relator_residual()
+        if resid > _CHECK_TOL * 10:
+            raise DataError(f"{label}: relator residual {resid:.2e} "
+                            f"at t = {rep.riley_t}")
+        comm = commutation_residual(rep)
+        if comm > _CHECK_TOL * 10:
+            raise DataError(f"{label}: longitude does not commute with the "
+                            f"meridian (relative residual {comm:.2e} at "
+                            f"t = {rep.riley_t}); is it only conjugate to a "
+                            f"peripheral element?")
+
+
 @lru_cache(maxsize=None)
 def load_builtin(name: str, check: bool = True) -> KnotPresentation:
-    """Parse a bundled presentation; with ``check`` (default) also verify
-    numerically that every Riley representation at a reference meridian
-    eigenvalue satisfies the relators and has commuting peripheral images."""
+    """Parse a bundled presentation; with ``check`` (default) also run
+    ``check_presentation`` on it."""
     canonical = resolve_builtin(name)
     if canonical is None:
         raise DataError(f"unknown builtin presentation {name!r}; "
@@ -52,19 +75,5 @@ def load_builtin(name: str, check: bool = True) -> KnotPresentation:
         .read_text(encoding="utf-8")
     pres = parse_presentation(text)
     if check:
-        reps = riley_family(pres, _CHECK_M, tol=_CHECK_TOL)
-        if not reps:
-            raise DataError(f"builtin {canonical!r}: no Riley representations "
-                            f"at M = {_CHECK_M}")
-        for rep in reps:
-            resid = rep.relator_residual()
-            if resid > _CHECK_TOL * 10:
-                raise DataError(f"builtin {canonical!r}: relator residual "
-                                f"{resid:.2e} at t = {rep.riley_t}")
-            m = rep.meridian_image()
-            l = rep.longitude_image()
-            comm = abs(m @ l - l @ m).max()
-            if comm > _CHECK_TOL * 10:
-                raise DataError(f"builtin {canonical!r}: peripheral images do "
-                                f"not commute (residual {comm:.2e})")
+        check_presentation(pres, f"builtin {canonical!r}")
     return pres

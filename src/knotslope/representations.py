@@ -3,7 +3,10 @@
 The central constructor is ``riley_family``: for a 2-generator presentation
 whose generators are conjugate meridians it sends the meridian generator to
 ``[[M, 1], [0, 1/M]]`` and the other generator to ``[[M, 0], [t, 1/M]]``,
-and returns one representation per root ``t`` of the relator equations.
+and returns one representation per root ``t`` of the exact Riley
+polynomial ``phi(t, M)`` of ``apoly.riley_polynomial``, evaluated at ``M``.
+``Representation.relator_residual`` evaluates the relators numerically and
+is the check on those roots that does not go through ``phi``.
 
 ``boundary_data`` extracts the peripheral eigenvalue pair ``(M, L)`` on a
 common eigenvector, ``invariant_vector`` the adjoint-invariant direction in
@@ -19,6 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
+from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_inverse
 from .presentation import (KnotPresentation, Word, format_presentation,
                            parse_presentation)
@@ -114,47 +118,6 @@ def abelian_representation(pres: KnotPresentation, lam: complex) -> Representati
     return Representation(pres, images, reducible=True)
 
 
-def _riley_generators(pres: KnotPresentation) -> tuple[str, str]:
-    """The (meridian generator, partner generator) pair, checked."""
-    if len(pres.generators) != 2:
-        raise RepresentationError(
-            f"need exactly 2 generators, got {len(pres.generators)}")
-    mer = pres.meridian.reduced()
-    if len(mer.letters) != 1 or mer.letters[0][1] != 1:
-        raise RepresentationError("meridian must be a single generator")
-    mgen = mer.letters[0][0]
-    other = next(g for g in pres.generators if g != mgen)
-    weights = pres.abelianization()
-    if weights[mgen] != 1 or weights[other] != 1:
-        raise RepresentationError(
-            f"generators must both be conjugate meridians "
-            f"(abelianized weights {weights})")
-    return mgen, other
-
-
-def _poly_trim(c: np.ndarray, rel_tol: float = 1e-13) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
-    scale = float(np.abs(c).max()) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(c) > rel_tol * scale)[0]
-    return c[: keep[-1] + 1] if keep.size else np.zeros(1, dtype=complex)
-
-
-def _poly_mat_mul(P, Q):
-    return [[_poly_trim(npp.polyadd(npp.polymul(P[i][0], Q[0][j]),
-                                    npp.polymul(P[i][1], Q[1][j])))
-             for j in range(2)] for i in range(2)]
-
-
-def _poly_word_image(word: Word, mats: Mapping[str, list]) -> list:
-    out = [[np.array([1.0 + 0j]), np.array([0.0 + 0j])],
-           [np.array([0.0 + 0j]), np.array([1.0 + 0j])]]
-    for g, e in word.letters:
-        out = _poly_mat_mul(out, mats[(g, e)])
-    return out
-
-
 def _runs(items: list, close: Callable) -> list[list]:
     """Split ``items`` into maximal runs whose neighbours satisfy ``close``."""
     runs: list[list] = []
@@ -166,66 +129,42 @@ def _runs(items: list, close: Callable) -> list[list]:
     return runs
 
 
-def riley_family(pres: KnotPresentation, M: complex,
-                 tol: float = 1e-8) -> list[Representation]:
+def riley_family(pres: KnotPresentation, M: complex, tol: float = 1e-8, *,
+                 phi: TPoly | None = None) -> list[Representation]:
     """All Riley representations at meridian eigenvalue ``M``.
 
-    The relator equations become polynomial equations in the off-diagonal
-    parameter ``t``; roots are taken from the first entry polynomial that is
-    not identically zero and kept when every entry polynomial vanishes there
-    (residuals measured relative to the entry's coefficient scale).  Roots
-    closer than ``1e-6 * max(1, |t|)`` are merged.  Returns one
-    representation per root, with ``riley_t`` and ``reducible`` set, sorted
-    by ``re t`` with real parts within that tolerance ordered by ``im t``.
+    The roots ``t`` are those of the exact Riley polynomial ``phi`` (from
+    ``apoly.riley_polynomial``; computed here when not given): its
+    coefficients are evaluated at ``M``, rooted numerically and each root
+    is Newton-refined twice.  ``phi`` is the primitive gcd of the relator
+    entry polynomials, so every root satisfies all of them; a constant
+    ``phi`` (no Riley locus) gives no representations.  Roots closer than
+    ``1e-6 * max(1, |t|)`` are merged.  Returns one representation per
+    root, with ``riley_t`` and ``reducible`` (commutator trace within
+    ``tol`` of 2) set, sorted by ``re t`` with real parts within that
+    tolerance ordered by ``im t``.
     """
     M = complex(M)
     if M == 0:
         raise RepresentationError("meridian eigenvalue must be nonzero")
-    mgen, other = _riley_generators(pres)
+    try:
+        mgen, other = _riley_generators(pres)
+        if phi is None:
+            phi = riley_polynomial(pres, allow_constant=True)
+    except ApolyError as exc:
+        raise RepresentationError(str(exc)) from exc
     Mi = 1.0 / M
-    c = lambda z: np.array([z], dtype=complex)
-    U = [[c(M), c(1.0)], [c(0.0), c(Mi)]]
-    Uinv = [[c(Mi), c(-1.0)], [c(0.0), c(M)]]
-    V = [[c(M), c(0.0)], [np.array([0.0, 1.0], dtype=complex), c(Mi)]]
-    Vinv = [[c(Mi), c(0.0)], [np.array([0.0, -1.0], dtype=complex), c(M)]]
-    mats = {(mgen, 1): U, (mgen, -1): Uinv, (other, 1): V, (other, -1): Vinv}
-
-    entry_polys: list[np.ndarray] = []
-    for lhs, rhs in pres.relators:
-        A = _poly_word_image(lhs, mats)
-        B = _poly_word_image(rhs, mats)
-        # Entries that cancel exactly in rational arithmetic survive floating
-        # point as noise; zero them relative to the word-image scale so they
-        # cannot masquerade as a root condition.
-        scale = max((float(np.abs(A[i][j]).max()) for i in range(2)
-                     for j in range(2)), default=0.0)
-        scale = max(scale, *(float(np.abs(B[i][j]).max()) for i in range(2)
-                             for j in range(2)), 1.0)
-        for i in range(2):
-            for j in range(2):
-                diff = npp.polysub(A[i][j], B[i][j])
-                diff[np.abs(diff) <= 1e-12 * scale] = 0.0
-                entry_polys.append(_poly_trim(diff))
-    nonzero = [p for p in entry_polys if np.abs(p).max() > 0.0]
-    if not nonzero:
-        raise RepresentationError(
-            "relators are identically satisfied; the family is not cut out "
-            "by any polynomial condition")
-    candidate = nonzero[0]
-    if candidate.size < 2:
-        return []  # constant nonzero entry: no roots at this M
-    roots = npp.polyroots(candidate)
-
-    def residual_ok(t0: complex) -> bool:
-        for p in nonzero:
-            scale = float(npp.polyval(abs(t0), np.abs(p))) + 1.0
-            if abs(npp.polyval(t0, p)) > tol * scale:
-                return False
-        return True
+    coeffs = np.array([c.evaluate(1.0, M) for c in phi.coeffs], dtype=complex)
+    roots = npp.polyroots(coeffs)
+    deriv = npp.polyder(coeffs)
+    for _ in range(2):
+        d = npp.polyval(roots, deriv)
+        # no step where the derivative vanishes (a double root)
+        roots = roots - np.divide(npp.polyval(roots, coeffs), d,
+                                  out=np.zeros_like(roots), where=d != 0)
 
     near = lambda z: 1e-6 * max(1.0, abs(z))
-    kept = sorted((complex(t) for t in roots if residual_ok(complex(t))),
-                  key=lambda z: z.real)
+    kept = sorted((complex(t) for t in roots), key=lambda z: z.real)
     # real parts equal up to rounding must not decide the order: sort each
     # run of close real parts by imaginary part instead
     kept = [z for run in _runs(kept, lambda u, z: z.real - u.real <= near(z))

@@ -210,6 +210,42 @@ def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
         assert all(r["verdict"] not in (None, "error") for r in recs)
 
 
+def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys):
+    import knotslope.apoly as apoly_mod
+    import knotslope.cli as cli_mod
+    import knotslope.representations as reps_mod
+
+    calls = []
+    original = apoly_mod.riley_polynomial
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in (apoly_mod, cli_mod, reps_mod):
+        monkeypatch.setattr(mod, "riley_polynomial", counted)
+    for argv in (["scan", "figure8", "--samples", "5"],
+                 ["verify", "figure8", "--samples", "3"],
+                 ["verify", "trefoil", "--samples", "3",
+                  "--apoly", "L*M^6 + 1"]):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
+def test_scan_outside_riley_form_gives_error_records(tmp_path, capsys):
+    path = tmp_path / "three.txt"
+    path.write_text("gens: a b c ;\nrel: a = b ;\nrel: b = c ;\n"
+                    "meridian: a ;\nlongitude: a c^-1\n")
+    code, out, _ = run(capsys, "scan", str(path), "--samples", "3")
+    assert code == 0
+    recs = records(out)
+    assert len(recs) == 3
+    assert all(r["verdict"] == "error" and "2 generators" in r["error"]
+               for r in recs)
+
+
 # ---------------------------------------------------------------------------
 # presentation check
 
@@ -223,6 +259,19 @@ def test_presentation_check(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["generators"] == ["u", "v"]
     assert payload["abelianization"] == {"u": 1, "v": 1}
+
+
+def test_presentation_check_rejects_conjugated_longitude(tmp_path, capsys):
+    # the figure-eight longitude conjugated by v: homologically trivial and
+    # well formed, but it no longer commutes with the meridian
+    path = tmp_path / "conjugated.txt"
+    path.write_text("gens: u v ;\nrel: u v u^-1 v^-1 u = v u^-1 v^-1 u v ;\n"
+                    "meridian: u ;\n"
+                    "longitude: v v u^-1 v^-1 u^2 v^-1 u^-1 v v^-1\n")
+    code, out, err = run(capsys, "presentation", "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "longitude does not commute" in err
 
 
 def test_presentation_check_reports_errors(tmp_path, capsys):

@@ -8,6 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from knotslope.apoly import riley_polynomial
 from knotslope.data import load_builtin
 from knotslope.presentation import KnotPresentation, Word, parse_presentation
 from knotslope.representations import (Representation, RepresentationError,
@@ -20,7 +21,7 @@ from knotslope.representations import (Representation, RepresentationError,
                                        representation_from_dict,
                                        representation_to_dict, riley_family)
 
-from helpers import random_sl2
+from helpers import TWO_BRIDGE, random_sl2
 
 GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 
@@ -109,6 +110,35 @@ def test_riley_family_requires_two_bridge_shape():
                                "meridian: a b^-1 ;\nlongitude: a^2 b^-3")
     with pytest.raises(RepresentationError):
         riley_family(torus, 1.5)
+
+
+def _mp_roots(phi, M: complex, dps: int = 50) -> list[complex]:
+    """Roots of ``phi(t, M)`` to ``dps`` digits, from its exact coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        Mm = mpmath.mpc(M.real, M.imag)
+        coeffs = [sum(mpmath.mpf(c.numerator) / c.denominator * Mm ** j
+                      for (_, j), c in b.terms.items()) for b in phi.coeffs]
+        return [complex(r) for r in
+                mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)]
+
+
+@pytest.mark.parametrize("name", ["b13_5", "b15_11"])
+def test_riley_roots_match_high_precision_roots_of_phi(name):
+    pres = parse_presentation(TWO_BRIDGE[name])
+    phi = riley_polynomial(pres)
+    rng = Random(0)
+    for _ in range(6):
+        M = rng.uniform(1.1, 2.0) * cmath.exp(1j * rng.uniform(0.1, 1.0))
+        exact = _mp_roots(phi, M)
+        reps = riley_family(pres, M)
+        assert len(reps) == phi.degree == len(exact)
+        for rep in reps:
+            r = min(exact, key=lambda r: abs(r - rep.riley_t))
+            assert abs(rep.riley_t - r) <= 3e-13 * abs(r)
+            assert rep.relator_residual() <= 1e-9
+        given = riley_family(pres, M, phi=phi)
+        assert [r.riley_t for r in given] == [r.riley_t for r in reps]
 
 
 # ---------------------------------------------------------------------------
