@@ -7,6 +7,12 @@ factors, e.g. ``"1 + L*M^6"`` or ``"3/2*L^-1 - M^2 L"``.  The JSON form is
 ``{"terms": [[i, j, "num/den"], ...]}`` with ``i`` the L-exponent and ``j``
 the M-exponent.
 
+Coefficients are exact rationals, stored as Python ``int`` when integral
+and as ``Fraction`` otherwise.  Every polynomial of the elimination lies in
+``Z[L^±, M^±]``, so it runs on ``int`` arithmetic; ``Fraction`` appears
+only for parsed text such as ``3/2*L``, a caller's ``Fraction`` scalar, or
+a quotient that is not integral.
+
 The canonical form of a nonzero polynomial shifts the minimal L- and
 M-exponents to 0, clears rational content (integer, coprime coefficients),
 and fixes the sign so the lexicographically largest term is positive —
@@ -17,7 +23,13 @@ relator entries of a 2-generator meridional presentation generate a
 polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
 M-content removed and repeated factors collapsed, is the defining
-polynomial of the eigenvalue variety's closure.
+polynomial of the eigenvalue variety's closure.  Collapsing repeated
+factors needs ``gcd(A, dA/dL)``.  ``squarefree_part`` skips that gcd when
+one integer specialisation ``M = m`` certifies it trivial: some
+L-coefficient of ``A`` is a single term, so ``A`` has no content in ``M``,
+and ``A(L, m)`` is coprime to its derivative at an ``m`` where the leading
+L-coefficient does not vanish.  Specialising can only raise the degree of
+the gcd there, so a gcd of degree 0 proves ``A`` squarefree.
 
 This module is the only place that builds the Riley matrices as
 polynomials in ``(t, M)``.  ``riley_polynomial`` is shared by both routes:
@@ -43,24 +55,52 @@ class ApolyError(ValueError):
 Exponents = tuple[int, int]  # (L-exponent, M-exponent)
 
 
+def _integral_values(terms: dict) -> dict:
+    """Store every integral ``Fraction`` value of ``terms`` as an ``int``,
+    in place and keeping the key order; returns ``terms``."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class BiLaurent:
-    """An exact Laurent polynomial in L and M with Fraction coefficients."""
+    """An exact Laurent polynomial in L and M with rational coefficients.
+
+    ``terms`` maps ``(L-exponent, M-exponent)`` to a nonzero coefficient,
+    stored as an ``int`` when it is integral and as a ``Fraction`` only
+    otherwise (parsed text such as ``3/2*L``, a caller's ``Fraction``
+    scalar, an inexact quotient), so the integer polynomials of the
+    elimination run on Python ``int`` arithmetic.  Both kinds compare and
+    hash equal to the ``Fraction`` of the same value.  ``BiLaurent(terms)``
+    is the checking constructor for input from outside: it converts and
+    accumulates every coefficient.  The ring operations build their
+    results through ``_normalised``, which wraps such a dict as it is.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponents, Fraction]
                  | Iterable[tuple[Exponents, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Fraction | int] = {}
         for (i, j), c in items:
             c = Fraction(c)
             key = (int(i), int(j))
-            c = acc.get(key, Fraction(0)) + c
+            c = acc.get(key, 0) + c
             if c:
                 acc[key] = c
             elif key in acc:
                 del acc[key]
-        self.terms = acc
+        self.terms = _integral_values(acc)
+
+    @classmethod
+    def _normalised(cls, terms: dict) -> "BiLaurent":
+        """Wrap ``terms`` without copying or checking it: no coefficient
+        may be zero, and every integral one must be an ``int``."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -87,12 +127,12 @@ class BiLaurent:
     def support(self) -> list[Exponents]:
         return sorted(self.terms)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> Fraction | int:
+        return self.terms.get((i, j), 0)
 
     def degree_in(self, var: str) -> int:
-        """Max minus min exponent span is not used; this is the max exponent
-        (of a nonzero polynomial) in ``var`` ('L' or 'M')."""
+        """The largest exponent of ``var`` ('L' or 'M') in a nonzero
+        polynomial (not the span between the largest and the smallest)."""
         if self.is_zero:
             raise ApolyError("zero polynomial has no degree")
         k = 0 if var == "L" else 1
@@ -115,15 +155,17 @@ class BiLaurent:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            c = out.get(e, Fraction(0)) + c
-            if c:
-                out[e] = c
-            elif e in out:
+            c = out.get(e, 0) + c
+            if not c:
                 del out[e]
-        return BiLaurent(out)
+            elif type(c) is int or c.denominator != 1:
+                out[e] = c
+            else:
+                out[e] = c.numerator
+        return BiLaurent._normalised(out)
 
     def __neg__(self) -> "BiLaurent":
-        return BiLaurent({e: -c for e, c in self.terms.items()})
+        return BiLaurent._normalised({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "BiLaurent") -> "BiLaurent":
         if not isinstance(other, BiLaurent):
@@ -135,16 +177,16 @@ class BiLaurent:
             other = BiLaurent.constant(other)
         if not isinstance(other, BiLaurent):
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Fraction | int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                c = out.get(e, Fraction(0)) + c1 * c2
+                c = out.get(e, 0) + c1 * c2
                 if c:
                     out[e] = c
-                elif e in out:
+                else:
                     del out[e]
-        return BiLaurent(out)
+        return BiLaurent._normalised(_integral_values(out))
 
     def __rmul__(self, other) -> "BiLaurent":
         return self.__mul__(other)
@@ -162,7 +204,8 @@ class BiLaurent:
         return out
 
     def shift(self, di: int, dj: int) -> "BiLaurent":
-        return BiLaurent({(i + di, j + dj): c for (i, j), c in self.terms.items()})
+        return BiLaurent._normalised({(i + di, j + dj): c
+                                      for (i, j), c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiLaurent):
@@ -178,12 +221,9 @@ class BiLaurent:
         denominators (zero polynomial has content 0)."""
         if self.is_zero:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        values = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in values)),
+                        math.lcm(*(c.denominator for c in values)))
 
     def canonical(self) -> "BiLaurent":
         """Distinguished associate: minimal exponents at 0, integer coprime
@@ -192,14 +232,21 @@ class BiLaurent:
             return self
         i0, j0 = self.min_exponents()
         cont = self.content()
-        out = {(i - i0, j - j0): c / cont for (i, j), c in self.terms.items()}
+        if cont.denominator == 1:  # every coefficient is an int
+            k = cont.numerator
+            out = {(i - i0, j - j0): c // k for (i, j), c in self.terms.items()}
+        else:
+            out = {(i - i0, j - j0): (c / cont).numerator
+                   for (i, j), c in self.terms.items()}
         if out[max(out)] < 0:
             out = {e: -c for e, c in out.items()}
-        return BiLaurent(out)
+        return BiLaurent._normalised(out)
 
     def exact_div(self, other: "BiLaurent") -> "BiLaurent":
-        """Exact quotient self / other; raises ``ApolyError`` when ``other``
-        does not divide ``self`` (in the Laurent ring)."""
+        """Exact quotient self / other over Q; raises ``ApolyError`` when
+        ``other`` does not divide ``self`` (in the Laurent ring).  A
+        quotient coefficient is an integer division when that is exact and
+        a ``Fraction`` otherwise."""
         if other.is_zero:
             raise ApolyError("division by the zero polynomial")
         if self.is_zero:
@@ -210,22 +257,29 @@ class BiLaurent:
         div = {(i - oi, j - oj): c for (i, j), c in other.terms.items()}
         lt_d = max(div)
         lc_d = div[lt_d]
-        quot: dict[Exponents, Fraction] = {}
+        quot: dict[Exponents, Fraction | int] = {}
         while rem:
             lt_r = max(rem)
             qi, qj = lt_r[0] - lt_d[0], lt_r[1] - lt_d[1]
             if qi < 0 or qj < 0:
                 raise ApolyError("polynomials do not divide exactly")
-            qc = rem[lt_r] / lc_d
-            quot[(qi, qj)] = quot.get((qi, qj), Fraction(0)) + qc
+            a = rem[lt_r]
+            if type(a) is int and type(lc_d) is int and not a % lc_d:
+                qc = a // lc_d
+            else:
+                qc = Fraction(a) / lc_d
+                if qc.denominator == 1:
+                    qc = qc.numerator
+            # the leading term of rem falls strictly, so (qi, qj) is new
+            quot[(qi + si - oi, qj + sj - oj)] = qc
             for (i, j), c in div.items():
                 e = (i + qi, j + qj)
-                nc = rem.get(e, Fraction(0)) - qc * c
+                nc = rem.get(e, 0) - qc * c
                 if nc:
                     rem[e] = nc
-                elif e in rem:
+                else:
                     del rem[e]
-        return BiLaurent(quot).shift(si - oi, sj - oj)
+        return BiLaurent._normalised(quot)
 
     # -- calculus and evaluation ----------------------------------------------
     def derivative(self, var: str) -> "BiLaurent":
@@ -233,18 +287,12 @@ class BiLaurent:
         k = {"L": 0, "M": 1}.get(var)
         if k is None:
             raise ApolyError(f"unknown variable {var!r}")
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Fraction | int] = {}
         for (i, j), c in self.terms.items():
             e = (i, j)[k]
-            if e == 0:
-                continue
-            key = (i - 1, j) if k == 0 else (i, j - 1)
-            c2 = out.get(key, Fraction(0)) + e * c
-            if c2:
-                out[key] = c2
-            elif key in out:
-                del out[key]
-        return BiLaurent(out)
+            if e:  # distinct terms have distinct derivative terms
+                out[(i - 1, j) if k == 0 else (i, j - 1)] = e * c
+        return BiLaurent._normalised(_integral_values(out))
 
     def evaluate(self, L: complex, M: complex) -> complex:
         out = 0j
@@ -748,38 +796,47 @@ def _is_univariate(p: BiLaurent, k: int) -> bool:
     return all(e[k] == lo for e in p.terms)
 
 
-def _univariate_gcd(a: BiLaurent, b: BiLaurent, k: int) -> BiLaurent:
-    """Gcd of two Laurent polynomials in the single variable indexed by
-    ``k`` (0 = L, 1 = M), returned canonical."""
-    def coeff_list(p: BiLaurent) -> list[Fraction]:
-        exps = [e[k] for e in p.terms]
-        base = min(exps)
-        out = [Fraction(0)] * (max(exps) - base + 1)
-        for e, c in p.terms.items():
-            out[e[k] - base] = c
-        return out
-
-    x = coeff_list(a)
-    y = coeff_list(b)
+def _q_gcd(x: Sequence, y: Sequence) -> list[Fraction]:
+    """Gcd over Q, by Euclid, of two polynomials given as ascending
+    coefficient lists; not normalised, ``[]`` when both are zero.  The
+    coefficients are made ``Fraction``s first, so no quotient of two
+    ``int``s turns into a float."""
+    def trimmed(u: Sequence) -> list[Fraction]:
+        u = [Fraction(c) for c in u]
+        while u and not u[-1]:
+            u.pop()
+        return u
 
     def pmod(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
         u = u[:]
-        while len(u) >= len(v) and any(u):
-            while u and u[-1] == 0:
-                u.pop()
-            if len(u) < len(v):
-                break
+        while len(u) >= len(v):
             f = u[-1] / v[-1]
             off = len(u) - len(v)
             for i, cv in enumerate(v):
                 u[off + i] -= f * cv
             u.pop()
-        while u and u[-1] == 0:
-            u.pop()
+            while u and not u[-1]:
+                u.pop()
         return u
 
+    x, y = trimmed(x), trimmed(y)
     while y:
         x, y = y, pmod(x, y)
+    return x
+
+
+def _univariate_gcd(a: BiLaurent, b: BiLaurent, k: int) -> BiLaurent:
+    """Gcd of two Laurent polynomials in the single variable indexed by
+    ``k`` (0 = L, 1 = M), returned canonical."""
+    def coeff_list(p: BiLaurent) -> list:
+        exps = [e[k] for e in p.terms]
+        base = min(exps)
+        out = [0] * (max(exps) - base + 1)
+        for e, c in p.terms.items():
+            out[e[k] - base] = c
+        return out
+
+    x = _q_gcd(coeff_list(a), coeff_list(b))
     mono = {0: lambda e: (e, 0), 1: lambda e: (0, e)}[k]
     return BiLaurent([(mono(e), c) for e, c in enumerate(x) if c]).canonical()
 
@@ -789,17 +846,17 @@ def _as_L_tpoly(p: BiLaurent) -> TPoly:
     in L with pure-M coefficients, reusing the TPoly machinery with t = L."""
     i0, j0 = p.min_exponents()
     top = max(i for i, _ in p.terms)
-    coeffs = [BiLaurent.zero() for _ in range(top - i0 + 1)]
+    coeffs: list[dict] = [{} for _ in range(top - i0 + 1)]
     for (i, j), c in p.terms.items():
-        coeffs[i - i0] = coeffs[i - i0] + BiLaurent.monomial(0, j - j0, c)
-    return TPoly(coeffs)
+        coeffs[i - i0][(0, j - j0)] = c
+    return TPoly([BiLaurent._normalised(c) for c in coeffs])
 
 
 def _from_L_tpoly(t: TPoly) -> BiLaurent:
-    out = BiLaurent.zero()
-    for i, c in enumerate(t.coeffs):
-        out = out + c.shift(i, 0)
-    return out
+    """The inverse of ``_as_L_tpoly``: coefficients pure in M."""
+    return BiLaurent._normalised({(a + i, b): c
+                                  for i, coeff in enumerate(t.coeffs)
+                                  for (a, b), c in coeff.terms.items()})
 
 
 def bilaurent_gcd(a: BiLaurent, b: BiLaurent) -> BiLaurent:
@@ -826,12 +883,39 @@ def bilaurent_gcd(a: BiLaurent, b: BiLaurent) -> BiLaurent:
     return (cont * pp).canonical()
 
 
+def _certified_squarefree_in_L(p: BiLaurent) -> bool:
+    """A cheap proof that a canonical ``p`` has no repeated factor and no
+    content in ``Q[M]`` when viewed as a polynomial in ``L``.
+
+    Some L-coefficient must be a single term, so ``p`` is primitive in
+    ``L``.  At the first integer ``m >= 2`` where ``lc_L(p)`` does not
+    vanish, ``p(L, m)`` must be coprime to its derivative in ``Q[L]``.
+    That suffices: a repeated factor ``h`` of positive L-degree would give
+    ``h(L, m)``, of the same degree because ``lc_L(h)`` divides
+    ``lc_L(p)``, as a common factor of the two.  ``False`` proves nothing.
+    """
+    coeffs = _as_L_tpoly(p).coeffs
+    if all(len(c.terms) > 1 for c in coeffs):
+        return False
+    lead = coeffs[-1].terms.items()
+    m = 2
+    while not sum(c * m ** j for (_, j), c in lead):
+        m += 1
+    spec = [sum(c * m ** j for (_, j), c in coeff.terms.items())
+            for coeff in coeffs]
+    return len(_q_gcd(spec, [i * c for i, c in enumerate(spec)][1:])) == 1
+
+
 def squarefree_part(p: BiLaurent, var: str = "L") -> tuple[BiLaurent, int]:
     """Collapse repeated factors: returns ``(p / gcd(p, dp/dvar), d)`` in
-    canonical form, where ``d`` is the ``var``-degree of the removed gcd."""
+    canonical form, where ``d`` is the ``var``-degree of the removed gcd.
+
+    For ``var = "L"`` the gcd, a primitive PRS over ``Z[M]``, is skipped
+    when ``_certified_squarefree_in_L`` proves it trivial, and ``(p, 0)``
+    is returned; the result is the same either way."""
     p = p.canonical()
     dp = p.derivative(var)
-    if dp.is_zero:
+    if dp.is_zero or (var == "L" and _certified_squarefree_in_L(p)):
         return p, 0
     g = bilaurent_gcd(p, dp)
     if len(g.terms) == 1 and g.leading_exponents() == (0, 0):

@@ -58,6 +58,13 @@ meridian: a ;
 longitude: b a^-1 b a b^-1 a b^-1 a^-1 b a^-1 b a b^-1 a a b^-1 a b a^-1
     b a^-1 b^-1 a b^-1 a b a^-1 b a^-4
 """,
+    "b17_5": """gens: a b ;
+rel: a b a b a^-1 b^-1 a^-1 b a b a b^-1 a^-1 b^-1 a b a = b a b a^-1 b^-1
+    a^-1 b a b a b^-1 a^-1 b^-1 a b a b ;
+meridian: a ;
+longitude: b a b a^-1 b^-1 a^-1 b a b a b^-1 a^-1 b^-1 a b a a b a b^-1 a^-1
+    b^-1 a b a b a^-1 b^-1 a^-1 b a b a^-8
+""",
 }
 
 

@@ -8,6 +8,8 @@ from random import Random
 
 import pytest
 
+from helpers import TWO_BRIDGE
+from knotslope import apoly
 from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              bilaurent_gcd, bilaurent_to_json,
                              compute_apoly_twobridge,
@@ -101,6 +103,10 @@ def test_exact_div_inverts_multiplication():
         assert prod.exact_div(b) == a
         assert prod.exact_div(a) == b
         checked += 1
+    # an inexact integer quotient stays exact over Q
+    half = parse_bilaurent("L + 1").exact_div(BiLaurent.constant(2))
+    assert half == parse_bilaurent("1/2*L + 1/2")
+    assert all(type(c) is Fraction for c in half.terms.values())
 
 
 def test_exact_div_rejects_non_multiples():
@@ -125,6 +131,10 @@ def test_parse_accepts_rational_and_signed_forms():
     assert p.coefficient(1, 0) == -1
     assert p.coefficient(0, -2) == Fraction(1, 2)
     assert p.coefficient(0, 0) == -3
+    # integral coefficients are stored as int, the others as Fraction
+    q = parse_bilaurent("3/2*L^-1 - M^2 L")
+    assert type(q.coefficient(-1, 0)) is Fraction
+    assert type(q.coefficient(1, 2)) is int
 
 
 def test_parse_errors_carry_position():
@@ -144,6 +154,9 @@ def test_json_roundtrip():
     # coefficients serialize as exact fraction strings
     q = parse_bilaurent("1/3*L - 2")
     assert sorted(c for _, _, c in bilaurent_to_json(q)["terms"]) == ["-2", "1/3"]
+    r = parse_bilaurent("3/2*L^-1 - M^2 L")
+    assert bilaurent_to_json(r) == {"terms": [[1, 2, "-1"], [-1, 0, "3/2"]]}
+    assert bilaurent_from_json(bilaurent_to_json(r)) == r
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +314,9 @@ def test_gcd_simple_cases():
     assert bilaurent_gcd(p, BiLaurent.zero()) == p.canonical()
     one = bilaurent_gcd(parse_bilaurent("L + 1"), parse_bilaurent("M + 1"))
     assert one == BiLaurent.one()
+    # univariate Euclid over Q: the quotients 2/3, ... must stay exact
+    assert bilaurent_gcd(parse_bilaurent("2*L^2 + 3*L + 1"),
+                         parse_bilaurent("3*L^2 + 4*L + 1")) == parse_bilaurent("L + 1")
 
 
 def test_squarefree_part_removes_multiplicity():
@@ -311,6 +327,73 @@ def test_squarefree_part_removes_multiplicity():
     already, removed0 = squarefree_part(parse_bilaurent(L_FIG8), "L")
     assert removed0 == 0
     assert already == parse_bilaurent(L_FIG8)
+
+
+def two_bridge_resultant(name: str) -> BiLaurent:
+    pres = parse_presentation(TWO_BRIDGE[name])
+    return compute_apoly_twobridge_detailed(pres).resultant
+
+
+def prs_squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
+    """``squarefree_part(p, "L")`` computed from the PRS gcd alone."""
+    p = p.canonical()
+    g = bilaurent_gcd(p, p.derivative("L"))
+    exps = [i for i, _ in g.terms]
+    return p.exact_div(g).canonical(), max(exps) - min(exps)
+
+
+@pytest.mark.parametrize("make, certified, removed", [
+    pytest.param(lambda: two_bridge_resultant("b13_5"), True, 0, id="b13_5"),
+    pytest.param(lambda: two_bridge_resultant("b15_11"), False, 2,
+                 id="b15_11"),
+    # lc_L = (M-2)(M-3) vanishes at 2 and 3; p(L, 4) = 2L^2 + L + 1
+    pytest.param(lambda: parse_bilaurent("M^2 - 5*M + 6") * LM(2, 0)
+                 + parse_bilaurent("L + 1"), True, 0, id="lc-vanishes-at-2-3"),
+    # lc_L = (M-2)^2; p(L, 3) = (L+1)^2 (L+3) has a repeated factor
+    pytest.param(lambda: parse_bilaurent("L*M - 2*L + 1") ** 2
+                 * parse_bilaurent("L + M"), False, 1, id="lc-vanishes-at-2"),
+    # squarefree, but p(L, 2) = L^2 gains a repeated factor
+    pytest.param(lambda: parse_bilaurent("L^2 - M + 2"), False, 0,
+                 id="specialisation-gains-a-square"),
+    # squarefree in L, but the content M + 1 is part of the gcd
+    pytest.param(lambda: parse_bilaurent("M + 1") * parse_bilaurent("L^2 + L + 1"),
+                 False, 0, id="content-in-M"),
+])
+def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, certified,
+                                                removed):
+    p = make()
+    gcd_calls = []
+
+    def counting_gcd(a, b):
+        gcd_calls.append(1)
+        return bilaurent_gcd(a, b)
+
+    monkeypatch.setattr(apoly, "bilaurent_gcd", counting_gcd)
+    got = squarefree_part(p, "L")
+    monkeypatch.undo()
+    assert (not gcd_calls) == certified
+    assert got == prs_squarefree_part(p)
+    assert got[1] == removed
+
+
+def test_elimination_stores_integer_coefficients():
+    res = compute_apoly_twobridge_detailed(parse_presentation(TWO_BRIDGE["b13_5"]))
+    polys = [*res.riley_polynomial.coeffs, res.resultant, res.apoly]
+    assert all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def test_b17_5_apoly_meets_the_theorems():
+    """Oracles that do not reuse the elimination code."""
+    res = compute_apoly_twobridge_detailed(parse_presentation(TWO_BRIDGE["b17_5"]))
+    A = res.apoly
+    assert res.multiplicity_removed == 0
+    assert all(j % 2 == 0 for _, j in A.terms)
+    # A(1/L, 1/M) is a unit multiple of A (Cooper-Culler-Gillet-Long-Shalen)
+    assert BiLaurent({(-i, -j): c for (i, j), c in A.terms.items()}).canonical() == A
+    # boundary slopes of two-bridge knots are even integers (Hatcher-Thurston)
+    slopes = ideal_point_slopes(newton_polygon(A)).values()
+    assert slopes
+    assert all(s != math.inf and s.denominator == 1 and s % 2 == 0 for s in slopes)
 
 
 # ---------------------------------------------------------------------------
