@@ -23,13 +23,27 @@ relator entries of a 2-generator meridional presentation generate a
 polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
 M-content removed and repeated factors collapsed, is the defining
-polynomial of the eigenvalue variety's closure.  Collapsing repeated
-factors needs ``gcd(A, dA/dL)``.  ``squarefree_part`` skips that gcd when
-one integer specialisation ``M = m`` certifies it trivial: some
-L-coefficient of ``A`` is a single term, so ``A`` has no content in ``M``,
-and ``A(L, m)`` is coprime to its derivative at an ``m`` where the leading
-L-coefficient does not vanish.  Specialising can only raise the degree of
-the gcd there, so a gcd of degree 0 proves ``A`` squarefree.
+polynomial of the eigenvalue variety's closure.
+
+``phi`` is monic in ``t`` on the two-bridge knots, and ``resultant_t``
+then takes a modular route: reduce ``lam`` modulo ``phi``, evaluate the
+characteristic polynomial of ``lam(C)``, ``C`` the companion matrix of
+``phi``, at ``M = 1, ..., K`` modulo word-size primes, interpolate in
+``M`` and rebuild each coefficient by the Chinese remainder theorem.  The
+number of points comes from an exponent bound and the number of primes
+from a coefficient bound, both proven on the Sylvester matrix (see
+``_resultant_modular``), so the result is the exact determinant.  Any
+other input, such as a ``phi`` that is not monic, takes the fraction-free
+(Bareiss) elimination of the Sylvester matrix.
+
+Collapsing repeated factors needs ``gcd(A, dA/dL)``, a primitive
+pseudo-remainder sequence whose univariate steps run over ``Z``.
+``squarefree_part`` skips that gcd when one integer specialisation
+``M = m`` certifies it trivial: some L-coefficient of ``A`` is a single
+term, so ``A`` has no content in ``M``, and ``A(L, m)`` is coprime to its
+derivative at an ``m`` where the leading L-coefficient does not vanish.
+Specialising can only raise the degree of the gcd there, so a gcd of
+degree 0 proves ``A`` squarefree.
 
 This module is the only place that builds the Riley matrices as
 polynomials in ``(t, M)``.  ``riley_polynomial`` is shared by both routes:
@@ -44,6 +58,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .presentation import KnotPresentation, Word
 
@@ -751,25 +767,46 @@ def tpoly_gcd(A: TPoly, B: TPoly) -> TPoly:
 
 
 def resultant_t(P: TPoly, Q: TPoly) -> BiLaurent:
-    """Resultant in t via fraction-free (Bareiss) elimination of the
-    Sylvester matrix.  Requires both degrees >= 1.  The raw determinant is
+    """The resultant in t: the determinant of the Sylvester matrix of
+    ``P`` and ``Q``.  Requires both degrees >= 1.  The raw determinant is
     returned, so ``resultant_t(P1*P2, Q) = resultant_t(P1, Q) *
-    resultant_t(P2, Q)`` holds exactly."""
+    resultant_t(P2, Q)`` holds exactly.
+
+    The elimination's inputs have a shape that admits a faster method:
+    when ``P`` is monic in t and ``Q = L - lam(t)``, with every coefficient
+    of ``P`` and ``lam`` an integer Laurent polynomial free of ``L``,
+    ``_resultant_modular`` computes the same determinant by evaluation and
+    interpolation in ``M`` modulo word-size primes.  Every other input
+    takes the fraction-free (Bareiss) elimination of ``_resultant_bareiss``.
+    """
     if P.is_zero or Q.is_zero:
         raise ApolyError("resultant of the zero polynomial")
-    n, m = P.degree, Q.degree
-    if n < 1 or m < 1:
+    if P.degree < 1 or Q.degree < 1:
         raise ApolyError("resultant requires degree >= 1 in t for both inputs")
-    N = n + m
-    zero = BiLaurent.zero()
-    S = [[zero] * N for _ in range(N)]
-    for k in range(m):
-        for idx in range(n + 1):
-            S[k][k + idx] = P.coeffs[n - idx]
-    for k in range(n):
-        for idx in range(m + 1):
-            S[m + k][k + idx] = Q.coeffs[m - idx]
+    lam = _eigenvalue_of_elimination(P, Q)
+    if lam is None:
+        return _resultant_bareiss(P, Q)
+    return _resultant_modular(P, lam)
 
+
+def _sylvester(P: TPoly, Q: TPoly) -> list[list[BiLaurent]]:
+    """The Sylvester matrix: ``deg Q`` rows of ``P``'s coefficients, then
+    ``deg P`` rows of ``Q``'s, each shifted one column right of the last."""
+    n, m = P.degree, Q.degree
+    S = [[BiLaurent.zero()] * (n + m) for _ in range(n + m)]
+    for k in range(m):
+        S[k][k:k + n + 1] = P.coeffs[::-1]
+    for k in range(n):
+        S[m + k][k:k + m + 1] = Q.coeffs[::-1]
+    return S
+
+
+def _resultant_bareiss(P: TPoly, Q: TPoly) -> BiLaurent:
+    """The Sylvester determinant by fraction-free (Bareiss) elimination,
+    for any inputs of degree >= 1; the reference of the modular method."""
+    S = _sylvester(P, Q)
+    N = len(S)
+    zero = BiLaurent.zero()
     sign = 1
     prev = BiLaurent.one()
     for k in range(N - 1):
@@ -788,6 +825,238 @@ def resultant_t(P: TPoly, Q: TPoly) -> BiLaurent:
     return det if sign == 1 else -det
 
 
+def _eigenvalue_of_elimination(P: TPoly, Q: TPoly) -> TPoly | None:
+    """``lam`` with ``Q = L - lam(t)`` when the pair has the shape of the
+    elimination: ``P`` monic in t, and every coefficient of ``P`` and of
+    ``lam`` an integer Laurent polynomial in ``M`` alone.  ``None``
+    otherwise."""
+    if P.leading != BiLaurent.one():
+        return None
+    head = dict(Q.coeffs[0].terms)
+    if head.pop((1, 0), None) != 1:
+        return None
+    lam = TPoly([BiLaurent._normalised({e: -c for e, c in head.items()}),
+                 *(-c for c in Q.coeffs[1:])])
+    for c in (*P.coeffs, *lam.coeffs):
+        if any(i or type(v) is not int for (i, _), v in c.terms.items()):
+            return None
+    return lam
+
+
+def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
+    """``Res_t(P, L - lam)`` for a monic ``P``, by evaluation and
+    interpolation in ``M`` modulo word-size primes.
+
+    Reduction: the resultant is ``prod (L - lam(a))`` over the roots ``a``
+    of the monic ``P``, and ``lam(a) = r(a)`` for ``r = lam mod P``, so it
+    equals ``Res_t(P, L - r)``, exactly; a constant ``r = c`` gives
+    ``(L - c)^deg P``.  Otherwise it is ``det(L·I - r(C))`` for the
+    companion matrix ``C`` of ``P``, whose eigenvalues are the roots ``a``:
+    the characteristic polynomial of ``r(C)``.
+
+    Both bounds come from the Sylvester matrix ``S`` of ``(P, L - r)``:
+
+    - M-exponents: every term of ``det S`` is a product
+      ``prod_i S_(i, s(i))`` over a permutation ``s``, so each M-exponent
+      of the resultant lies between the least sum of smallest exponents
+      and the greatest sum of largest exponents over the permutations
+      through nonzero entries (two assignment problems).  This fixes
+      ``K``, the number of points ``M = 1, ..., K``.
+    - Coefficients (Goldstein–Graham, 1974): on the torus
+      ``|L| = |M| = 1`` each entry is at most its coefficient 1-norm, so
+      by Hadamard ``|det S| <= B = prod_i (sum_j |S_ij|_1^2)^(1/2)``, and
+      a coefficient is the mean of ``det S · L^-a M^-b`` over the torus,
+      so it is at most ``B`` in absolute value.  Primes whose product
+      exceeds ``2B`` fix it as a symmetric residue (CRT).
+    """
+    n = P.degree
+    r = tpoly_prem(lam, P) if lam.degree >= n else lam
+    Q = TPoly.constant(BiLaurent.monomial(1, 0)) - r
+    if Q.degree < 1:
+        return Q.coeffs[0] ** n
+    S = _sylvester(P, Q)
+    exps = [[[j for _, j in e.terms] for e in row] for row in S]
+    lo = _assignment([[min(js) if js else None for js in row] for row in exps])
+    hi = -_assignment([[-max(js) if js else None for js in row]
+                       for row in exps])
+    bound_sq = math.prod(sum(sum(map(abs, e.terms.values())) ** 2 for e in row)
+                         for row in S)
+    primes = _word_primes(n, 4 * bound_sq)
+    x = np.arange(1, hi - lo + 2, dtype=np.int64)
+    values = _charpoly_at(P, r, x, primes) \
+        * _powers(x, -lo, primes)[:, None, :] % np.array(primes)[:, None, None]
+    coeffs = _interpolate(values, primes)
+
+    mods = [math.prod(primes[:i]) for i in range(len(primes))]
+    invs = [pow(mod, -1, q) for mod, q in zip(mods, primes)]
+    modulus = mods[-1] * primes[-1]
+    terms: dict[Exponents, int] = {}
+    k_idx, j_idx = np.nonzero(coeffs.any(axis=0))
+    for k, j, residues in zip(k_idx.tolist(), j_idx.tolist(),
+                              coeffs[:, k_idx, j_idx].T.tolist()):
+        v = 0
+        for res, q, mod, inv in zip(residues, primes, mods, invs):
+            v += mod * ((res - v) * inv % q)
+        terms[(k, j + lo)] = v - modulus if 2 * v > modulus else v
+    return BiLaurent._normalised(terms)
+
+
+def _assignment(cost: list[list]) -> int:
+    """The least ``sum_i cost[i][s(i)]`` over the permutations ``s`` that
+    avoid the ``None`` entries of a square matrix, one of which must
+    exist (Hungarian method, O(N^3))."""
+    N = len(cost)
+    big = 1 + 2 * N * max(abs(c) for row in cost for c in row if c is not None)
+    w = [[big if c is None else c for c in row] for row in cost]
+    u, v = [0] * (N + 1), [0] * (N + 1)
+    match, way = [0] * (N + 1), [0] * (N + 1)  # match[col] = row, 1-based
+    for i in range(1, N + 1):
+        match[0], j0 = i, 0
+        minv, used = [math.inf] * (N + 1), [False] * (N + 1)
+        while match[j0]:
+            used[j0] = True
+            i0, delta, j1 = match[j0], math.inf, 0
+            for j in range(1, N + 1):
+                if not used[j]:
+                    cur = w[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(N + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return sum(w[match[j] - 1][j - 1] for j in range(1, N + 1))
+
+
+def _word_primes(n: int, bound_sq: int) -> list[int]:
+    """Descending primes, as many as make their product's square exceed
+    ``bound_sq``, below ``2^b`` for the largest ``b`` with
+    ``(n + 1)·2^(2b) <= 2^63``: a product of two ``n × n`` matrices of
+    residues, plus a residue, then stays below ``2^63``."""
+    bits = (63 - (n + 1).bit_length()) // 2
+    primes: list[int] = []
+    product, q = 1, (1 << bits) - 1
+    while product * product <= bound_sq:
+        if _is_prime(q):
+            primes.append(q)
+            product *= q
+        q -= 2
+    return primes
+
+
+def _is_prime(q: int) -> bool:
+    """Miller–Rabin with bases 2, 7 and 61, which is exact for every
+    ``q < 4759123141`` (Jaeschke, 1993)."""
+    if q < 2:
+        return False
+    for a in (2, 7, 61):
+        if q % a == 0:
+            return q == a
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        y = pow(a, d, q)
+        if y in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % q
+            if y == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _powers(x: np.ndarray, e: int, primes: list[int]) -> np.ndarray:
+    """``x^e`` modulo each prime, shape ``(#primes, len(x))``; ``e`` may
+    be negative, as every point is a unit."""
+    return np.array([[pow(v, e, q) for v in x.tolist()] for q in primes],
+                    dtype=np.int64)
+
+
+def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
+                 primes: list[int]) -> np.ndarray:
+    """The coefficients of ``det(L·I - r(C))``, ``C`` the companion matrix
+    of the monic ``P``, at ``M = x`` modulo each prime: shape
+    ``(#primes, deg P + 1, len(x))``, ascending in ``L``."""
+    n = P.degree
+    polys = [*P.coeffs[:n], *r.coeffs]
+    emin = min(j for c in polys for _, j in c.terms)
+    emax = max(j for c in polys for _, j in c.terms)
+    dense = np.zeros((len(polys), emax - emin + 1), dtype=object)
+    for row, c in zip(dense, polys):
+        for (_, j), v in c.terms.items():
+            row[j - emin] = v
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    digits = (dense[None] % np.array(primes, dtype=object)[:, None, None]
+              ).astype(np.int64)
+    vals = np.zeros((len(primes), len(polys), len(x)), dtype=np.int64)
+    for e in range(emax - emin, -1, -1):  # Horner in M
+        vals = (vals * x + digits[:, :, e, None]) % q
+    vals = np.moveaxis(vals * _powers(x, emin, primes)[:, None, :] % q, 1, 2)
+
+    # C acts on coefficient vectors as multiplication by t modulo P, so the
+    # column j of r(C) is t^j·r mod P
+    a = vals[..., :n]
+    col = np.zeros_like(a)
+    col[..., :r.degree + 1] = vals[..., n:]
+    X = np.empty(col.shape + (n,), dtype=np.int64)
+    for j in range(n):
+        X[..., j] = col
+        top = col[..., n - 1:]
+        col = np.concatenate([np.zeros_like(top), col[..., :-1]], axis=-1)
+        col = (col - top * a) % q
+
+    # Faddeev–LeVerrier: c_(n-k) = -tr(X·M_k)/k, M_(k+1) = X·M_k + c_(n-k)·I
+    eye = np.eye(n, dtype=np.int64)
+    char = np.zeros((len(primes), n + 1, len(x)), dtype=np.int64)
+    char[:, n] = 1
+    Mk = np.broadcast_to(eye, X.shape)
+    for k in range(1, n + 1):
+        XM = X @ Mk % q[..., None]
+        inv_k = np.array([pow(k, -1, p) for p in primes])[:, None]
+        ck = -np.trace(XM, axis1=2, axis2=3) % q[:, 0] * inv_k % q[:, 0]
+        char[:, n - k] = ck
+        Mk = (XM + ck[..., None, None] * eye) % q[..., None]
+    return char
+
+
+def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Ascending coefficients of the polynomials of degree ``< K`` that
+    take ``values[..., i]`` at ``x = i + 1`` (``K`` points), modulo the
+    prime indexed by the first axis, by Newton's forward differences:
+    ``f(x) = sum_k (Δ^k f)(1) / k! · (x - 1)···(x - k)``."""
+    K = values.shape[-1]
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    d = values.copy()
+    for k in range(1, K):
+        d[..., k:] = (d[..., k:] - d[..., k - 1:-1]) % q
+    inv_fact = np.empty((len(primes), K), dtype=np.int64)
+    for i, p in enumerate(primes):
+        f = 1
+        for k in range(K):
+            f = f * max(k, 1) % p
+            inv_fact[i, k] = pow(f, -1, p)
+    d = d * inv_fact[:, None, :] % q
+    c = np.zeros_like(d)
+    c[..., 0] = d[..., K - 1]
+    for j in range(K - 2, -1, -1):  # c <- c·(x - (j + 1)) + d_j
+        c0 = (d[..., j] - (j + 1) * c[..., 0]) % q[..., 0]
+        c[..., 1:] = (c[..., :-1] - (j + 1) * c[..., 1:]) % q
+        c[..., 0] = c0
+    return c
+
+
 # ---------------------------------------------------------------------------
 # gcd over the bivariate ring
 
@@ -796,22 +1065,24 @@ def _is_univariate(p: BiLaurent, k: int) -> bool:
     return all(e[k] == lo for e in p.terms)
 
 
-def _q_gcd(x: Sequence, y: Sequence) -> list[Fraction]:
-    """Gcd over Q, by Euclid, of two polynomials given as ascending
-    coefficient lists; not normalised, ``[]`` when both are zero.  The
-    coefficients are made ``Fraction``s first, so no quotient of two
-    ``int``s turns into a float."""
-    def trimmed(u: Sequence) -> list[Fraction]:
-        u = [Fraction(c) for c in u]
+def _q_gcd(x: Sequence, y: Sequence) -> list[int]:
+    """Gcd over Q of two polynomials given as ascending coefficient lists,
+    up to a rational factor; ``[]`` when both are zero.  Denominators are
+    cleared first, and the Euclid runs as a primitive pseudo-remainder
+    sequence over Z, so every coefficient stays an ``int``."""
+    def primitive(u: Sequence) -> list[int]:
+        den = math.lcm(*(c.denominator for c in u))
+        u = [int(c * den) for c in u]
         while u and not u[-1]:
             u.pop()
-        return u
+        g = math.gcd(*u)
+        return [c // g for c in u]
 
-    def pmod(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        u = u[:]
+    def prem(u: list[int], v: list[int]) -> list[int]:
+        lc = v[-1]
         while len(u) >= len(v):
-            f = u[-1] / v[-1]
-            off = len(u) - len(v)
+            f, off = u[-1], len(u) - len(v)
+            u = [c * lc for c in u]
             for i, cv in enumerate(v):
                 u[off + i] -= f * cv
             u.pop()
@@ -819,9 +1090,9 @@ def _q_gcd(x: Sequence, y: Sequence) -> list[Fraction]:
                 u.pop()
         return u
 
-    x, y = trimmed(x), trimmed(y)
+    x, y = primitive(x), primitive(y)
     while y:
-        x, y = y, pmod(x, y)
+        x, y = y, primitive(prem(x, y))
     return x
 
 

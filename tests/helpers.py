@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from random import Random
 
 import numpy as np
@@ -35,37 +36,34 @@ def random_images(rng: Random, gens, scale: float = 1.0) -> dict:
     return {g: random_sl2(rng, scale) for g in gens}
 
 
-#: two-bridge knots ``b(p, q)`` in Schubert normal form: relation
-#: ``a w = w b`` and longitude ``w w* a^(-2 sigma)`` for the Schubert word
-#: ``w`` and its reverse ``w*``
-TWO_BRIDGE = {
-    "b9_7": """gens: a b ;
-rel: a b a^-1 b a^-1 b^-1 a b^-1 a = b a^-1 b a^-1 b^-1 a b^-1 a b ;
-meridian: a ;
-longitude: b a^-1 b a^-1 b^-1 a b^-1 a a b^-1 a b^-1 a^-1 b a^-1 b
-""",
-    "b13_5": """gens: a b ;
-rel: a b a b^-1 a^-1 b^-1 a b a^-1 b^-1 a^-1 b a = b a b^-1 a^-1 b^-1 a
-    b a^-1 b^-1 a^-1 b a b ;
-meridian: a ;
-longitude: b a b^-1 a^-1 b^-1 a b a^-1 b^-1 a^-1 b a a b a^-1 b^-1 a^-1
-    b a b^-1 a^-1 b^-1 a b
-""",
-    "b15_11": """gens: a b ;
-rel: a b a^-1 b a b^-1 a b^-1 a^-1 b a^-1 b a b^-1 a = b a^-1 b a b^-1 a
-    b^-1 a^-1 b a^-1 b a b^-1 a b ;
-meridian: a ;
-longitude: b a^-1 b a b^-1 a b^-1 a^-1 b a^-1 b a b^-1 a a b^-1 a b a^-1
-    b a^-1 b^-1 a b^-1 a b a^-1 b a^-4
-""",
-    "b17_5": """gens: a b ;
-rel: a b a b a^-1 b^-1 a^-1 b a b a b^-1 a^-1 b^-1 a b a = b a b a^-1 b^-1
-    a^-1 b a b a b^-1 a^-1 b^-1 a b a b ;
-meridian: a ;
-longitude: b a b a^-1 b^-1 a^-1 b a b a b^-1 a^-1 b^-1 a b a a b a b^-1 a^-1
-    b^-1 a b a b a^-1 b^-1 a^-1 b a b a^-8
-""",
-}
+def two_bridge_text(p: int, q: int) -> str:
+    """The two-bridge knot ``b(p, q)`` in Schubert normal form, in the
+    presentation text format.
+
+    With signs ``e_i = (-1)^floor(i q / p)`` for ``i = 1 .. p-1``, the
+    Schubert word is ``w = b^e_1 a^e_2 b^e_3 ...``, the relation is
+    ``a w = w b`` and the longitude is ``w w* a^(-2 sigma)``, where ``w*``
+    is ``w`` reversed and ``sigma = sum e_i``.  These signs give the knot
+    only for odd ``p`` and odd ``q``, so an even ``p`` or ``q``, a ``q``
+    outside ``0 < q < p`` or ``gcd(p, q) != 1`` raises ``ValueError``.
+    """
+    if p % 2 == 0 or q % 2 == 0 or not 0 < q < p or math.gcd(p, q) != 1:
+        raise ValueError(f"b({p},{q}) is not an odd-q two-bridge knot")
+    signs = [(-1) ** ((i * q) // p) for i in range(1, p)]
+    w = [("b" if i % 2 else "a", e) for i, e in enumerate(signs, start=1)]
+    sigma = sum(signs)
+    longitude = w + w[::-1] + ([("a", -2 * sigma)] if sigma else [])
+
+    def text(letters):
+        return " ".join(g if e == 1 else f"{g}^{e}" for g, e in letters)
+
+    return (f"gens: a b ;\nrel: a {text(w)} = {text(w)} b ;\n"
+            f"meridian: a ;\nlongitude: {text(longitude)}\n")
+
+
+#: two-bridge knots named ``b<p>_<q>``
+TWO_BRIDGE = {f"b{p}_{q}": two_bridge_text(p, q)
+              for p, q in ((9, 7), (13, 5), (15, 11), (17, 5))}
 
 
 def two_bridge_file(tmp_path, name: str) -> str:

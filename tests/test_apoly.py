@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from helpers import TWO_BRIDGE
+from helpers import TWO_BRIDGE, two_bridge_text
 from knotslope import apoly
 from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              bilaurent_gcd, bilaurent_to_json,
@@ -273,16 +274,69 @@ def test_resultant_is_multiplicative():
         assert resultant_t(P * Q, R) == resultant_t(P, R) * resultant_t(Q, R)
 
 
-def test_resultant_matches_sympy():
+def random_elimination_pair(rng: Random, n: int, m: int) -> tuple[TPoly, TPoly]:
+    """``(P, lam)``: ``P`` monic of degree ``n`` in t, ``lam`` of degree
+    ``m``, every coefficient an integer Laurent polynomial in M alone."""
+    def coeff() -> BiLaurent:
+        return BiLaurent([((0, rng.randrange(-2, 3)), rng.randrange(-4, 5))
+                          for _ in range(rng.randrange(1, 3))])
+
+    lam = [coeff() for _ in range(m + 1)]
+    while lam[-1].is_zero:
+        lam[-1] = coeff()
+    return TPoly([coeff() for _ in range(n)] + [BiLaurent.one()]), TPoly(lam)
+
+
+def l_minus(lam: TPoly) -> TPoly:
+    """``L - lam(t)``."""
+    return TPoly.constant(LM(1, 0)) - lam
+
+
+def test_resultant_matches_sympy(monkeypatch):
     L, M, t = sympy.symbols("L M t")
     rng = Random(53)
-    for _ in range(10):
-        P = random_tpoly(rng)
-        Q = random_tpoly(rng)
+    # (P, Q, whether Bareiss must run; None where either may)
+    cases = [(random_tpoly(rng), random_tpoly(rng), None) for _ in range(10)]
+    # the elimination's shape, P monic and Q = L - lam, takes the modular
+    # method: deg lam >= deg P and < deg P, negative M-exponents
+    for n, m in ((2, 1), (2, 4), (3, 2), (3, 5), (1, 2)):
+        P, lam = random_elimination_pair(rng, n, m)
+        cases.append((P, l_minus(lam), False))
+    # lam = P*S + 5/M reduces to a constant modulo P
+    P, S = random_elimination_pair(rng, 3, 2)
+    cases.append((P, l_minus(P * S + TPoly.constant(LM(0, -1, 5))), False))
+    # a coefficient -3 (2^50 + 1)^2, near -2^101: several primes and a
+    # negative symmetric residue
+    P = TPoly([LM(0, 2, -3), BiLaurent.zero(), BiLaurent.one()])
+    cases.append((P, l_minus(TPoly([LM(0, -1), BiLaurent.constant(2**50 + 1)])),
+                  False))
+    # a leading coefficient that is not 1 takes Bareiss
+    for lead in (BiLaurent.constant(2), parse_bilaurent("M + 1")):
+        P, lam = random_elimination_pair(rng, 2, 3)
+        cases.append((TPoly([*P.coeffs[:-1], lead]), l_minus(lam), True))
+
+    bareiss_calls = []
+    bareiss = apoly._resultant_bareiss
+
+    def counting_bareiss(P, Q):
+        bareiss_calls.append(1)
+        return bareiss(P, Q)
+
+    monkeypatch.setattr(apoly, "_resultant_bareiss", counting_bareiss)
+    for P, Q, by_bareiss in cases:
+        bareiss_calls.clear()
+        got = resultant_t(P, Q)
+        if by_bareiss is not None:
+            assert len(bareiss_calls) == by_bareiss
         sp = sum(to_sympy(c) * t ** k for k, c in enumerate(P.coeffs))
         sq = sum(to_sympy(c) * t ** k for k, c in enumerate(Q.coeffs))
-        expected = sympy.expand(sympy.resultant(sp, sq, t))
-        assert to_sympy(resultant_t(P, Q)) == expected
+        # sympy.resultant is the Sylvester determinant of (f, g) only when
+        # deg f >= deg g; Res(P, Q) = (-1)^(deg P deg Q) Res(Q, P)
+        if P.degree >= Q.degree:
+            expected = sympy.resultant(sp, sq, t)
+        else:
+            expected = (-1) ** (P.degree * Q.degree) * sympy.resultant(sq, sp, t)
+        assert to_sympy(got) == sympy.expand(expected)
 
 
 def test_resultant_requires_positive_degree():
@@ -317,6 +371,10 @@ def test_gcd_simple_cases():
     # univariate Euclid over Q: the quotients 2/3, ... must stay exact
     assert bilaurent_gcd(parse_bilaurent("2*L^2 + 3*L + 1"),
                          parse_bilaurent("3*L^2 + 4*L + 1")) == parse_bilaurent("L + 1")
+    # rational coefficients: (t + 1)(t/2 + 1/3) and (t + 1)(t - 1/5)
+    g = apoly._q_gcd([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)],
+                     [Fraction(-1, 5), Fraction(4, 5), 1])
+    assert len(g) == 2 and g[0] == g[1]
 
 
 def test_squarefree_part_removes_multiplicity():
@@ -327,6 +385,39 @@ def test_squarefree_part_removes_multiplicity():
     already, removed0 = squarefree_part(parse_bilaurent(L_FIG8), "L")
     assert removed0 == 0
     assert already == parse_bilaurent(L_FIG8)
+
+
+def test_assignment_matches_brute_force():
+    rng = Random(61)
+    for _ in range(40):
+        N = rng.randrange(1, 6)
+        cost = [[None if rng.random() < 0.3 else rng.randrange(-9, 10)
+                 for _ in range(N)] for _ in range(N)]
+        for i in range(N):  # some permutation avoids None: the identity
+            cost[i][i] = rng.randrange(-9, 10)
+        best = min(sum(cost[i][s] for i, s in enumerate(perm))
+                   for perm in itertools.permutations(range(N))
+                   if all(cost[i][s] is not None for i, s in enumerate(perm)))
+        assert apoly._assignment(cost) == best
+
+
+#: every two-bridge knot b(p, q) with odd q and p <= 15
+ODD_Q_FAMILY = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2)
+                if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p, q", ODD_Q_FAMILY,
+                         ids=[f"b{p}_{q}" for p, q in ODD_Q_FAMILY])
+def test_family_resultant_equals_bareiss(monkeypatch, p, q):
+    """The elimination's resultant, by the modular method, is the raw
+    Bareiss determinant of the same Sylvester matrix."""
+    res = compute_apoly_twobridge_detailed(parse_presentation(two_bridge_text(p, q)))
+    phi, G = res.riley_polynomial, l_minus(res.longitude_eigenvalue)
+    bareiss = apoly._resultant_bareiss
+    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
+    got = resultant_t(phi, G)
+    monkeypatch.undo()
+    assert got == bareiss(phi, G)
 
 
 def two_bridge_resultant(name: str) -> BiLaurent:

@@ -12,7 +12,7 @@ from knotslope.presentation import (GroupRingElement, KnotPresentation,
                                     format_word, fox_derivative, free_reduce,
                                     parse_presentation, parse_word)
 
-from helpers import random_word
+from helpers import random_word, two_bridge_text
 
 TREFOIL = ("gens: u v ;\n"
            "rel: u v u = v u v ;\n"
@@ -181,6 +181,13 @@ def test_format_roundtrip():
     assert again.relators == pres.relators
     assert again.meridian == pres.meridian
     assert again.longitude == pres.longitude
+
+
+@pytest.mark.parametrize("p, q", [(8, 3), (9, 2), (9, 4), (9, 3), (15, 5),
+                                  (9, 9), (9, 11)])
+def test_two_bridge_text_rejects_what_is_not_an_odd_q_knot(p, q):
+    with pytest.raises(ValueError):
+        two_bridge_text(p, q)
 
 
 def test_relator_words():
