@@ -24,20 +24,20 @@ from .presentation import (GroupRingElement, KnotPresentation, ParseError,
                            PresentationError, Word, exponent_sum,
                            format_presentation, format_word, fox_derivative,
                            free_reduce, parse_presentation, parse_word)
-from .representations import (BoundaryData, InvariantVector, Representation,
-                              RepresentationError, abelian_representation,
-                              boundary_data, commutation_residual,
-                              conjugate_representation, invariant_vector,
-                              is_boundary_parabolic, is_unitarizable,
-                              parabolic_modulus, reducibility_defect,
-                              representation_from_dict, representation_to_dict,
-                              riley_family)
+from .representations import (BoundaryData, InvariantVector, NonFiniteError,
+                              Representation, RepresentationError,
+                              abelian_representation, boundary_data,
+                              commutation_residual, conjugate_representation,
+                              invariant_vector, is_boundary_parabolic,
+                              is_unitarizable, parabolic_modulus,
+                              reducibility_defect, representation_from_dict,
+                              representation_to_dict, riley_family)
 from .slope import (AdmissibilityReport, AugmentedPresentation,
                     DegenerateIntersectionError, NotAdmissibleError,
-                    SlopeError, SlopeValue, TwistedAlexanderMatrix,
-                    admissibility, augment, build_twisted_alexander,
-                    compute_slope, slope_from_invariant_vector,
-                    slope_of_character)
+                    Route1Plan, Route1Result, SlopeError, SlopeValue,
+                    TwistedAlexanderMatrix, admissibility, augment,
+                    build_twisted_alexander, compute_slope,
+                    slope_from_invariant_vector, slope_of_character)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "SL2_BASIS", "KILLING_GRAM", "adjoint_of", "sl2_coordinates", "nullspace",
     "subspace_intersection",
     # representations
-    "Representation", "RepresentationError", "riley_family",
+    "Representation", "RepresentationError", "NonFiniteError", "riley_family",
     "abelian_representation", "conjugate_representation", "boundary_data",
     "BoundaryData", "is_boundary_parabolic", "parabolic_modulus",
     "invariant_vector", "InvariantVector", "commutation_residual",
@@ -60,6 +60,7 @@ __all__ = [
     # slope
     "SlopeError", "NotAdmissibleError", "DegenerateIntersectionError",
     "SlopeValue", "AugmentedPresentation", "TwistedAlexanderMatrix",
+    "Route1Plan", "Route1Result",
     "augment", "build_twisted_alexander", "compute_slope",
     "slope_from_invariant_vector", "slope_of_character", "admissibility",
     "AdmissibilityReport",

@@ -37,15 +37,19 @@ from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     parse_bilaurent, polygon_to_json, riley_polynomial)
 from .presentation import (KnotPresentation, PresentationError,
                            format_presentation, parse_presentation)
-from .representations import (RepresentationError, boundary_data,
-                              commutation_residual, is_boundary_parabolic,
-                              parabolic_modulus, riley_family)
+from .representations import (BoundaryData, NonFiniteError,
+                              RepresentationError, riley_family)
 from .slope import (DegenerateIntersectionError, NotAdmissibleError,
-                    SlopeError, compute_slope)
+                    Route1Plan, SlopeError)
 
 
 class CLIError(ValueError):
     """Bad command-line input that argparse cannot catch."""
+
+
+#: meridian samples that route 1 evaluates together; a fixed number keeps
+#: its stacks at a few MB however many samples a command asks for
+CHUNK_SAMPLES = 32
 
 
 def _pair(z: complex) -> list[float]:
@@ -79,6 +83,19 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
     return parse_presentation(path.read_text(encoding="utf-8"))
 
 
+def _check_presentation_file(name_or_path: str, pres: KnotPresentation,
+                             phi) -> None:
+    """``data.check_presentation`` on a presentation read from a file
+    (bundled ones are checked when loaded), reusing the command's ``phi``."""
+    if data_mod.resolve_builtin(name_or_path) is None:
+        data_mod.check_presentation(pres, name_or_path, phi=phi)
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise CLIError(f"--tol must be a finite number > 0, got {tol}")
+
+
 def _parse_arc(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -87,6 +104,8 @@ def _parse_arc(text: str) -> tuple[float, float, float, float]:
         r0, r1, t0, t1 = (float(p) for p in parts)
     except ValueError as exc:
         raise CLIError(f"--arc values must be numbers: {text!r}") from exc
+    if not all(math.isfinite(x) for x in (r0, r1, t0, t1)):
+        raise CLIError(f"--arc values must be finite: {text!r}")
     if r0 <= 0 or r1 < r0:
         raise CLIError("--arc radii must satisfy 0 < r0 <= r1")
     return r0, r1, t0, t1
@@ -112,44 +131,61 @@ def _error_record(M: complex, exc: Exception) -> dict:
                 verdict="error", residuals={}, error=str(exc))
 
 
-def _records_at(pres: KnotPresentation, M: complex, tol: float,
-                phi=None) -> list[dict]:
-    base = _base_record(M)
-    try:
-        reps = riley_family(pres, M, tol=tol, phi=phi)
-    except RepresentationError as exc:
-        return [_error_record(M, exc)]
+def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float,
+                    phi=None):
+    """Per meridian, ``(M, [(rep, result), ...])``, or ``(M, error)`` when
+    ``riley_family`` raises there; route 1 runs on ``CHUNK_SAMPLES``
+    meridians' branches at a time."""
+    for start in range(0, len(meridians), CHUNK_SAMPLES):
+        chunk = meridians[start:start + CHUNK_SAMPLES]
+        families = []
+        for M in chunk:
+            try:
+                families.append(riley_family(
+                    plan.words.presentation, M, tol=tol, phi=phi,
+                    generators=plan.riley_generators))
+            except RepresentationError as exc:
+                families.append(exc)
+        results = iter(plan.evaluate(
+            [rep for fam in families if isinstance(fam, list) for rep in fam],
+            tol))
+        for M, fam in zip(chunk, families):
+            yield M, (fam if isinstance(fam, Exception)
+                      else [(rep, next(results)) for rep in fam])
+
+
+def _records(M: complex, family) -> list[dict]:
+    if isinstance(family, Exception):
+        return [_error_record(M, family)]
     records = []
-    for k, rep in enumerate(reps):
-        rec = dict(base, t=_pair(rep.riley_t), root_index=k, L=None,
-                   slope=None, verdict=None,
-                   residuals={"relator": rep.relator_residual(),
-                              "commutation": commutation_residual(rep)},
+    for k, (rep, res) in enumerate(family):
+        rec = dict(_base_record(M), t=_pair(rep.riley_t), root_index=k,
+                   L=None, slope=None, verdict="error", residuals={},
                    error=None)
-        try:
-            bd = boundary_data(rep, tol=tol)
-            rec["L"] = _pair(bd.L)
-        except RepresentationError as exc:
-            rec["error"] = str(exc)
-        try:
-            if is_boundary_parabolic(rep, tol):
-                rec["slope"] = _pair(parabolic_modulus(rep, tol))
-                rec["verdict"] = "parabolic"
-            else:
-                sv = compute_slope(rep, tol)
-                rec["slope"] = sv.as_json_value()
-                rec["verdict"] = "admissible"
-                rec["residuals"]["peripheral_fit"] = sv.residual
-        except NotAdmissibleError as exc:
-            rec["verdict"] = "not-admissible"
-            rec["error"] = str(exc)
-        except DegenerateIntersectionError as exc:
-            rec["verdict"] = "degenerate"
-            rec["error"] = str(exc)
-        except (SlopeError, RepresentationError) as exc:
-            rec["verdict"] = "error"
-            rec["error"] = str(exc)
         records.append(rec)
+        if not res.finite:
+            rec["error"] = str(res.slope)
+            continue
+        rec["residuals"] = {"relator": res.relator_residual,
+                            "commutation": res.commutation_residual}
+        if isinstance(res.boundary, BoundaryData):
+            rec["L"] = _pair(res.boundary.L)
+        else:
+            rec["error"] = str(res.boundary)
+        sv = res.slope
+        if isinstance(sv, Exception):
+            rec["error"] = str(sv)
+            if isinstance(sv, NotAdmissibleError):
+                rec["verdict"] = "not-admissible"
+            elif isinstance(sv, DegenerateIntersectionError):
+                rec["verdict"] = "degenerate"
+        elif res.parabolic:
+            rec["slope"] = _pair(sv)
+            rec["verdict"] = "parabolic"
+        else:
+            rec["slope"] = sv.as_json_value()
+            rec["verdict"] = "admissible"
+            rec["residuals"]["peripheral_fit"] = sv.residual
     return records
 
 
@@ -200,18 +236,28 @@ def _emit_records(records: list[dict], fmt: str) -> None:
 # subcommands
 
 def _cmd_slope(args) -> int:
+    _check_tol(args.tol)
     pres = _load_presentation(args.pres)
     M = _parse_complex(args.M)
     if M == 0:
         raise CLIError("meridian eigenvalue must be nonzero")
-    records = _records_at(pres, M, args.tol)
-    _emit_records(records, args.format)
+    ((_, family),) = _route1_samples(Route1Plan(pres), [M], args.tol)
+    # no record can be computed where the words overflow: at the one
+    # meridian asked for, that is an error
+    if isinstance(family, NonFiniteError):
+        raise family
+    if isinstance(family, list):
+        for _, res in family:
+            if not res.finite:
+                raise res.slope
+    _emit_records(_records(M, family), args.format)
     return 0
 
 
 def _cmd_scan(args) -> int:
     if args.samples < 1:
         raise CLIError("--samples must be at least 1")
+    _check_tol(args.tol)
     pres = _load_presentation(args.pres)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
@@ -220,8 +266,10 @@ def _cmd_scan(args) -> int:
     except ApolyError as exc:  # riley_family would raise this at every M
         records = [_error_record(M, exc) for M in meridians]
     else:
-        records = [rec for M in meridians
-                   for rec in _records_at(pres, M, args.tol, phi)]
+        _check_presentation_file(args.pres, pres, phi)
+        records = [rec for M, family in _route1_samples(
+                       Route1Plan(pres), meridians, args.tol, phi)
+                   for rec in _records(M, family)]
     _emit_records(records, args.format)
     return 0
 
@@ -230,6 +278,7 @@ def _cmd_apoly(args) -> int:
     pres = _load_presentation(args.pres)
     result = compute_apoly_twobridge_detailed(
         pres, with_reducible=args.with_reducible)
+    _check_presentation_file(args.pres, pres, result.riley_polynomial)
     polygon = newton_polygon(result.apoly)
     report = ideal_point_slopes(polygon)
     payload = {
@@ -256,6 +305,7 @@ def _read_apoly_arg(text: str):
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise CLIError("--samples must be at least 1")
+    _check_tol(args.tol)
     pres = _load_presentation(args.pres)
     if args.apoly is not None:
         A = _read_apoly_arg(args.apoly).canonical()
@@ -265,23 +315,28 @@ def _cmd_verify(args) -> int:
         result = compute_apoly_twobridge_detailed(pres)
         A, phi = result.apoly, result.riley_polynomial
         apoly_source = "computed"
+    _check_presentation_file(args.pres, pres, phi)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
 
-    def check(M: complex) -> list[dict]:
+    def check(M: complex, family) -> list[dict]:
+        if isinstance(family, Exception):
+            raise family
         out = []
-        for k, rep in enumerate(riley_family(pres, M, tol=1e-8, phi=phi)):
+        for k, (rep, res) in enumerate(family):
             entry = {"M": _pair(M), "root_index": k, "t": _pair(rep.riley_t),
                      "ok": False, "error": None, "slope": None,
                      "log_gauss": None, "apoly_residual": None,
                      "relative_deviation": None}
+            out.append(entry)
+            if res.parabolic:
+                entry["error"] = "parabolic sample; no pairing slope"
+                continue
             try:
-                if is_boundary_parabolic(rep):
-                    entry["error"] = "parabolic sample; no pairing slope"
-                    out.append(entry)
-                    continue
-                sv = compute_slope(rep)
-                bd = boundary_data(rep)
+                for value in (res.slope, res.boundary):
+                    if isinstance(value, Exception):
+                        raise value
+                sv, bd = res.slope, res.boundary
                 scale = A.abs_evaluate(abs(bd.L), abs(M)) + 1.0
                 a_resid = abs(A.evaluate(bd.L, M)) / scale
                 entry["apoly_residual"] = a_resid
@@ -296,10 +351,11 @@ def _cmd_verify(args) -> int:
                 entry["ok"] = (dev <= args.tol and a_resid <= args.tol)
             except (SlopeError, RepresentationError, ApolyError) as exc:
                 entry["error"] = str(exc)
-            out.append(entry)
         return out
 
-    samples = [s for M in meridians for s in check(M)]
+    samples = [s for M, family in _route1_samples(
+                   Route1Plan(pres), meridians, 1e-8, phi)
+               for s in check(M, family)]
     comparable = [s for s in samples if s["relative_deviation"] is not None]
     max_dev = max((s["relative_deviation"] for s in comparable), default=None)
     max_resid = max((s["apoly_residual"] for s in samples

@@ -5,9 +5,10 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
+from .apoly import TPoly
 from .presentation import KnotPresentation, parse_presentation
-from .representations import (RepresentationError, commutation_residual,
-                              riley_family)
+from .representations import (RepresentationError, WordPlan,
+                              commutation_residuals, riley_family)
 
 _BUILTIN_FILES = {
     "trefoil": "trefoil.txt",
@@ -40,22 +41,27 @@ def resolve_builtin(name: str) -> str | None:
     return _ALIASES.get(name)
 
 
-def check_presentation(pres: KnotPresentation, label: str) -> None:
+def check_presentation(pres: KnotPresentation, label: str,
+                       phi: TPoly | None = None) -> None:
     """Numeric consistency check at a reference meridian eigenvalue: every
     Riley representation satisfies the relators and has commuting meridian
-    and longitude images.  Raises ``DataError`` prefixed by ``label``."""
+    and longitude images.  ``phi`` is the presentation's Riley polynomial,
+    computed here when not given.  Raises ``DataError`` prefixed by
+    ``label``."""
     try:
-        reps = riley_family(pres, _CHECK_M, tol=_CHECK_TOL)
+        reps = riley_family(pres, _CHECK_M, tol=_CHECK_TOL, phi=phi)
     except RepresentationError as exc:
         raise DataError(f"{label}: {exc}") from exc
     if not reps:
         raise DataError(f"{label}: no Riley representations at M = {_CHECK_M}")
-    for rep in reps:
-        resid = rep.relator_residual()
+    plan = WordPlan.compile(pres)
+    images = plan.stack(reps)
+    relator = plan.relator_residuals(images)
+    commutation = commutation_residuals(*plan.peripheral(images))
+    for rep, resid, comm in zip(reps, relator, commutation):
         if resid > _CHECK_TOL * 10:
             raise DataError(f"{label}: relator residual {resid:.2e} "
                             f"at t = {rep.riley_t}")
-        comm = commutation_residual(rep)
         if comm > _CHECK_TOL * 10:
             raise DataError(f"{label}: longitude does not commute with the "
                             f"meridian (relative residual {comm:.2e} at "

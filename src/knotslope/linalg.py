@@ -1,5 +1,11 @@
 """Dense complex linear algebra over sl(2, C) and tolerance-based subspaces.
 
+``adjoint_of``, ``svd_stack``, ``rank_cut`` and ``row_space_intersections``
+work on ``(N, ...)`` stacks of matrices; the single-matrix subspace tools
+cut their singular values with the same ``rank_cut``, and
+``subspace_intersection`` is the ``N = 1`` case of
+``row_space_intersections``.
+
 Conventions used throughout the package:
 
 * sl(2) carries the ordered basis ``(E, H, F)`` with ``E = [[0,1],[0,0]]``,
@@ -35,7 +41,8 @@ def as_sl2(A, det_tol: float = 1e-9) -> np.ndarray:
     if A.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    scale = 1.0 + float(np.abs(A).max()) ** 2
+    top = float(np.abs(A).max())
+    scale = 1.0 + top * top
     if abs(det - 1.0) > det_tol * scale:
         raise ValueError(f"matrix is not in SL(2): det = {det}")
     return A
@@ -69,41 +76,85 @@ def _singular_triplet(A: np.ndarray):
     return np.linalg.svd(A, full_matrices=True)
 
 
+def svd_stack(A) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (``full_matrices``) of
+    every matrix of an ``(N, m, n)`` stack, in one ``np.linalg.svd`` call.
+
+    LAPACK rejects a whole stack when one matrix is not finite; such a
+    matrix gets NaN singular values and vectors instead, and the rest of
+    the stack is unaffected.
+    """
+    A = np.asarray(A, dtype=complex)
+    N, m, n = A.shape
+    s = np.full((N, min(m, n)), np.nan)
+    vh = np.full((N, n, n), np.nan, dtype=complex)
+    ok = np.isfinite(A).all(axis=(1, 2))
+    _, s[ok], vh[ok] = np.linalg.svd(A[ok], full_matrices=True)
+    return s, vh
+
+
+def rank_cut(s, tol: float = 1e-8) -> np.ndarray:
+    """Numerical ranks from singular values ``(..., k)``: the count above
+    ``tol`` times the largest, and 0 where the largest is 0 or NaN."""
+    s = np.asarray(s)
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+
 def rank_with_tol(A, tol: float = 1e-8) -> int:
     """Numerical rank: singular values above ``tol`` times the largest."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(rank_cut(np.linalg.svd(A, compute_uv=False), tol))
 
 
 def orthonormal_row_basis(A, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows spanning the row space of ``A``."""
     _, s, vh = _singular_triplet(A)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, np.atleast_2d(A).shape[1]), dtype=complex)
-    r = int(np.count_nonzero(s > tol * s[0]))
-    return vh[:r]
+    return vh[:int(rank_cut(s, tol))]
 
 
 def nullspace(A, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows ``v`` with ``A @ v = 0``."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     _, s, vh = _singular_triplet(A)
-    n = A.shape[1]
     if s.size == 0 or s[0] == 0.0:
-        return np.eye(n, dtype=complex)
-    r = int(np.count_nonzero(s > tol * s[0]))
-    return vh[r:].conj()
+        return np.eye(A.shape[1], dtype=complex)
+    return vh[int(rank_cut(s, tol)):].conj()
 
 
 def left_nullspace(A, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows ``v`` with ``v @ A = 0``."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     return nullspace(A.T, tol)
+
+
+def row_space_intersections(U: np.ndarray, W: np.ndarray,
+                            tol: float = 1e-8) -> list[np.ndarray]:
+    """Row bases of ``rowspace(U[i]) ∩ rowspace(W[i])`` for stacks ``U``
+    ``(N, r, n)`` and ``W`` ``(N, p, n)`` of orthonormal rows, ``r, p >= 1``.
+
+    The coefficients ``x`` with ``x_U @ U = x_W @ W`` are the left null
+    space of the stacked ``[U; -W]``; their images ``x_U @ U`` are
+    orthonormalized.  The SVDs run on whole stacks, grouped by the shape
+    that each slice's null space gives.
+    """
+    N, r, n = U.shape
+    stacked = np.concatenate([U, -W], axis=1)
+    s, vh = svd_stack(stacked.transpose(0, 2, 1))
+    ranks = rank_cut(s, tol)
+    out: list[np.ndarray] = [np.zeros((0, n), dtype=complex)] * N
+    for k in np.unique(ranks):
+        idx = np.flatnonzero(ranks == k)
+        if k == stacked.shape[1]:  # trivial null space: no intersection
+            continue
+        vectors = vh[idx, k:, :r].conj() @ U[idx]
+        s2, vh2 = svd_stack(vectors)
+        for pos, (i, j) in enumerate(zip(idx, rank_cut(s2, tol))):
+            out[i] = vh2[pos, :j]
+    return out
 
 
 def subspace_intersection(U, W, tol: float = 1e-8) -> np.ndarray:
@@ -117,9 +168,4 @@ def subspace_intersection(U, W, tol: float = 1e-8) -> np.ndarray:
     n = U.shape[1] if U.size else (W.shape[1] if W.size else 0)
     if U.shape[0] == 0 or W.shape[0] == 0:
         return np.zeros((0, n), dtype=complex)
-    stacked = np.vstack([U, -W])  # rows; solve x @ stacked = 0
-    coeffs = left_nullspace(stacked, tol)
-    if coeffs.shape[0] == 0:
-        return np.zeros((0, n), dtype=complex)
-    vectors = coeffs[:, : U.shape[0]] @ U
-    return orthonormal_row_basis(vectors, tol)
+    return row_space_intersections(U[None], W[None], tol)[0]

@@ -8,28 +8,41 @@ polynomial ``phi(t, M)`` of ``apoly.riley_polynomial``, evaluated at ``M``.
 ``Representation.relator_residual`` evaluates the relators numerically and
 is the check on those roots that does not go through ``phi``.
 
+Words are evaluated on stacks: ``WordPlan`` compiles a presentation's
+words to generator-index and sign arrays once, and ``prefix_images``
+multiplies along a word for ``N`` representations at a time, images
+stacked ``(N, #generators, 2, 2)``.  The single-representation functions
+are its ``N = 1`` case.
+
 ``boundary_data`` extracts the peripheral eigenvalue pair ``(M, L)`` on a
 common eigenvector, ``invariant_vector`` the adjoint-invariant direction in
 sl(2) fixed by both peripheral images, and ``parabolic_modulus`` the cusp
-translation ratio at boundary-parabolic representations.
+translation ratio at boundary-parabolic representations.  Each reads the
+meridian and longitude images given to it; ``peripheral_stack`` runs all
+of them on ``(N, 2, 2)`` stacks of those images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
-from .linalg import adjoint_of, as_sl2, nullspace, sl2_inverse
+from .linalg import adjoint_of, as_sl2, nullspace, rank_cut, sl2_inverse, svd_stack
 from .presentation import (KnotPresentation, Word, format_presentation,
                            parse_presentation)
 
 
 class RepresentationError(ValueError):
     """A representation cannot be built or lacks a required property."""
+
+
+class NonFiniteError(RepresentationError):
+    """Values overflow floating point: the meridian is too far from 1 for
+    the words of the presentation to be evaluated."""
 
 
 @dataclass
@@ -61,11 +74,7 @@ class Representation:
 
     def image(self, word: Word) -> np.ndarray:
         """Evaluate the representation on a word."""
-        try:
-            return evaluate_word(self.images, word)
-        except KeyError as exc:
-            raise RepresentationError(
-                f"word uses unknown generator {exc.args[0]!r}") from None
+        return evaluate_word(self.images, word)
 
     def meridian_image(self) -> np.ndarray:
         return self.image(self.presentation.meridian)
@@ -75,32 +84,112 @@ class Representation:
 
     def relator_residual(self) -> float:
         """Max over relators of ``max|rho(lhs) - rho(rhs)|``."""
-        worst = 0.0
-        for lhs, rhs in self.presentation.relators:
-            worst = max(worst, float(np.abs(self.image(lhs) - self.image(rhs)).max()))
-        return worst
+        plan = WordPlan.compile(self.presentation)
+        return float(plan.relator_residuals(plan.stack([self]))[0])
 
 
-def prefix_images(images: Mapping[str, np.ndarray], word: Word) -> np.ndarray:
-    """Prefix images ``P[0] = I``, ``P[i] = P[i-1] @ image(letter i)`` of a
-    word, stacked ``(len(word) + 1, 2, 2)``; inverses map to adjugates."""
-    letter_entries: dict = {}
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    prefixes = [(a, b, c, d)]
-    for letter in word.letters:
-        if letter not in letter_entries:
-            g, e = letter
-            (p, q), (r, s) = np.asarray(images[g], dtype=complex).tolist()
-            letter_entries[letter] = (p, q, r, s) if e == 1 else (s, -q, -r, p)
-        p, q, r, s = letter_entries[letter]
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-        prefixes.append((a, b, c, d))
-    return np.array(prefixes, dtype=complex).reshape(-1, 2, 2)
+class Letters(NamedTuple):
+    """A word's letters as indices into a generator tuple and signs ±1."""
+
+    index: np.ndarray
+    sign: np.ndarray
+
+
+def word_letters(word: Word, generators: Sequence[str]) -> Letters:
+    """Compile ``word`` against the generator order ``generators``."""
+    position = {g: i for i, g in enumerate(generators)}
+    try:
+        index = [position[g] for g, _ in word.letters]
+    except KeyError as exc:
+        raise RepresentationError(
+            f"word uses unknown generator {exc.args[0]!r}") from None
+    return Letters(np.array(index, dtype=np.intp),
+                   np.array([e for _, e in word.letters], dtype=np.int8))
+
+
+def _adjugates(A: np.ndarray) -> np.ndarray:
+    """``[[d, -b], [-c, a]]`` of each matrix; the inverse at determinant 1."""
+    out = np.empty_like(A)
+    out[..., 0, 0] = A[..., 1, 1]
+    out[..., 0, 1] = -A[..., 0, 1]
+    out[..., 1, 0] = -A[..., 1, 0]
+    out[..., 1, 1] = A[..., 0, 0]
+    return out
+
+
+def prefix_images(images: np.ndarray, letters: Letters) -> np.ndarray:
+    """Prefix images ``P[:, 0] = I``, ``P[:, i] = P[:, i-1] @ image(letter
+    i)`` of a word for a stack of representations.
+
+    ``images`` is ``(N, #generators, 2, 2)`` in the order ``letters`` was
+    compiled against; inverse letters map to adjugates.  Returns the
+    products stacked ``(N, len(word) + 1, 2, 2)``.
+    """
+    images = np.asarray(images, dtype=complex)
+    N, G = images.shape[:2]
+    alphabet = np.concatenate([images, _adjugates(images)], axis=1)
+    codes = letters.index + G * (letters.sign < 0)
+    # y[i] and P[i] are (row, column, N): each step is three ufunc calls
+    # over the whole stack, P[i+1][r, c] = P[i][r, 0] y[i][0, c]
+    # + P[i][r, 1] y[i][1, c]
+    y = np.ascontiguousarray(alphabet[:, codes].transpose(1, 2, 3, 0))
+    P = np.empty((len(codes) + 1, 2, 2, N), dtype=complex)
+    P[0] = np.eye(2)[:, :, None]
+    term = np.empty((2, 2, N), dtype=complex)
+    # far from M = 1 long products overflow; callers test for finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, yi in enumerate(y):
+            np.multiply(P[i, :, 0:1], yi[0:1], out=P[i + 1])
+            np.multiply(P[i, :, 1:2], yi[1:2], out=term)
+            P[i + 1] += term
+    return P.transpose(3, 0, 1, 2)
 
 
 def evaluate_word(images: Mapping[str, np.ndarray], word: Word) -> np.ndarray:
     """Evaluate a word in a plain ``{generator: matrix}`` mapping."""
-    return prefix_images(images, word)[-1]
+    gens = tuple(images)
+    stack = np.array([[images[g] for g in gens]], dtype=complex)
+    return prefix_images(stack, word_letters(word, gens))[0, -1]
+
+
+@dataclass(frozen=True, eq=False)
+class WordPlan:
+    """The words of a presentation compiled against its generator order,
+    once, for evaluating representations of it as stacks."""
+
+    presentation: KnotPresentation
+    meridian: Letters
+    longitude: Letters
+    relators: tuple[tuple[Letters, Letters], ...]
+
+    @classmethod
+    def compile(cls, pres: KnotPresentation) -> "WordPlan":
+        gens = pres.generators
+        return cls(pres, word_letters(pres.meridian, gens),
+                   word_letters(pres.longitude, gens),
+                   tuple((word_letters(lhs, gens), word_letters(rhs, gens))
+                         for lhs, rhs in pres.relators))
+
+    def stack(self, reps: Sequence[Representation]) -> np.ndarray:
+        """Generator images of representations of the presentation,
+        ``(N, #generators, 2, 2)``."""
+        gens = self.presentation.generators
+        return np.array([[rep.images[g] for g in gens] for rep in reps],
+                        dtype=complex).reshape(len(reps), len(gens), 2, 2)
+
+    def peripheral(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Meridian and longitude images, each ``(N, 2, 2)``."""
+        return (prefix_images(images, self.meridian)[:, -1],
+                prefix_images(images, self.longitude)[:, -1])
+
+    def relator_residuals(self, images: np.ndarray) -> np.ndarray:
+        """Max over relators of ``max|rho(lhs) - rho(rhs)|``, ``(N,)``."""
+        worst = np.zeros(len(images))
+        for lhs, rhs in self.relators:
+            diff = (prefix_images(images, lhs)[:, -1]
+                    - prefix_images(images, rhs)[:, -1])
+            worst = np.maximum(worst, _max_abs(diff))
+        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +218,24 @@ def _runs(items: list, close: Callable) -> list[list]:
     return runs
 
 
+def riley_generators(pres: KnotPresentation) -> tuple[str, str]:
+    """The (meridian generator, partner generator) pair of a presentation
+    in Riley form; ``RepresentationError`` otherwise."""
+    try:
+        return _riley_generators(pres)
+    except ApolyError as exc:
+        raise RepresentationError(str(exc)) from exc
+
+
+#: the commutator [g, h] = g h g^-1 h^-1 of the two Riley generators
+_COMMUTATOR = Letters(np.array([0, 1, 0, 1], dtype=np.intp),
+                      np.array([1, 1, -1, -1], dtype=np.int8))
+
+
 def riley_family(pres: KnotPresentation, M: complex, tol: float = 1e-8, *,
-                 phi: TPoly | None = None) -> list[Representation]:
+                 phi: TPoly | None = None,
+                 generators: tuple[str, str] | None = None
+                 ) -> list[Representation]:
     """All Riley representations at meridian eigenvalue ``M``.
 
     The roots ``t`` are those of the exact Riley polynomial ``phi`` (from
@@ -142,26 +247,38 @@ def riley_family(pres: KnotPresentation, M: complex, tol: float = 1e-8, *,
     ``1e-6 * max(1, |t|)`` are merged.  Returns one representation per
     root, with ``riley_t`` and ``reducible`` (commutator trace within
     ``tol`` of 2) set, sorted by ``re t`` with real parts within that
-    tolerance ordered by ``im t``.
+    tolerance ordered by ``im t``.  ``generators`` is the pair that
+    ``riley_generators`` returns, computed here when not given.  Raises
+    ``NonFiniteError`` when ``phi`` or the commutators overflow at ``M``.
     """
     M = complex(M)
     if M == 0:
         raise RepresentationError("meridian eigenvalue must be nonzero")
+    mgen, other = generators or riley_generators(pres)
     try:
-        mgen, other = _riley_generators(pres)
         if phi is None:
             phi = riley_polynomial(pres, allow_constant=True)
     except ApolyError as exc:
         raise RepresentationError(str(exc)) from exc
+    overflow = NonFiniteError(f"values overflow floating point at M = {M}")
     Mi = 1.0 / M
-    coeffs = np.array([c.evaluate(1.0, M) for c in phi.coeffs], dtype=complex)
-    roots = npp.polyroots(coeffs)
-    deriv = npp.polyder(coeffs)
-    for _ in range(2):
-        d = npp.polyval(roots, deriv)
-        # no step where the derivative vanishes (a double root)
-        roots = roots - np.divide(npp.polyval(roots, coeffs), d,
-                                  out=np.zeros_like(roots), where=d != 0)
+    try:
+        coeffs = np.array([c.evaluate(1.0, M) for c in phi.coeffs],
+                          dtype=complex)
+    except (OverflowError, ZeroDivisionError):  # |M| far from 1
+        raise overflow from None
+    if not np.isfinite(coeffs).all():
+        raise overflow
+    with np.errstate(all="ignore"):
+        roots = npp.polyroots(coeffs)
+        deriv = npp.polyder(coeffs)
+        for _ in range(2):
+            d = npp.polyval(roots, deriv)
+            # no step where the derivative vanishes (a double root)
+            roots = roots - np.divide(npp.polyval(roots, coeffs), d,
+                                      out=np.zeros_like(roots), where=d != 0)
+    if not np.isfinite(roots).all():
+        raise overflow
 
     near = lambda z: 1e-6 * max(1.0, abs(z))
     kept = sorted((complex(t) for t in roots), key=lambda z: z.real)
@@ -169,18 +286,23 @@ def riley_family(pres: KnotPresentation, M: complex, tol: float = 1e-8, *,
     # run of close real parts by imaginary part instead
     kept = [z for run in _runs(kept, lambda u, z: z.real - u.real <= near(z))
             for z in sorted(run, key=lambda z: z.imag)]
-    merged = _runs(kept, lambda u, z: abs(z - u) <= near(z))
+    ts = [complex(np.mean(cluster))
+          for cluster in _runs(kept, lambda u, z: abs(z - u) <= near(z))]
 
-    out: list[Representation] = []
-    for cluster in merged:
-        t0 = complex(np.mean(cluster))
-        images = {mgen: np.array([[M, 1.0], [0.0, Mi]], dtype=complex),
-                  other: np.array([[M, 0.0], [t0, Mi]], dtype=complex)}
-        comm = evaluate_word(images, Word([(mgen, 1), (other, 1),
-                                           (mgen, -1), (other, -1)]))
-        red = bool(abs(np.trace(comm) - 2.0) <= tol * (1.0 + float(np.abs(comm).max())))
-        out.append(Representation(pres, images, riley_t=t0, reducible=red))
-    return out
+    # images of (mgen, other) for every root, and their commutators
+    images = np.zeros((len(ts), 2, 2, 2), dtype=complex)
+    images[:, :, 0, 0] = M
+    images[:, :, 1, 1] = Mi
+    images[:, 0, 0, 1] = 1.0
+    images[:, 1, 1, 0] = ts
+    comm = prefix_images(images, _COMMUTATOR)[:, -1]
+    if not np.isfinite(comm).all():
+        raise overflow
+    tr = comm[:, 0, 0] + comm[:, 1, 1]
+    reducible = np.abs(tr - 2.0) <= tol * (1.0 + _max_abs(comm))
+    return [Representation(pres, {mgen: img[0], other: img[1]},
+                           riley_t=t0, reducible=bool(red))
+            for t0, img, red in zip(ts, images, reducible)]
 
 
 def conjugate_representation(rep: Representation, P) -> Representation:
@@ -214,29 +336,95 @@ class BoundaryData:
     parabolic: bool
 
 
-def _commutation_residual(A: np.ndarray, B: np.ndarray) -> float:
-    scale = 1.0 + float(np.abs(A).max()) * float(np.abs(B).max())
-    return float(np.abs(A @ B - B @ A).max()) / scale
+def _max_abs(A: np.ndarray) -> np.ndarray:
+    """``max |entry|`` of each matrix of a ``(..., m, n)`` stack."""
+    return np.abs(A).max(axis=(-2, -1))
+
+
+def commutation_residuals(m: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Relative commutator residuals ``max|ml - lm| / (1 + max|m| max|l|)``
+    of stacks of meridian and longitude images ``(N, 2, 2)``."""
+    scale = 1.0 + _max_abs(m) * _max_abs(l)
+    return _max_abs(m @ l - l @ m) / scale
 
 
 def commutation_residual(rep: Representation) -> float:
     """Relative commutator residual of the meridian and longitude images."""
-    return _commutation_residual(rep.meridian_image(), rep.longitude_image())
+    m, l = rep.meridian_image(), rep.longitude_image()
+    return float(commutation_residuals(m[None], l[None])[0])
 
 
-def _parabolic_sign(m: np.ndarray) -> complex:
-    tr = m[0, 0] + m[1, 1]
-    return 1.0 if abs(tr - 2.0) <= abs(tr + 2.0) else -1.0
+def _parabolic_signs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign ``s = ±1`` nearer to ``tr/2``, and the trace, per matrix."""
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    return np.where(np.abs(tr - 2.0) <= np.abs(tr + 2.0), 1.0, -1.0), tr
+
+
+def _boundary_parabolic(m: np.ndarray, tol: float) -> np.ndarray:
+    s, tr = _parabolic_signs(m)
+    trace_2 = np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))
+    return trace_2 & (_max_abs(m - s[:, None, None] * np.eye(2)) > tol)
 
 
 def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
     """True when the meridian image has trace ±2 but is not ±identity."""
-    m = rep.meridian_image()
-    s = _parabolic_sign(m)
-    tr = m[0, 0] + m[1, 1]
-    if abs(tr - 2.0 * s) > tol * (1.0 + abs(tr)):
-        return False
-    return float(np.abs(m - s * np.eye(2)).max()) > tol
+    return bool(_boundary_parabolic(rep.meridian_image()[None], tol)[0])
+
+
+def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
+                    tol: float, prefer_large: bool
+                    ) -> list[BoundaryData | RepresentationError]:
+    """``boundary_data`` for finite ``(N, 2, 2)`` meridian and longitude
+    images with commutation residuals ``comm``: one stack of 2x2
+    eigen-decompositions, and an error per failed slice."""
+    N = len(m)
+    rows = np.arange(N)
+    s, _ = _parabolic_signs(m)
+    nil = m - s[:, None, None] * np.eye(2)
+    parabolic = _boundary_parabolic(m, tol)
+    # on a parabolic meridian the eigenvector is the kernel of the
+    # nilpotent part, read off the larger of its two (proportional) rows
+    a = np.abs(nil)
+    top = np.maximum(a[:, 0, 0], a[:, 0, 1]) >= np.maximum(a[:, 1, 0], a[:, 1, 1])
+    r = np.where(top, 0, 1)
+    e_par = np.stack([nil[rows, r, 1], -nil[rows, r, 0]], axis=-1)
+    evals = np.ones((N, 2), dtype=complex)
+    evecs = np.ones((N, 2, 2), dtype=complex)
+    if (~parabolic).any():
+        evals[~parabolic], evecs[~parabolic] = np.linalg.eig(m[~parabolic])
+    # the |M| >= 1 branch; on the unit circle ties break toward im >= 0
+    a0, a1 = np.abs(evals[:, 0]), np.abs(evals[:, 1])
+    idx = np.where(np.abs(a0 - a1) > tol * np.maximum(a0, a1), a0 < a1,
+                   evals[:, 0].imag < evals[:, 1].imag).astype(int)
+    if not prefer_large:
+        idx = 1 - idx
+    Mval = np.where(parabolic, s, evals[rows, idx])
+    e = np.where(parabolic[:, None], e_par, evecs[rows, :, idx])
+    k = np.argmax(np.abs(e), axis=1)
+    e = e / e[rows, k][:, None]
+    le = (l @ e[:, :, None])[:, :, 0]
+    L = le[rows, k] / e[rows, k]
+    resid = np.abs(le - L[:, None] * e).max(axis=1)
+
+    identity = _max_abs(nil) <= tol
+    off = resid > tol * (1.0 + _max_abs(l))
+    out: list[BoundaryData | RepresentationError] = []
+    for i in range(N):
+        if comm[i] > tol:
+            out.append(RepresentationError(
+                "peripheral images do not commute; no common eigenvector"))
+        elif identity[i]:
+            out.append(RepresentationError(
+                "meridian image is ±identity; eigenvector is not determined"))
+        elif off[i]:
+            out.append(RepresentationError(
+                f"longitude image does not preserve the meridian eigenvector "
+                f"(residual {resid[i]:.2e})"))
+        else:
+            out.append(BoundaryData(M=complex(Mval[i]), L=complex(L[i]),
+                                    eigenvector=e[i],
+                                    parabolic=bool(parabolic[i])))
+    return out
 
 
 def boundary_data(rep: Representation, tol: float = 1e-8,
@@ -248,49 +436,11 @@ def boundary_data(rep: Representation, tol: float = 1e-8,
     the unit circle ties break toward nonnegative imaginary part.  The
     eigenvector is normalized so its largest-modulus coordinate is 1.
     """
-    m = rep.meridian_image()
-    l = rep.longitude_image()
-    if _commutation_residual(m, l) > tol:
-        raise RepresentationError(
-            "peripheral images do not commute; no common eigenvector")
-    s = _parabolic_sign(m)
-    N = m - s * np.eye(2)
-    if float(np.abs(N).max()) <= tol:
-        raise RepresentationError(
-            "meridian image is ±identity; eigenvector is not determined")
-
-    if is_boundary_parabolic(rep, tol):
-        # unique fixed line: kernel of the nilpotent part, read off the
-        # larger of its two (proportional) rows
-        if max(abs(N[0, 0]), abs(N[0, 1])) >= max(abs(N[1, 0]), abs(N[1, 1])):
-            e = np.array([N[0, 1], -N[0, 0]], dtype=complex)
-        else:
-            e = np.array([N[1, 1], -N[1, 0]], dtype=complex)
-        Mval = complex(s)
-        parabolic = True
-    else:
-        evals, evecs = np.linalg.eig(m)
-        a0, a1 = abs(evals[0]), abs(evals[1])
-        if abs(a0 - a1) > tol * max(a0, a1):
-            idx = int(a0 < a1)
-        else:  # unit-circle pair (conjugate eigenvalues): prefer im >= 0
-            idx = int(evals[0].imag < evals[1].imag)
-        if not prefer_large:
-            idx = 1 - idx
-        Mval = complex(evals[idx])
-        e = evecs[:, idx]
-        parabolic = False
-
-    k = int(np.argmax(np.abs(e)))
-    e = e / e[k]
-    le = l @ e
-    Lval = complex(le[k] / e[k])
-    resid = float(np.abs(le - Lval * e).max())
-    if resid > tol * (1.0 + float(np.abs(l).max())):
-        raise RepresentationError(
-            f"longitude image does not preserve the meridian eigenvector "
-            f"(residual {resid:.2e})")
-    return BoundaryData(M=Mval, L=Lval, eigenvector=e, parabolic=parabolic)
+    m, l = rep.meridian_image(), rep.longitude_image()
+    (bd,) = peripheral_stack(m[None], l[None], tol, prefer_large).boundary
+    if isinstance(bd, RepresentationError):
+        raise bd
+    return bd
 
 
 @dataclass(frozen=True)
@@ -303,13 +453,32 @@ class InvariantVector:
     residual_longitude: float
 
 
-def peripheral_fixed_space(rep: Representation, tol: float = 1e-8):
-    """The adjoint meridian and longitude images ``(Am, Al)`` and an
-    orthonormal row basis of the vectors fixed by both."""
-    Am, Al = adjoint_of(np.stack([rep.meridian_image(),
-                                  rep.longitude_image()]))
+def _invariant_stack(adj: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, list[InvariantVector | RepresentationError]]:
+    """From the adjoint peripheral images ``(N, 2, 3, 3)``: the dimension
+    of the row vectors that both fix, per slice, and the vector where it
+    is 1.  One SVD stack on ``[(Ad m - I)^T; (Ad l - I)^T]``, ``(N, 6, 3)``."""
+    N = len(adj)
+    rows = np.arange(N)
     eye = np.eye(3)
-    return Am, Al, nullspace(np.vstack([(Am - eye).T, (Al - eye).T]), tol)
+    shifted = adj - eye
+    s, vh = svd_stack(shifted.transpose(0, 1, 3, 2).reshape(N, 6, 3))
+    dims = 3 - rank_cut(s, tol)
+    v = vh[:, 2].conj()
+    v = v / v[rows, np.argmax(np.abs(v), axis=1)][:, None]
+    moved = (v[:, None, None, :] @ shifted)[:, :, 0]
+    resid = np.abs(moved).max(axis=2) / (1.0 + _max_abs(adj))
+    out: list[InvariantVector | RepresentationError] = []
+    for i in range(N):
+        if dims[i] != 1:
+            out.append(RepresentationError(
+                f"peripheral invariant subspace has dimension {dims[i]}, "
+                f"expected 1"))
+        else:
+            out.append(InvariantVector(vector=v[i],
+                                       residual_meridian=float(resid[i, 0]),
+                                       residual_longitude=float(resid[i, 1])))
+    return dims, out
 
 
 def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
@@ -318,35 +487,18 @@ def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
     Raises ``RepresentationError`` when the common fixed space does not
     have dimension exactly 1.
     """
-    Am, Al, ns = peripheral_fixed_space(rep, tol)
-    eye = np.eye(3)
-    if ns.shape[0] != 1:
-        raise RepresentationError(
-            f"peripheral invariant subspace has dimension {ns.shape[0]}, "
-            f"expected 1")
-    v = ns[0]
-    v = v / v[int(np.argmax(np.abs(v)))]
-    rm = float(np.abs(v @ (Am - eye)).max()) / (1.0 + float(np.abs(Am).max()))
-    rl = float(np.abs(v @ (Al - eye)).max()) / (1.0 + float(np.abs(Al).max()))
-    return InvariantVector(vector=v, residual_meridian=rm, residual_longitude=rl)
+    m, l = rep.meridian_image(), rep.longitude_image()
+    (iv,) = peripheral_stack(m[None], l[None], tol).invariant
+    if isinstance(iv, RepresentationError):
+        raise iv
+    return iv
 
 
-def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
-    """The cusp translation ratio at a boundary-parabolic representation.
-
-    In a basis where the meridian image is ``[[s, 1], [0, s]]`` (s = ±1),
-    the longitude image becomes ``[[eps, beta], [0, eps]]`` with eps = ±1.
-    As Möbius maps these translate by ``1/s`` and ``beta/eps``; the modulus
-    is the ratio ``(beta/eps)/(1/s)``, invariant under conjugation.
-    """
-    if not is_boundary_parabolic(rep, tol):
-        raise RepresentationError("representation is not boundary-parabolic")
-    m = rep.meridian_image()
-    l = rep.longitude_image()
-    if _commutation_residual(m, l) > tol:
+def _parabolic_modulus(m: np.ndarray, l: np.ndarray, tol: float) -> complex:
+    if commutation_residuals(m[None], l[None])[0] > tol:
         raise RepresentationError(
             "peripheral images do not commute; modulus undefined")
-    s = _parabolic_sign(m)
+    s = _parabolic_signs(m[None])[0][0]
     N = m - s * np.eye(2)
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
@@ -361,6 +513,75 @@ def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
         raise RepresentationError(
             "longitude image is not parabolic on the meridian's fixed line")
     return complex((l2[0, 1] / l2[0, 0]) / (m2[0, 1] / m2[0, 0]))
+
+
+def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
+    """The cusp translation ratio at a boundary-parabolic representation.
+
+    In a basis where the meridian image is ``[[s, 1], [0, s]]`` (s = ±1),
+    the longitude image becomes ``[[eps, beta], [0, eps]]`` with eps = ±1.
+    As Möbius maps these translate by ``1/s`` and ``beta/eps``; the modulus
+    is the ratio ``(beta/eps)/(1/s)``, invariant under conjugation.
+    """
+    m, l = rep.meridian_image(), rep.longitude_image()
+    (mod,) = peripheral_stack(m[None], l[None], tol).modulus
+    if mod is None:
+        raise RepresentationError("representation is not boundary-parabolic")
+    if isinstance(mod, RepresentationError):
+        raise mod
+    return mod
+
+
+@dataclass(frozen=True, eq=False)
+class PeripheralStack:
+    """Peripheral data of ``N`` representations, read from their meridian
+    and longitude images ``(N, 2, 2)``.
+
+    ``boundary``, ``invariant`` and ``modulus`` hold per representation
+    what ``boundary_data``, ``invariant_vector`` and ``parabolic_modulus``
+    return, or the ``RepresentationError`` they raise; ``modulus`` is
+    ``None`` off the parabolic locus.  A representation whose adjoint
+    peripheral images are not finite has ``finite`` false and a
+    ``NonFiniteError`` in each of them.
+    """
+
+    finite: np.ndarray
+    commutation: np.ndarray
+    parabolic: np.ndarray
+    boundary: list
+    invariant_dimension: np.ndarray
+    invariant: list
+    modulus: list
+
+
+def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
+                     prefer_large: bool = True) -> PeripheralStack:
+    """Every peripheral check and value of route 1 on stacks of meridian
+    and longitude images."""
+    N = len(m)
+    commutation = np.full(N, np.nan)
+    parabolic = np.zeros(N, dtype=bool)
+    dims = np.zeros(N, dtype=int)
+    overflow = NonFiniteError("values overflow floating point in the "
+                              "peripheral images")
+    boundary, invariant, modulus = [overflow] * N, [overflow] * N, [overflow] * N
+    with np.errstate(all="ignore"):
+        adj = adjoint_of(np.stack([m, l], axis=1))
+        finite = np.isfinite(adj).all(axis=(1, 2, 3))
+        ok = np.flatnonzero(finite)
+        commutation[ok] = commutation_residuals(m[ok], l[ok])
+        parabolic[ok] = _boundary_parabolic(m[ok], tol)
+        dims[ok], inv = _invariant_stack(adj[ok], tol)
+        bds = _boundary_stack(m[ok], l[ok], commutation[ok], tol, prefer_large)
+    for i, bd, iv in zip(ok, bds, inv):
+        boundary[i], invariant[i], modulus[i] = bd, iv, None
+        if parabolic[i]:
+            try:
+                modulus[i] = _parabolic_modulus(m[i], l[i], tol)
+            except RepresentationError as exc:
+                modulus[i] = exc
+    return PeripheralStack(finite, commutation, parabolic, boundary, dims,
+                           invariant, modulus)
 
 
 def reducibility_defect(rep: Representation) -> float:

@@ -210,7 +210,8 @@ def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
         assert all(r["verdict"] not in (None, "error") for r in recs)
 
 
-def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys):
+def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
+                                                      tmp_path):
     import knotslope.apoly as apoly_mod
     import knotslope.cli as cli_mod
     import knotslope.representations as reps_mod
@@ -224,14 +225,100 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys):
 
     for mod in (apoly_mod, cli_mod, reps_mod):
         monkeypatch.setattr(mod, "riley_polynomial", counted)
+    # a file-loaded presentation is checked with the command's phi too
+    path = two_bridge_file(tmp_path, "b9_7")
     for argv in (["scan", "figure8", "--samples", "5"],
                  ["verify", "figure8", "--samples", "3"],
                  ["verify", "trefoil", "--samples", "3",
-                  "--apoly", "L*M^6 + 1"]):
+                  "--apoly", "L*M^6 + 1"],
+                 ["apoly", "figure8"],
+                 ["scan", path, "--samples", "3"],
+                 ["verify", path, "--samples", "3"],
+                 ["apoly", path]):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(calls) == 1, argv
+
+
+def test_route1_is_planned_once_per_command(monkeypatch, capsys):
+    import knotslope.representations as reps_mod
+    import knotslope.slope as slope_mod
+
+    calls: dict[str, int] = {}
+
+    def count(mod, name):
+        original = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    # route 1's own calls; route 2 derives the Riley generators separately
+    count(slope_mod, "augment")
+    count(slope_mod, "_fox_coefficients")
+    count(reps_mod, "_riley_generators")
+    for argv in (["scan", "figure8", "--samples", "40"],
+                 ["verify", "figure8", "--samples", "40"]):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"augment": 1, "_fox_coefficients": 1,
+                         "_riley_generators": 1}, argv
+
+
+def _agree(a, b, rel: float = 1e-12) -> bool:
+    """Equal, or within ``rel`` of the larger modulus; pairs are complex."""
+    if a is None or b is None or isinstance(a, str) or isinstance(b, str):
+        return a == b
+    za = complex(*a) if isinstance(a, list) else a
+    zb = complex(*b) if isinstance(b, list) else b
+    return abs(za - zb) <= rel * max(abs(za), abs(zb))
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "b13_5", "b15_11"])
+def test_scan_records_equal_slope_records(name, tmp_path, capsys):
+    knot = name if name in ("trefoil", "figure8") else two_bridge_file(tmp_path, name)
+    code, out, _ = run(capsys, "scan", knot, "--samples", "5", "--seed", "3")
+    assert code == 0
+    scanned = records(out)
+    by_M: dict[tuple, list] = {}
+    for rec in scanned:
+        by_M.setdefault(tuple(rec["M"]), []).append(rec)
+    assert len(by_M) == 5
+    for (re, im), recs in by_M.items():
+        code, out, _ = run(capsys, "slope", knot, "--M", f"{re!r},{im!r}")
+        assert code == 0
+        single = records(out)
+        assert len(single) == len(recs)
+        for a, b in zip(recs, single):
+            for key in ("M", "x", "t", "root_index", "verdict", "error"):
+                assert a[key] == b[key], key
+            assert _agree(a["L"], b["L"]) and _agree(a["slope"], b["slope"])
+            assert a["residuals"].keys() == b["residuals"].keys()
+            # residuals are rounding-level differences of O(1) entries
+            for key, value in a["residuals"].items():
+                assert (_agree(value, b["residuals"][key])
+                        or abs(value - b["residuals"][key]) <= 1e-15), key
+
+
+def test_scan_chunks_give_the_same_records(monkeypatch, tmp_path, capsys):
+    import knotslope.cli as cli_mod
+
+    path = two_bridge_file(tmp_path, "b13_5")
+    argv = ("scan", path, "--samples", "8", "--seed", "2")
+    _, whole, _ = run(capsys, *argv)
+    assert cli_mod.CHUNK_SAMPLES >= 8
+    monkeypatch.setattr(cli_mod, "CHUNK_SAMPLES", 3)
+    _, chunked, _ = run(capsys, *argv)
+    a, b = records(whole), records(chunked)
+    assert len(a) == len(b) == 8 * 6
+    for x, y in zip(a, b):
+        for key in ("M", "t", "root_index", "verdict", "error"):
+            assert x[key] == y[key], key
+        assert _agree(x["L"], y["L"]) and _agree(x["slope"], y["slope"])
 
 
 def test_scan_outside_riley_form_gives_error_records(tmp_path, capsys):
@@ -268,10 +355,14 @@ def test_presentation_check_rejects_conjugated_longitude(tmp_path, capsys):
     path.write_text("gens: u v ;\nrel: u v u^-1 v^-1 u = v u^-1 v^-1 u v ;\n"
                     "meridian: u ;\n"
                     "longitude: v v u^-1 v^-1 u^2 v^-1 u^-1 v v^-1\n")
-    code, out, err = run(capsys, "presentation", "check", str(path))
-    assert code == 2
-    assert out == ""
-    assert "longitude does not commute" in err
+    for argv in (["presentation", "check", str(path)],
+                 ["scan", str(path), "--samples", "2"],
+                 ["verify", str(path), "--samples", "2"],
+                 ["apoly", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "longitude does not commute" in err, argv
 
 
 def test_presentation_check_reports_errors(tmp_path, capsys):
@@ -306,6 +397,34 @@ def test_bad_arc_and_samples(capsys):
     assert code == 2
     code, _, err = run(capsys, "scan", "trefoil", "--arc", "0,2,0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["slope", "trefoil", "--M", "2", "--tol", "nan"],
+    ["scan", "trefoil", "--tol", "nan"],
+    ["scan", "trefoil", "--tol", "0"],
+    ["scan", "trefoil", "--tol", "-1"],
+    ["scan", "trefoil", "--tol", "inf"],
+    ["verify", "trefoil", "--tol", "nan"],
+    ["verify", "trefoil", "--tol", "-1"],
+    ["scan", "trefoil", "--arc", "nan,1.5,0.1,1.0"],
+    ["scan", "trefoil", "--arc", "1.1,inf,0.1,1.0"],
+    ["scan", "trefoil", "--arc", "1.1,1.5,nan,1.0"],
+    ["verify", "trefoil", "--arc", "nan,1.5,0.1,1.0"],
+    ["verify", "trefoil", "--arc", "1.1,inf,0.1,1.0"],
+    ["verify", "trefoil", "--arc", "1.1,1.5,nan,1.0"],
+    # the words overflow floating point at these meridians
+    ["slope", "trefoil", "--M", "1e200"],
+    ["slope", "trefoil", "--M", "1e-200"],
+    ["slope", "figure8", "--M", "1e60"],
+    ["slope", "figure8", "--M", "1e80"],
+])
+def test_bad_input_exits_2_with_a_message(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_missing_apoly_file(capsys):

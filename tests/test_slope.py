@@ -12,13 +12,13 @@ from knotslope.data import load_builtin
 from knotslope.linalg import adjoint_of
 from knotslope.presentation import (KnotPresentation, Word, fox_derivative,
                                     parse_presentation)
-from knotslope.representations import (Representation,
+from knotslope.representations import (NonFiniteError, Representation,
                                        abelian_representation, evaluate_word,
                                        invariant_vector, riley_family)
-from knotslope.slope import (NotAdmissibleError, SlopeError, SlopeValue,
-                             admissibility, augment, build_twisted_alexander,
-                             compute_slope, slope_from_invariant_vector,
-                             slope_of_character)
+from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
+                             SlopeValue, admissibility, augment,
+                             build_twisted_alexander, compute_slope,
+                             slope_from_invariant_vector, slope_of_character)
 
 from helpers import TWO_BRIDGE, random_complex
 
@@ -95,15 +95,35 @@ def test_prefix_pass_matches_fox_derivative_reference(name):
     pres = (parse_presentation(TWO_BRIDGE[name]) if name in TWO_BRIDGE
             else load_builtin(name))
     aug = augment(pres)
-    branches = 0
-    for M in (1.3, 1.6 * np.exp(0.4j), 1.9 * np.exp(0.9j), 0.8 - 0.5j):
-        for rep in riley_family(pres, M):
-            built = build_twisted_alexander(aug, rep).matrix
-            ref = _fox_reference_matrix(aug, rep)
+    reps = [rep for M in (1.3, 1.6 * np.exp(0.4j), 1.9 * np.exp(0.9j), 0.8 - 0.5j)
+            for rep in riley_family(pres, M)]
+    # every branch at every meridian as one stack of augmented images
+    stack = np.array([[{**rep.images,
+                        aug.longitude_name: rep.longitude_image()}[g]
+                       for g in aug.generators] for rep in reps])
+    stacked = build_twisted_alexander(aug, stack).matrix
+    assert stacked.shape[0] == len(reps)
+    for rep, from_stack in zip(reps, stacked):
+        ref = _fox_reference_matrix(aug, rep)
+        for built in (build_twisted_alexander(aug, rep).matrix, from_stack):
             assert built.shape == ref.shape
             assert np.abs(built - ref).max() <= 1e-12 * np.abs(ref).max()
-            branches += 1
-    assert branches == 4 * len(riley_family(pres, 1.3))
+    assert len(reps) == 4 * len(riley_family(pres, 1.3))
+
+
+def test_overflowing_slices_do_not_abort_the_stack():
+    pres = load_builtin("figure8")
+    near = riley_family(pres, 1.3)
+    far = riley_family(pres, 1e80)  # the longitude overflows here
+    results = Route1Plan(pres).evaluate(far[:1] + near + far[1:])
+    assert [r.finite for r in results] == [False, True, True, False]
+    for res in results[:1] + results[3:]:
+        assert isinstance(res.slope, NonFiniteError)
+        assert isinstance(res.boundary, NonFiniteError)
+    for rep, res in zip(near, results[1:3]):
+        assert res.slope == compute_slope(rep)
+    with pytest.raises(NonFiniteError):
+        compute_slope(far[0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +173,17 @@ def test_power_longitude_slope_is_the_exponent():
 
 def test_abelian_slope_is_zero():
     pres = load_builtin("trefoil")
+    reps = []
     for lam in (2.0, 3.0, 1.0 + 1.0j):
         rep = abelian_representation(pres, lam)
         sv = compute_slope(rep)
         assert not sv.is_infinite
         assert abs(sv.reading) <= 1e-10
+        reps += [rep] + riley_family(pres, lam)
+    # abelian matrices have rank 6 and irreducible ones rank 5: one stack
+    # of both gives each its own intersection
+    for rep, res in zip(reps, Route1Plan(pres).evaluate(reps)):
+        assert abs(res.slope.reading - compute_slope(rep).reading) <= 1e-12
 
 
 def test_trivial_representation_not_admissible():
