@@ -19,7 +19,7 @@ from .apoly import (ApolyError, ApolyResult, BiLaurent, IdealSlopeReport,
                     side_slopes, squarefree_part)
 from .data import DataError, builtin_names, load_builtin, resolve_builtin
 from .linalg import (KILLING_GRAM, SL2_BASIS, adjoint_of, nullspace,
-                     sl2_coordinates, subspace_intersection)
+                     sl2_coordinates)
 from .presentation import (GroupRingElement, KnotPresentation, ParseError,
                            PresentationError, Word, exponent_sum,
                            format_presentation, format_word, fox_derivative,
@@ -49,7 +49,6 @@ __all__ = [
     "format_word", "free_reduce", "exponent_sum", "fox_derivative",
     # linalg
     "SL2_BASIS", "KILLING_GRAM", "adjoint_of", "sl2_coordinates", "nullspace",
-    "subspace_intersection",
     # representations
     "Representation", "RepresentationError", "NonFiniteError", "riley_family",
     "abelian_representation", "conjugate_representation", "boundary_data",

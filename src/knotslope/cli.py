@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("pres", help="bundled presentation name "
                        f"({', '.join(data_mod.builtin_names())}) or a file path")
         p.add_argument("--tol", type=float, default=1e-8,
-                       help="numerical tolerance (default 1e-8)")
+                       help="verdict tolerance: the pairing margin is held "
+                            "to it, the rank gap to its root (default 1e-8)")
         if with_format:
             p.add_argument("--format", choices=("json", "csv"), default="json",
                            help="output format (default json)")

@@ -1,10 +1,8 @@
-"""Dense complex linear algebra over sl(2, C) and tolerance-based subspaces.
+"""Dense complex linear algebra over sl(2, C), on stacks of matrices.
 
-``adjoint_of``, ``svd_stack``, ``rank_cut`` and ``row_space_intersections``
-work on ``(N, ...)`` stacks of matrices; the single-matrix subspace tools
-cut their singular values with the same ``rank_cut``, and
-``subspace_intersection`` is the ``N = 1`` case of
-``row_space_intersections``.
+``sl2_inverse``, ``adjoint_of``, ``svd_stack`` and ``rank_cut`` take
+``(N, ...)`` stacks of matrices; ``nullspace`` is the one single-matrix
+tool, a null space cut at ``tol`` times the largest singular value.
 
 Conventions used throughout the package:
 
@@ -48,14 +46,24 @@ def as_sl2(A, det_tol: float = 1e-9) -> np.ndarray:
     return A
 
 
-def sl2_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a determinant-1 matrix, ``[[d,-b],[-c,a]]``."""
-    return np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=complex)
+def sl2_inverse(A) -> np.ndarray:
+    """``[[d, -b], [-c, a]]`` of each matrix of a ``(..., 2, 2)`` stack:
+    the inverse at determinant 1."""
+    A = np.asarray(A, dtype=complex)
+    out = np.empty_like(A)
+    out[..., 0, 0] = A[..., 1, 1]
+    out[..., 0, 1] = -A[..., 0, 1]
+    out[..., 1, 0] = -A[..., 1, 0]
+    out[..., 1, 1] = A[..., 0, 0]
+    return out
 
 
-def sl2_coordinates(X: np.ndarray) -> np.ndarray:
-    """Coordinates of a traceless 2x2 matrix in the (E, H, F) basis."""
-    return np.array([X[0, 1], X[0, 0], X[1, 0]], dtype=complex)
+def sl2_coordinates(X) -> np.ndarray:
+    """Coordinates in the (E, H, F) basis of the traceless part ``X -
+    tr(X)/2 I`` of each matrix of a ``(..., 2, 2)`` stack."""
+    X = np.asarray(X, dtype=complex)
+    return np.stack([X[..., 0, 1], (X[..., 0, 0] - X[..., 1, 1]) / 2,
+                     X[..., 1, 0]], axis=-1)
 
 
 def adjoint_of(A) -> np.ndarray:
@@ -69,11 +77,6 @@ def adjoint_of(A) -> np.ndarray:
                2 * b * d, a * d + b * c, -2 * a * c,
                -b * b, -a * b, a * a]
     return np.stack(entries, axis=-1).reshape(A.shape[:-2] + (3, 3))
-
-
-def _singular_triplet(A: np.ndarray):
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return np.linalg.svd(A, full_matrices=True)
 
 
 def svd_stack(A) -> tuple[np.ndarray, np.ndarray]:
@@ -97,75 +100,13 @@ def rank_cut(s, tol: float = 1e-8) -> np.ndarray:
     """Numerical ranks from singular values ``(..., k)``: the count above
     ``tol`` times the largest, and 0 where the largest is 0 or NaN."""
     s = np.asarray(s)
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1], dtype=int)
     return np.count_nonzero(s > tol * s[..., :1], axis=-1)
-
-
-def rank_with_tol(A, tol: float = 1e-8) -> int:
-    """Numerical rank: singular values above ``tol`` times the largest."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if A.size == 0:
-        return 0
-    return int(rank_cut(np.linalg.svd(A, compute_uv=False), tol))
-
-
-def orthonormal_row_basis(A, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal rows spanning the row space of ``A``."""
-    _, s, vh = _singular_triplet(A)
-    return vh[:int(rank_cut(s, tol))]
 
 
 def nullspace(A, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows ``v`` with ``A @ v = 0``."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    _, s, vh = _singular_triplet(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(A.shape[1], dtype=complex)
     return vh[int(rank_cut(s, tol)):].conj()
-
-
-def left_nullspace(A, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal rows ``v`` with ``v @ A = 0``."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return nullspace(A.T, tol)
-
-
-def row_space_intersections(U: np.ndarray, W: np.ndarray,
-                            tol: float = 1e-8) -> list[np.ndarray]:
-    """Row bases of ``rowspace(U[i]) ∩ rowspace(W[i])`` for stacks ``U``
-    ``(N, r, n)`` and ``W`` ``(N, p, n)`` of orthonormal rows, ``r, p >= 1``.
-
-    The coefficients ``x`` with ``x_U @ U = x_W @ W`` are the left null
-    space of the stacked ``[U; -W]``; their images ``x_U @ U`` are
-    orthonormalized.  The SVDs run on whole stacks, grouped by the shape
-    that each slice's null space gives.
-    """
-    N, r, n = U.shape
-    stacked = np.concatenate([U, -W], axis=1)
-    s, vh = svd_stack(stacked.transpose(0, 2, 1))
-    ranks = rank_cut(s, tol)
-    out: list[np.ndarray] = [np.zeros((0, n), dtype=complex)] * N
-    for k in np.unique(ranks):
-        idx = np.flatnonzero(ranks == k)
-        if k == stacked.shape[1]:  # trivial null space: no intersection
-            continue
-        vectors = vh[idx, k:, :r].conj() @ U[idx]
-        s2, vh2 = svd_stack(vectors)
-        for pos, (i, j) in enumerate(zip(idx, rank_cut(s2, tol))):
-            out[i] = vh2[pos, :j]
-    return out
-
-
-def subspace_intersection(U, W, tol: float = 1e-8) -> np.ndarray:
-    """A row basis of ``rowspace(U) ∩ rowspace(W)``.
-
-    Both inputs are orthonormalized first; the intersection is recovered
-    from the null space of the stacked system ``x_U @ U = x_W @ W``.
-    """
-    U = orthonormal_row_basis(U, tol)
-    W = orthonormal_row_basis(W, tol)
-    n = U.shape[1] if U.size else (W.shape[1] if W.size else 0)
-    if U.shape[0] == 0 or W.shape[0] == 0:
-        return np.zeros((0, n), dtype=complex)
-    return row_space_intersections(U[None], W[None], tol)[0]

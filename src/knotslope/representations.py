@@ -14,12 +14,14 @@ multiplies along a word for ``N`` representations at a time, images
 stacked ``(N, #generators, 2, 2)``.  The single-representation functions
 are its ``N = 1`` case.
 
-``boundary_data`` extracts the peripheral eigenvalue pair ``(M, L)`` on a
-common eigenvector, ``invariant_vector`` the adjoint-invariant direction in
-sl(2) fixed by both peripheral images, and ``parabolic_modulus`` the cusp
-translation ratio at boundary-parabolic representations.  Each reads the
-meridian and longitude images given to it; ``peripheral_stack`` runs all
-of them on ``(N, 2, 2)`` stacks of those images.
+``boundary_data`` reads the peripheral eigenvalue pair ``(M, L)`` on a
+common eigenvector, ``invariant_vector`` the adjoint-invariant direction
+in sl(2) fixed by both peripheral images, and ``parabolic_modulus`` the
+cusp translation ratio at boundary-parabolic representations;
+``peripheral_stack`` runs all of them on ``(N, 2, 2)`` stacks of those
+images, in closed form.  A non-central ``m`` has the invariant vector
+``coords(m - tr(m)/2 I)``, and its eigenvectors give the meridian frame
+``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read off the diagonal.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
-from .linalg import adjoint_of, as_sl2, nullspace, rank_cut, sl2_inverse, svd_stack
+from .linalg import adjoint_of, as_sl2, nullspace, sl2_coordinates, sl2_inverse
 from .presentation import (KnotPresentation, Word, format_presentation,
                            parse_presentation)
 
@@ -107,16 +109,6 @@ def word_letters(word: Word, generators: Sequence[str]) -> Letters:
                    np.array([e for _, e in word.letters], dtype=np.int8))
 
 
-def _adjugates(A: np.ndarray) -> np.ndarray:
-    """``[[d, -b], [-c, a]]`` of each matrix; the inverse at determinant 1."""
-    out = np.empty_like(A)
-    out[..., 0, 0] = A[..., 1, 1]
-    out[..., 0, 1] = -A[..., 0, 1]
-    out[..., 1, 0] = -A[..., 1, 0]
-    out[..., 1, 1] = A[..., 0, 0]
-    return out
-
-
 def prefix_images(images: np.ndarray, letters: Letters) -> np.ndarray:
     """Prefix images ``P[:, 0] = I``, ``P[:, i] = P[:, i-1] @ image(letter
     i)`` of a word for a stack of representations.
@@ -127,7 +119,7 @@ def prefix_images(images: np.ndarray, letters: Letters) -> np.ndarray:
     """
     images = np.asarray(images, dtype=complex)
     N, G = images.shape[:2]
-    alphabet = np.concatenate([images, _adjugates(images)], axis=1)
+    alphabet = np.concatenate([images, sl2_inverse(images)], axis=1)
     codes = letters.index + G * (letters.sign < 0)
     # y[i] and P[i] are (row, column, N): each step is three ufunc calls
     # over the whole stack, P[i+1][r, c] = P[i][r, 0] y[i][0, c]
@@ -360,10 +352,15 @@ def _parabolic_signs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(np.abs(tr - 2.0) <= np.abs(tr + 2.0), 1.0, -1.0), tr
 
 
+def _central(m: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix is within ``tol`` of ``±I``: its traceless part."""
+    return np.abs(sl2_coordinates(m)).max(axis=-1) <= tol
+
+
 def _boundary_parabolic(m: np.ndarray, tol: float) -> np.ndarray:
     s, tr = _parabolic_signs(m)
     trace_2 = np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))
-    return trace_2 & (_max_abs(m - s[:, None, None] * np.eye(2)) > tol)
+    return trace_2 & ~_central(m, tol)
 
 
 def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
@@ -371,45 +368,58 @@ def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
     return bool(_boundary_parabolic(rep.meridian_image()[None], tol)[0])
 
 
+def _eigenvectors(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A unit eigenvector of each ``m`` for ``lam``: the kernel of ``m -
+    lam I``, read off its row of larger norm."""
+    top = np.stack([m[:, 0, 1], lam - m[:, 0, 0]], axis=-1)
+    bottom = np.stack([lam - m[:, 1, 1], m[:, 1, 0]], axis=-1)
+    norms = np.linalg.norm([top, bottom], axis=2)
+    first = norms[0] >= norms[1]
+    return np.where(first[:, None], top, bottom) / norms.max(axis=0)[:, None]
+
+
 def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
-                    tol: float, prefer_large: bool
-                    ) -> list[BoundaryData | RepresentationError]:
+                    parabolic: np.ndarray, tol: float, prefer_large: bool
+                    ) -> tuple[np.ndarray, list[BoundaryData | RepresentationError]]:
     """``boundary_data`` for finite ``(N, 2, 2)`` meridian and longitude
-    images with commutation residuals ``comm``: one stack of 2x2
-    eigen-decompositions, and an error per failed slice."""
-    N = len(m)
-    rows = np.arange(N)
+    images with commutation residuals ``comm`` and parabolic flags, and
+    the meridian frames: determinant-1 ``P`` with ``P^-1 m P = diag(M,
+    1/M)`` from closed-form eigenvectors, the identity on parabolic and
+    central slices."""
+    rows = np.arange(len(m))
     s, _ = _parabolic_signs(m)
-    nil = m - s[:, None, None] * np.eye(2)
-    parabolic = _boundary_parabolic(m, tol)
-    # on a parabolic meridian the eigenvector is the kernel of the
-    # nilpotent part, read off the larger of its two (proportional) rows
-    a = np.abs(nil)
-    top = np.maximum(a[:, 0, 0], a[:, 0, 1]) >= np.maximum(a[:, 1, 0], a[:, 1, 1])
-    r = np.where(top, 0, 1)
-    e_par = np.stack([nil[rows, r, 1], -nil[rows, r, 0]], axis=-1)
-    evals = np.ones((N, 2), dtype=complex)
-    evecs = np.ones((N, 2, 2), dtype=complex)
-    if (~parabolic).any():
-        evals[~parabolic], evecs[~parabolic] = np.linalg.eig(m[~parabolic])
+    identity = _central(m, tol)
+    half = (m[:, 0, 0] + m[:, 1, 1]) / 2
+    root = np.sqrt(half * half - 1.0)
+    # the larger eigenvalue has no cancellation; the other is its inverse
+    big = np.where(np.abs(half + root) >= np.abs(half - root),
+                   half + root, half - root)
     # the |M| >= 1 branch; on the unit circle ties break toward im >= 0
-    a0, a1 = np.abs(evals[:, 0]), np.abs(evals[:, 1])
-    idx = np.where(np.abs(a0 - a1) > tol * np.maximum(a0, a1), a0 < a1,
-                   evals[:, 0].imag < evals[:, 1].imag).astype(int)
-    if not prefer_large:
-        idx = 1 - idx
-    Mval = np.where(parabolic, s, evals[rows, idx])
-    e = np.where(parabolic[:, None], e_par, evecs[rows, :, idx])
+    first = np.where(np.abs(big) - np.abs(1.0 / big) > tol * np.abs(big),
+                     True, big.imag >= (1.0 / big).imag) == prefer_large
+    Mval = np.where(parabolic, s, np.where(first, big, 1.0 / big))
+    # M's eigenvector first; a parabolic meridian has only that one
+    E = np.stack([_eigenvectors(m, Mval), _eigenvectors(m, 1.0 / Mval)], axis=2)
+    det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
+    framed = ~(parabolic | identity)
+    P = np.where(framed[:, None, None], E / np.sqrt(det)[:, None, None],
+                 np.eye(2))
+    # l commutes with m, so it is diagonal in the frame.  Its larger entry
+    # is read as L on M's eigenvector, or as 1/L on the other one: the
+    # smaller entry would carry the rounding error of the larger
+    lf = sl2_inverse(P) @ l @ P
+    d0, d1 = lf[:, 0, 0], lf[:, 1, 1]
+    e = E[:, :, 0]
     k = np.argmax(np.abs(e), axis=1)
     e = e / e[rows, k][:, None]
     le = (l @ e[:, :, None])[:, :, 0]
-    L = le[rows, k] / e[rows, k]
+    L = np.where(parabolic, le[rows, k],
+                 np.where(np.abs(d0) >= np.abs(d1), d0, 1.0 / d1))
     resid = np.abs(le - L[:, None] * e).max(axis=1)
 
-    identity = _max_abs(nil) <= tol
     off = resid > tol * (1.0 + _max_abs(l))
     out: list[BoundaryData | RepresentationError] = []
-    for i in range(N):
+    for i in range(len(m)):
         if comm[i] > tol:
             out.append(RepresentationError(
                 "peripheral images do not commute; no common eigenvector"))
@@ -424,7 +434,7 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
             out.append(BoundaryData(M=complex(Mval[i]), L=complex(L[i]),
                                     eigenvector=e[i],
                                     parabolic=bool(parabolic[i])))
-    return out
+    return P, out
 
 
 def boundary_data(rep: Representation, tol: float = 1e-8,
@@ -453,20 +463,22 @@ class InvariantVector:
     residual_longitude: float
 
 
-def _invariant_stack(adj: np.ndarray, tol: float
-                     ) -> tuple[np.ndarray, list[InvariantVector | RepresentationError]]:
-    """From the adjoint peripheral images ``(N, 2, 3, 3)``: the dimension
-    of the row vectors that both fix, per slice, and the vector where it
-    is 1.  One SVD stack on ``[(Ad m - I)^T; (Ad l - I)^T]``, ``(N, 6, 3)``."""
-    N = len(adj)
+def _invariant_vectors(m: np.ndarray, l: np.ndarray, adj: np.ndarray,
+                       comm: np.ndarray, tol: float
+                       ) -> tuple[np.ndarray, list[InvariantVector | RepresentationError]]:
+    """From finite peripheral images, their adjoints ``(N, 2, 3, 3)`` and
+    commutation residuals: the dimension of the vectors both adjoints fix,
+    and the vector where it is 1.  ``Ad(X)`` of a non-central ``X`` fixes
+    the line of ``coords(X - tr(X)/2 I)``, the meridian's or, when that is
+    central, the longitude's; the other image fixes it when they commute.
+    """
+    N = len(m)
     rows = np.arange(N)
-    eye = np.eye(3)
-    shifted = adj - eye
-    s, vh = svd_stack(shifted.transpose(0, 1, 3, 2).reshape(N, 6, 3))
-    dims = 3 - rank_cut(s, tol)
-    v = vh[:, 2].conj()
+    central_m = _central(m, tol)
+    dims = np.where(central_m & _central(l, tol), 3, 1)
+    v = sl2_coordinates(np.where(central_m[:, None, None], l, m))
     v = v / v[rows, np.argmax(np.abs(v), axis=1)][:, None]
-    moved = (v[:, None, None, :] @ shifted)[:, :, 0]
+    moved = (v[:, None, None, :] @ (adj - np.eye(3)))[:, :, 0]
     resid = np.abs(moved).max(axis=2) / (1.0 + _max_abs(adj))
     out: list[InvariantVector | RepresentationError] = []
     for i in range(N):
@@ -474,6 +486,10 @@ def _invariant_stack(adj: np.ndarray, tol: float
             out.append(RepresentationError(
                 f"peripheral invariant subspace has dimension {dims[i]}, "
                 f"expected 1"))
+        elif comm[i] > tol:
+            out.append(RepresentationError(
+                f"peripheral images do not commute; no common invariant "
+                f"vector (commutation residual {comm[i]:.2e})"))
         else:
             out.append(InvariantVector(vector=v[i],
                                        residual_meridian=float(resid[i, 0]),
@@ -540,9 +556,10 @@ class PeripheralStack:
     ``boundary``, ``invariant`` and ``modulus`` hold per representation
     what ``boundary_data``, ``invariant_vector`` and ``parabolic_modulus``
     return, or the ``RepresentationError`` they raise; ``modulus`` is
-    ``None`` off the parabolic locus.  A representation whose adjoint
-    peripheral images are not finite has ``finite`` false and a
-    ``NonFiniteError`` in each of them.
+    ``None`` off the parabolic locus.  ``frame`` holds the meridian frames
+    (``_boundary_stack``).  A representation whose adjoint peripheral
+    images are not finite has ``finite`` false and a ``NonFiniteError`` in
+    each of ``boundary``, ``invariant`` and ``modulus``.
     """
 
     finite: np.ndarray
@@ -552,6 +569,7 @@ class PeripheralStack:
     invariant_dimension: np.ndarray
     invariant: list
     modulus: list
+    frame: np.ndarray
 
 
 def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
@@ -562,6 +580,7 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
     commutation = np.full(N, np.nan)
     parabolic = np.zeros(N, dtype=bool)
     dims = np.zeros(N, dtype=int)
+    frame = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
     overflow = NonFiniteError("values overflow floating point in the "
                               "peripheral images")
     boundary, invariant, modulus = [overflow] * N, [overflow] * N, [overflow] * N
@@ -571,8 +590,10 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
         ok = np.flatnonzero(finite)
         commutation[ok] = commutation_residuals(m[ok], l[ok])
         parabolic[ok] = _boundary_parabolic(m[ok], tol)
-        dims[ok], inv = _invariant_stack(adj[ok], tol)
-        bds = _boundary_stack(m[ok], l[ok], commutation[ok], tol, prefer_large)
+        dims[ok], inv = _invariant_vectors(m[ok], l[ok], adj[ok],
+                                           commutation[ok], tol)
+        frame[ok], bds = _boundary_stack(m[ok], l[ok], commutation[ok],
+                                         parabolic[ok], tol, prefer_large)
     for i, bd, iv in zip(ok, bds, inv):
         boundary[i], invariant[i], modulus[i] = bd, iv, None
         if parabolic[i]:
@@ -581,7 +602,7 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
             except RepresentationError as exc:
                 modulus[i] = exc
     return PeripheralStack(finite, commutation, parabolic, boundary, dims,
-                           invariant, modulus)
+                           invariant, modulus, frame)
 
 
 def reducibility_defect(rep: Representation) -> float:

@@ -4,31 +4,38 @@ Given a knot group presentation with meridian ``m`` and longitude word
 ``l``, the presentation is augmented by a fresh generator ``ell`` with
 relators ``ell * l^-1`` and ``m ell m^-1 ell^-1``.  Fox derivatives of all
 relators, evaluated in the adjoint representation, give a block matrix
-with one 3-column block per generator, blocks ordered ``(ell, m, rest)``.
+``T`` with one 3-column block per generator, blocks ordered ``(ell, m,
+rest)``.  Each Fox term of a relator ``x_1 ... x_n`` is a signed prefix
+product (``P_0 = I``, ``P_i = P_{i-1} rho(x_i)``): a letter ``g`` at
+position ``i`` adds ``+Ad(P_{i-1})`` to the block of ``g``, a letter
+``g^-1`` adds ``-Ad(P_i)``.
 
-Each Fox term of a relator ``x_1 ... x_n`` is a signed prefix product
-(``P_0 = I``, ``P_i = P_{i-1} rho(x_i)``): a letter ``g`` at position ``i``
-adds ``+Ad(P_{i-1})`` to the block of ``g``, a letter ``g^-1`` adds
-``-Ad(P_i)``.  One pass of prefix products fills a relator's row block;
-the products of the (once validated) generator images are not re-checked.
+For an admissible representation the row space of ``T`` meets the plane
+``span{v⊗d_ell, v⊗d_m}`` (``v`` the common adjoint-invariant vector of
+the peripheral images) in a line ``a·(v⊗d_ell) + b·(v⊗d_m)``; the slope
+is ``-b/a``, with ``a = 0`` read as infinity.  The rank of ``T`` is known:
+``dim Z^1 = (3 - dim sl2^rho) + 1``, so ``r = 3·#generators - 4 + dim
+sl2^rho``, where ``dim sl2^rho`` is 1 when every generator image fixes
+``v`` (abelian representations) and 0 otherwise.  A vector lies in the
+row space when it annihilates the right kernel ``K`` of ``T`` at that
+rank, so ``(a, b)`` is the null space of the pairing system ``[(v⊗d_ell)
+K; (v⊗d_m) K]^T``.  Each verdict is one measured margin against ``tol``:
+the pairing system's ``s_min/s_max`` (not admissible above ``tol``; it is
+``SlopeValue.residual``) and ``s_max`` (a plane, degenerate, at or below
+``tol``), and the rank gap ``s_r/s_{r-1}`` of ``T`` (degenerate above
+``sqrt(tol)``).  The gap is a rounding-level ``s_r`` over the smallest
+nonzero singular value, and on long words those span ten orders of
+magnitude: correct slices reach gaps of 5e-6, a change of rank gives ~1.
 
-For an admissible representation the row space of that matrix meets the
-six-dimensional peripheral space ``span{v⊗d_ell, v⊗d_m}`` (``v`` the
-common adjoint-invariant vector of the peripheral images) in a line
-``a·(v⊗d_ell) + b·(v⊗d_m)``; the slope of the representation is ``-b/a``,
-with ``a = 0`` read as infinity.
-
-What depends only on the presentation is compiled once, in a
-``Route1Plan``: its words as generator-index and sign arrays, and the
-augmented relators with their Fox coefficients (``augment``).
-``Route1Plan.evaluate`` then runs route 1 on ``N`` representations
-together, as ``(N, ...)`` stacks: the meridian and longitude images are
-evaluated once and feed the commutation residual, the parabolic test,
-``L``, the invariant vector and the matrix; the matrices are built
-``(N, 9, 9)`` for a two-generator knot, and each SVD runs on a whole
-stack, the intersection SVDs grouped by the shape that each slice's
-ranks give.  The singular-value cuts at ``tol`` times the largest value
-and the verdicts are those of one representation, taken slice by slice.
+``Route1Plan`` compiles what depends only on the presentation once: its
+words as generator-index and sign arrays, and the augmented relators
+with their Fox coefficients (``augment``).  ``Route1Plan.evaluate`` runs
+route 1 on ``N`` representations together, as ``(N, ...)`` stacks.  The
+meridian and longitude images feed the commutation residual, the
+parabolic test, ``L`` and the invariant vector; the generator images are
+then conjugated into the meridian frame, where ``rho(m)`` is diagonal and
+``v = H``, and the words are evaluated there (``_framed_images``).  One
+SVD stack gives the kernels, one more the pairing solutions.
 ``compute_slope``, ``slope_from_invariant_vector`` and ``admissibility``
 are its ``N = 1`` case.
 """
@@ -42,12 +49,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import adjoint_of, rank_cut, row_space_intersections, svd_stack
+from .linalg import adjoint_of, sl2_coordinates, sl2_inverse, svd_stack
 from .presentation import KnotPresentation, Word
-from .representations import (BoundaryData, Letters, NonFiniteError,
-                              Representation, RepresentationError, WordPlan,
-                              peripheral_stack, prefix_images,
-                              riley_generators, word_letters)
+from .representations import (BoundaryData, InvariantVector, Letters,
+                              NonFiniteError, Representation,
+                              RepresentationError, WordPlan, peripheral_stack,
+                              prefix_images, riley_generators, word_letters)
 
 
 class SlopeError(ValueError):
@@ -60,11 +67,6 @@ class NotAdmissibleError(SlopeError):
 
 class DegenerateIntersectionError(SlopeError):
     """The intersection with the peripheral space is not a single line."""
-
-
-#: acceptance bound for the least-squares fit of the intersection vector
-#: against the peripheral pair
-PERIPHERAL_FIT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,7 @@ class SlopeValue:
 
     ``(a, b)`` is normalized so ``max(|a|, |b|) = 1``.  ``reading`` is the
     slope ``-b/a``, or ``math.inf`` when ``|a| <= tol``.  ``residual`` is
-    the least-squares misfit of the intersection vector against the
-    peripheral pair.
+    the relative residual ``s_min/s_max`` of the pairing system.
     """
 
     a: complex
@@ -207,58 +208,72 @@ def _slopes(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
             tol: float) -> list[SlopeValue | SlopeError | RepresentationError]:
     """``slope_from_invariant_vector`` for a stack: augmented generator
     images ``(N, #generators, 2, 2)`` and invariant vectors ``(N, 3)``."""
-    ta = build_twisted_alexander(aug, images)
-    T = ta.matrix
+    T = build_twisted_alexander(aug, images).matrix
     N, _, n = T.shape
-    v = np.asarray(v, dtype=complex)
-    W = np.zeros((N, 2, n), dtype=complex)
-    W[:, 0, ta.column_slice(aug.longitude_name)] = v
-    W[:, 1, ta.column_slice(aug.generators[1])] = v
-    # the two rows of W are orthogonal and of length |v|, so W / |v| is an
-    # orthonormal basis of the peripheral space: the one an SVD gives, up
-    # to a unitary; its two singular values are equal, so a cut at tol < 1
-    # keeps both (at tol >= 1 the invariant space has dimension 3 already)
-    norm2 = np.sum(np.abs(v) ** 2, axis=1)
+    rows = np.arange(N)
     with np.errstate(all="ignore"):
-        Wn = W / np.sqrt(norm2)[:, None, None]
-    s, vh = svd_stack(T)
-    ranks = rank_cut(s, tol)
-    inter = [np.zeros((0, n), dtype=complex)] * N
-    for r in np.unique(ranks[ranks > 0]):
-        idx = np.flatnonzero(ranks == r)
-        for i, basis in zip(idx, row_space_intersections(vh[idx, :r], Wn[idx],
-                                                         tol)):
-            inter[i] = basis
-    # least squares of the intersection vector on the orthogonal pair
-    z = np.array([b[0] if len(b) == 1 else np.zeros(n) for b in inter],
-                 dtype=complex).reshape(N, n)
-    with np.errstate(all="ignore"):
-        coef = np.einsum("kpn,kn->kp", W.conj(), z) / norm2[:, None]
-        fit = np.abs(np.einsum("kp,kpn->kn", coef, W) - z).max(axis=1,
-                                                                initial=0.0)
+        v = np.asarray(v, dtype=complex)
+        v = v / np.linalg.norm(v, axis=1)[:, None]
+        # dim sl2^rho is 1 where every generator image fixes v, else 0
+        adj = adjoint_of(images)
+        moved = np.abs(np.einsum("kj,kgjl->kgl", v, adj) - v[:, None])
+        fixed = (moved.max(axis=2)
+                 <= tol * (1.0 + np.abs(adj).max(axis=(2, 3)))).all(axis=1)
+        rank = n - 4 + fixed
+        s, vh = svd_stack(T)
+        s = np.concatenate([s, np.zeros((N, n - s.shape[1]))], axis=1)
+        gap = s[rows, rank] / s[rows, rank - 1]
+        # the right kernel of T as rows; at rank n - 3 the first is not in it
+        K = vh[:, n - 4:].conj()
+        K[fixed, 0] = 0.0
+        # the pairing system, from the ell and m column blocks of K
+        A = np.einsum("kipj,kj->kip", K[:, :, :6].reshape(N, 4, 2, 3), v)
+        s2, vh2 = svd_stack(A)
+        pairing = s2[:, 1] / s2[:, 0]
+        ab = vh2[:, 1].conj()
+        ab = ab / ab[rows, np.argmax(np.abs(ab), axis=1)][:, None]
     finite = np.isfinite(T).all(axis=(1, 2))
     out: list[SlopeValue | SlopeError | RepresentationError] = []
     for i in range(N):
-        dim = inter[i].shape[0]
         if not finite[i]:
             out.append(NonFiniteError("values overflow floating point in the "
                                       "twisted-Alexander matrix"))
-        elif dim == 0:
+        elif not gap[i] <= math.sqrt(tol):
+            out.append(DegenerateIntersectionError(
+                f"matrix rank is not the structural rank {rank[i]} "
+                f"(rank gap {gap[i]:.2e})"))
+        elif not s2[i, 0] > tol:
+            out.append(DegenerateIntersectionError(
+                f"peripheral intersection has dimension 2, expected 1 "
+                f"(largest pairing singular value {s2[i, 0]:.2e})"))
+        elif not pairing[i] <= tol:
             out.append(NotAdmissibleError(
-                "matrix row space does not meet the peripheral space"))
-        elif dim > 1:
-            out.append(DegenerateIntersectionError(
-                f"peripheral intersection has dimension {dim}, expected 1"))
-        elif fit[i] > PERIPHERAL_FIT_TOL:
-            out.append(DegenerateIntersectionError(
-                f"intersection vector is not a combination of the peripheral "
-                f"pair (residual {fit[i]:.2e})"))
+                f"matrix row space does not meet the peripheral space "
+                f"(pairing margin {pairing[i]:.2e})"))
         else:
-            a, b = complex(coef[i, 0]), complex(coef[i, 1])
-            scale = max(abs(a), abs(b))
-            out.append(SlopeValue(a=a / scale, b=b / scale,
-                                  residual=float(fit[i]), tol=tol))
+            out.append(SlopeValue(a=complex(ab[i, 0]), b=complex(ab[i, 1]),
+                                  residual=float(pairing[i]), tol=tol))
     return out
+
+
+def _framed_images(images: np.ndarray, P: np.ndarray, tol: float) -> np.ndarray:
+    """Generator images ``(N, #generators, 2, 2)`` conjugated into the
+    meridian frames ``P``, where long words keep their large entries on
+    the diagonal.  Near a parabolic meridian the eigenvectors nearly
+    coincide and rounding grows by up to ``cond(Ad P)^2 <= |P|_F^8``;
+    where that passes ``tol`` a slice keeps its own frame.  A diagonal
+    conjugation then equalizes the total modulus of the entries above and
+    below the diagonal."""
+    cost = np.finfo(float).eps * np.sum(np.abs(P) ** 2, axis=(1, 2)) ** 4
+    P = np.where((cost <= tol)[:, None, None], P, np.eye(2))[:, None]
+    framed = sl2_inverse(P) @ images @ P
+    above = np.abs(framed[:, :, 0, 1]).sum(axis=1)
+    below = np.abs(framed[:, :, 1, 0]).sum(axis=1)
+    with np.errstate(all="ignore"):
+        d2 = np.where((above > 0) & (below > 0), np.sqrt(above / below), 1.0)
+    framed[:, :, 0, 1] /= d2[:, None]
+    framed[:, :, 1, 0] *= d2[:, None]
+    return framed
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,7 @@ class Route1Plan:
         slopes: list = [None] * N
         ready = []
         for i in range(N):
-            iv = per.invariant[i]
+            iv, bd = per.invariant[i], per.boundary[i]
             if not per.finite[i]:
                 slopes[i] = iv
             elif not finite[i]:
@@ -330,8 +345,10 @@ class Route1Plan:
                     "values overflow floating point in the relators")
             elif per.parabolic[i]:
                 slopes[i] = per.modulus[i]
-            elif isinstance(iv, RepresentationError):
+            elif not isinstance(iv, InvariantVector):
                 slopes[i] = NotAdmissibleError(str(iv))
+            elif not isinstance(bd, BoundaryData):
+                slopes[i] = NotAdmissibleError(str(bd))
             else:
                 ready.append(i)
         if ready:
@@ -341,8 +358,11 @@ class Route1Plan:
                 for i in ready:
                     slopes[i] = exc
             else:
-                v = np.array([per.invariant[i].vector for i in ready])
-                stack = self._augmented_images(images[ready], l[ready])
+                framed = _framed_images(images[ready], per.frame[ready], tol)
+                stack = self._augmented_images(framed, prefix_images(
+                    framed, self.words.longitude)[:, -1])
+                # the meridian generator's image, second in the stack
+                v = sl2_coordinates(stack[:, 1])
                 for i, sv in zip(ready, _slopes(aug, stack, v, tol)):
                     slopes[i] = sv
         return [Route1Result(
@@ -365,11 +385,10 @@ def slope_from_invariant_vector(rep: Representation, v: np.ndarray,
     The result does not depend on the scaling of ``v``.
     """
     plan = Route1Plan(rep.presentation)
-    aug = plan.augmented
     images = plan.words.stack([rep])
     _, l = plan.words.peripheral(images)
-    (sv,) = _slopes(aug, plan._augmented_images(images, l),
-                    np.asarray(v, dtype=complex)[None], tol)
+    (sv,) = _slopes(plan.augmented, plan._augmented_images(images, l),
+                    np.reshape(v, (1, 3)), tol)
     if isinstance(sv, Exception):
         raise sv
     return sv
@@ -399,7 +418,9 @@ def slope_of_character(rep: Representation, tol: float = 1e-8) -> complex | floa
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Diagnostics for the slope pipeline on one representation."""
+    """Diagnostics for the slope pipeline on one representation:
+    ``intersection_dimension`` counts the pairing system's solutions where
+    they decide, ``peripheral_fit`` is ``SlopeValue.residual``."""
 
     invariant_dimension: int
     commutation_residual: float
@@ -417,7 +438,7 @@ def admissibility(rep: Representation, tol: float = 1e-8) -> AdmissibilityReport
     dim, comm, sv = res.invariant_dimension, res.commutation_residual, res.slope
     if res.parabolic:
         return AdmissibilityReport(dim, comm, True, None, None, "parabolic")
-    if dim != 1:
+    if dim != 1 or comm > tol:
         return AdmissibilityReport(dim, comm, False, None, None, "not-admissible")
     if isinstance(sv, NotAdmissibleError):
         return AdmissibilityReport(dim, comm, False, 0, None, "not-admissible")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from math import gcd
 
 import pytest
 
 from knotslope.cli import main
 
-from helpers import two_bridge_file
+from helpers import two_bridge_file, two_bridge_text
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -206,8 +207,29 @@ def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
         assert code == 0
         recs = json.loads(out)
         assert len(recs) == 20 * 7  # (p - 1) / 2 Riley branches per sample
-        # a few land on the F1 cut and read not-admissible
-        assert all(r["verdict"] not in (None, "error") for r in recs)
+        assert all(r["verdict"] == "admissible" for r in recs)
+
+
+#: every odd-q two-bridge knot b(p, q) with p <= 13 at seed 0, and seeds 1
+#: and 2 of the five among them whose long words once broke route 1
+FAMILY_RUNS = [(p, q, 0) for p in range(3, 14, 2) for q in range(1, p, 2)
+               if gcd(p, q) == 1] + [
+    (p, q, seed) for p, q in ((9, 1), (11, 1), (11, 9), (13, 1), (13, 11))
+    for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("p, q, seed", FAMILY_RUNS,
+                         ids=[f"b{p}_{q}-seed{s}" for p, q, s in FAMILY_RUNS])
+def test_verify_passes_on_the_two_bridge_family(p, q, seed, tmp_path, capsys):
+    path = tmp_path / f"b{p}_{q}.txt"
+    path.write_text(two_bridge_text(p, q), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--samples", "20",
+                       "--seed", str(seed))
+    report = json.loads(out)
+    assert code == 0, next((s["error"] for s in report["samples"]
+                            if s["error"]), report["max_relative_deviation"])
+    assert report["verdict"] == "PASS"
+    assert report["sample_count"] == 20 * (p - 1) // 2
 
 
 def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,

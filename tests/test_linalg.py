@@ -1,4 +1,4 @@
-"""Adjoint action, Killing form, and numerical subspace tools."""
+"""Adjoint action, Killing form, and the stacked matrix tools."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from knotslope.linalg import (E, F, H, KILLING_GRAM, SL2_BASIS, adjoint_of,
-                              as_sl2, left_nullspace, nullspace,
-                              orthonormal_row_basis, rank_with_tol,
-                              sl2_coordinates, sl2_inverse,
-                              subspace_intersection)
+                              as_sl2, nullspace, sl2_coordinates, sl2_inverse)
 
 from helpers import random_sl2
 
@@ -109,16 +106,12 @@ def test_as_sl2_rejects_bad_input():
 
 def test_sl2_inverse_is_adjugate():
     rng = Random(6)
-    for _ in range(50):
-        A = random_sl2(rng)
-        assert np.allclose(A @ sl2_inverse(A), np.eye(2), atol=1e-12 * (1 + np.abs(A).max() ** 2))
-
-
-def test_rank_with_tol():
-    A = np.array([[1.0, 0.0], [0.0, 1e-12]])
-    assert rank_with_tol(A) == 1
-    assert rank_with_tol(np.eye(3)) == 3
-    assert rank_with_tol(np.zeros((2, 2))) == 0
+    stack = np.array([random_sl2(rng) for _ in range(50)])
+    inverses = sl2_inverse(stack)
+    assert inverses.shape == stack.shape
+    for A, Ainv in zip(stack, inverses):
+        assert np.array_equal(Ainv, sl2_inverse(A))
+        assert np.allclose(A @ Ainv, np.eye(2), atol=1e-12 * (1 + np.abs(A).max() ** 2))
 
 
 def test_nullspace_rows_are_orthonormal_and_annihilated():
@@ -130,48 +123,3 @@ def test_nullspace_rows_are_orthonormal_and_annihilated():
     # zero matrix: everything is in the kernel
     Z = nullspace(np.zeros((2, 4)))
     assert Z.shape == (4, 4)
-
-
-def test_left_nullspace():
-    A = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]], dtype=complex)
-    L = left_nullspace(A)
-    assert np.allclose(L @ A, 0.0, atol=1e-12)
-    assert L.shape[0] == 2  # rank 1, three rows
-
-
-def test_orthonormal_row_basis_spans_input():
-    rng = Random(8)
-    M = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 0]], dtype=complex)
-    B = orthonormal_row_basis(M)
-    assert B.shape == (2, 3)
-    # every original row lies in the span of B
-    coeff, res, *_ = np.linalg.lstsq(B.T, M.T, rcond=None)
-    assert np.allclose(B.T @ coeff, M.T, atol=1e-12)
-
-
-def test_subspace_intersection_crafted():
-    e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    inter = subspace_intersection(np.vstack([e1, e2]), np.vstack([e2, e3]))
-    assert inter.shape == (1, 3)
-    assert np.allclose(np.abs(inter[0]), e2)
-    nothing = subspace_intersection(e1[None, :], e3[None, :])
-    assert nothing.shape[0] == 0
-    full = subspace_intersection(np.vstack([e1, e2]), np.vstack([e1 + e2, e1 - e2]))
-    assert full.shape[0] == 2
-
-
-def test_subspace_intersection_random_containment():
-    rng = Random(9)
-    rand = np.random.default_rng(9)
-    for _ in range(25):
-        U = rand.normal(size=(2, 4)) + 1j * rand.normal(size=(2, 4))
-        W = np.vstack([U[0], rand.normal(size=4) + 1j * rand.normal(size=4)])
-        inter = subspace_intersection(U, W)
-        assert inter.shape[0] >= 1
-        for v in inter:
-            # v must lie in both row spans
-            for S in (U, W):
-                coeff, *_ = np.linalg.lstsq(S.T, v, rcond=None)
-                assert np.allclose(S.T @ coeff, v, atol=1e-8)
