@@ -46,9 +46,14 @@ Specialising can only raise the degree of the gcd there, so a gcd of
 degree 0 proves ``A`` squarefree.
 
 This module is the only place that builds the Riley matrices as
-polynomials in ``(t, M)``.  ``riley_polynomial`` is shared by both routes:
-``representations.riley_family`` takes its numeric roots from the
-coefficients of the same ``phi`` evaluated at each meridian eigenvalue.
+polynomials in ``(t, M)``.  ``_riley_word`` holds a word's image as a dense
+integer array over (row, column, t-exponent, M-exponent) and applies each
+letter as a column operation, a slice shift and an add.  A coefficient at
+most doubles per letter, so it is at most ``2^n`` after ``n`` letters and
+the difference of two relator sides at most ``2^(n+1)``: the array is
+``int64`` up to 61 letters and Python ints beyond.  Both routes share
+``riley_polynomial``: ``representations.riley_family`` roots the same
+``phi`` with its coefficients evaluated at each meridian eigenvalue.
 """
 
 from __future__ import annotations
@@ -639,10 +644,6 @@ class TPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls) -> "TPoly":
-        return cls(())
-
-    @classmethod
     def constant(cls, c: BiLaurent) -> "TPoly":
         return cls((c,))
 
@@ -674,15 +675,9 @@ class TPoly:
         return self + (-other)
 
     def __mul__(self, other: "TPoly") -> "TPoly":
-        if self.is_zero or other.is_zero:
-            return TPoly.zero()
         out = [BiLaurent.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
             for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
                 out[i + j] = out[i + j] + a * b
         return TPoly(out)
 
@@ -1233,55 +1228,57 @@ def _riley_generators(pres: KnotPresentation) -> tuple[str, str]:
     return mgen, other
 
 
-def _symbolic_riley_images(pres: KnotPresentation) -> dict[tuple[str, int], list]:
-    """Exact Riley matrices over Z[M, M^-1][t] for the two generators:
-    the meridian generator goes to ``[[M, 1], [0, 1/M]]``, its partner to
-    ``[[M, 0], [t, 1/M]]``."""
-    mgen, other = _riley_generators(pres)
-    one = BiLaurent.one()
-    zero = BiLaurent.zero()
-    Mm = BiLaurent.monomial(0, 1)
-    Mi = BiLaurent.monomial(0, -1)
-    t = TPoly([zero, one])
-    c = TPoly.constant
-    U = [[c(Mm), c(one)], [TPoly.zero(), c(Mi)]]
-    Uinv = [[c(Mi), c(-one)], [TPoly.zero(), c(Mm)]]
-    V = [[c(Mm), TPoly.zero()], [t, c(Mi)]]
-    Vinv = [[c(Mi), TPoly.zero()], [-t, c(Mm)]]
-    return {(mgen, 1): U, (mgen, -1): Uinv, (other, 1): V, (other, -1): Vinv}
-
-
-def _tpoly_mat_mul(A: list, B: list) -> list:
-    return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
-            for i in range(2)]
-
-
-def _tpoly_word_image(word: Word, mats: Mapping[tuple[str, int], list]) -> list:
-    out = [[TPoly.constant(BiLaurent.one()), TPoly.zero()],
-           [TPoly.zero(), TPoly.constant(BiLaurent.one())]]
+def _riley_word(word: Word, generators: tuple[str, str],
+                n: int | None = None) -> np.ndarray:
+    """``word``'s image under ``u -> [[M, 1], [0, 1/M]]``, ``v -> [[M, 0],
+    [t, 1/M]]``, ``(u, v) = generators``: ``X[r, c, i, j + n]`` is the
+    coefficient of ``t^i M^j`` in entry ``(r, c)``, ``n`` the letter count or
+    a larger one given.  After ``k < n`` letters the t-degree is at most
+    ``k`` and the M-exponents lie in ``[-k, k]``: no shift loses a term."""
+    n = len(word.letters) if n is None else n
+    X = np.zeros((2, 2, n + 1, 2 * n + 1), dtype=np.int64 if n <= 61 else object)
+    X[0, 0, 0, n] = X[1, 1, 0, n] = 1
+    c0, c1 = X[:, 0], X[:, 1]
+    # c[up] = c[down] multiplies c by M, and c[down] = c[up] by M^-1
+    up, down = (..., slice(1, None)), (..., slice(None, -1))
     for g, e in word.letters:
-        out = _tpoly_mat_mul(out, mats[(g, e)])
-    return out
+        add = np.add if e > 0 else np.subtract
+        (d0, s0), (d1, s1) = ((up, down), (down, up))[::e]  # c0·M^e, c1·M^-e
+        if g == generators[0]:  # c1 <- c1·M^-e ± c0, c0 <- c0·M^e
+            c1[d1] = c1[s1]
+            add(c1, c0, out=c1)
+            c0[d0] = c0[s0]
+        else:  # c0 <- c0·M^e ± c1·t, c1 <- c1·M^-e
+            c0[d0] = c0[s0]
+            add(c0[:, 1:], c1[:, :-1], out=c0[:, 1:])
+            c1[d1] = c1[s1]
+    return X
 
 
-def riley_polynomial(pres: KnotPresentation,
-                     allow_constant: bool = False) -> TPoly:
+def _riley_entry(entry: np.ndarray) -> TPoly:
+    """The ``TPoly``, with ``int`` coefficients, of ``_riley_word`` entries."""
+    n = entry.shape[1] // 2
+    return TPoly([BiLaurent._normalised({(0, j - n): c
+                                         for j, c in enumerate(row) if c})
+                  for row in entry.tolist()])
+
+
+def riley_polynomial(pres: KnotPresentation, allow_constant: bool = False,
+                     *, generators: tuple[str, str] | None = None) -> TPoly:
     """The gcd of all relator entry polynomials in t (primitive in M).
 
-    Raises ``ApolyError`` when the presentation is not in Riley form, when
-    the relators impose no polynomial condition, or when the gcd is
-    constant (no irreducible Riley locus) unless ``allow_constant``.
+    Raises ``ApolyError`` when the presentation is not in Riley form, when the
+    relators impose no polynomial condition, or when the gcd is constant (no
+    irreducible Riley locus) unless ``allow_constant``.  ``generators`` is the
+    ``_riley_generators`` pair, computed if not given.
     """
-    mats = _symbolic_riley_images(pres)
+    generators = generators or _riley_generators(pres)
     entries: list[TPoly] = []
     for lhs, rhs in pres.relators:
-        A = _tpoly_word_image(lhs, mats)
-        B = _tpoly_word_image(rhs, mats)
-        for i in range(2):
-            for j in range(2):
-                d = A[i][j] - B[i][j]
-                if not d.is_zero:
-                    entries.append(d)
+        n = max(len(lhs.letters), len(rhs.letters))
+        D = _riley_word(lhs, generators, n) - _riley_word(rhs, generators, n)
+        entries += [d for d in map(_riley_entry, D.reshape(4, n + 1, -1))
+                    if not d.is_zero]
     if not entries:
         raise ApolyError("relators are identically satisfied; "
                          "no Riley polynomial")
@@ -1301,16 +1298,13 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
                                      with_reducible: bool = False) -> ApolyResult:
     """Eliminate t between the Riley polynomial and the longitude
     eigenvalue; see the module docstring for the pipeline."""
-    phi = riley_polynomial(pres)
-    mats = _symbolic_riley_images(pres)
-    lam = _tpoly_word_image(pres.longitude, mats)[0][0]
+    generators = _riley_generators(pres)
+    phi = riley_polynomial(pres, generators=generators)
+    lam = _riley_entry(_riley_word(pres.longitude, generators)[0, 0])
     if lam.is_zero:
         raise ApolyError("longitude eigenvalue polynomial is zero")
 
-    Lmono = BiLaurent.monomial(1, 0)
-    G_coeffs = [-c for c in lam.coeffs]
-    G_coeffs[0] = G_coeffs[0] + Lmono
-    G = TPoly(G_coeffs)
+    G = TPoly.constant(BiLaurent.monomial(1, 0)) - lam
 
     if G.degree < 1:
         # eigenvalue independent of t: the resultant degenerates to a power

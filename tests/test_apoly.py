@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from helpers import TWO_BRIDGE, two_bridge_text
@@ -19,8 +21,9 @@ from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              parse_bilaurent, resultant_t, riley_polynomial,
                              side_slopes, squarefree_part)
 from knotslope.data import load_builtin
-from knotslope.presentation import parse_presentation
-from knotslope.representations import boundary_data, riley_family
+from knotslope.presentation import Word, parse_presentation, parse_word
+from knotslope.representations import (boundary_data, prefix_images,
+                                       riley_family, word_letters)
 
 sympy = pytest.importorskip("sympy")
 
@@ -468,9 +471,15 @@ def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, certified,
 
 
 def test_elimination_stores_integer_coefficients():
-    res = compute_apoly_twobridge_detailed(parse_presentation(TWO_BRIDGE["b13_5"]))
-    polys = [*res.riley_polynomial.coeffs, res.resultant, res.apoly]
-    assert all(type(c) is int for p in polys for c in p.terms.values())
+    """A numpy integer leaking out of the Riley words would compare equal
+    to its ``int``, but it would send ``resultant_t`` to Bareiss."""
+    for p, q in ODD_Q_FAMILY:
+        res = compute_apoly_twobridge_detailed(
+            parse_presentation(two_bridge_text(p, q)))
+        phi, lam = res.riley_polynomial, res.longitude_eigenvalue
+        polys = [*phi.coeffs, *lam.coeffs, res.resultant, res.apoly]
+        assert all(type(c) is int for f in polys for c in f.terms.values())
+        assert apoly._eigenvalue_of_elimination(phi, l_minus(lam)) is not None
 
 
 def test_b17_5_apoly_meets_the_theorems():
@@ -488,7 +497,69 @@ def test_b17_5_apoly_meets_the_theorems():
 
 
 # ---------------------------------------------------------------------------
-# Riley polynomial and the A-polynomial
+# Riley words, Riley polynomial and the A-polynomial
+
+def check_riley_word(word: Word, generators: tuple[str, str], rng: Random,
+                     points: int = 3) -> list[list[TPoly]]:
+    """The entries of ``word``'s exact Riley image, after checking that
+    they hold ``int`` coefficients and that, at random ``(t, M)``, they
+    match the numeric product of the Riley matrices along the word."""
+    X = apoly._riley_word(word, generators)
+    entries = [[apoly._riley_entry(X[r, c]) for c in range(2)] for r in range(2)]
+    assert all(type(v) is int for row in entries for p in row
+               for c in p.coeffs for v in c.terms.values())
+    letters = word_letters(word, generators)
+    for _ in range(points):
+        t = cmath.rect(rng.uniform(0.3, 1.0), rng.uniform(-math.pi, math.pi))
+        M = cmath.rect(rng.uniform(0.8, 1.25), rng.uniform(-math.pi, math.pi))
+        images = np.array([[[[M, 1], [0, 1 / M]], [[M, 0], [t, 1 / M]]]])
+        want = prefix_images(images, letters)[0, -1]
+        got = np.array([[p.evaluate(t, 1.0, M) for p in row] for row in entries])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (word, t, M)
+    return entries
+
+
+RILEY_WORD_KNOTS = [*(f"b{p}_{q}" for p, q in ODD_Q_FAMILY), "trefoil", "figure8"]
+
+
+@pytest.mark.parametrize("name", RILEY_WORD_KNOTS)
+def test_riley_words_match_numeric_products(name):
+    """Every relator side and the longitude, against ``prefix_images``."""
+    if name.startswith("b"):
+        pres = parse_presentation(two_bridge_text(*map(int, name[1:].split("_"))))
+    else:
+        pres = load_builtin(name)
+    generators = apoly._riley_generators(pres)
+    rng = Random(RILEY_WORD_KNOTS.index(name))
+    for word in (*itertools.chain(*pres.relators), pres.longitude):
+        check_riley_word(word, generators, rng)
+
+
+def test_riley_word_edge_cases():
+    rng = Random(7)
+    uv = ("u", "v")
+    pres = parse_presentation(
+        "gens: u v ;\nrel: u = v ;\nmeridian: u ;\nlongitude: u v^-1")
+    for word in (*pres.relators[0], pres.longitude):
+        check_riley_word(word, uv, rng)
+    # the identity side of a relation "w = 1"
+    assert check_riley_word(Word.identity(), uv, rng) == [
+        [TPoly.constant(BiLaurent.one()), TPoly()],
+        [TPoly(), TPoly.constant(BiLaurent.one())]]
+    # an unreduced word has the image of its reduced form
+    assert (check_riley_word(parse_word("u u^-1 v", uv), uv, rng)
+            == check_riley_word(parse_word("v", uv), uv, rng))
+    # past 61 letters the array holds Python ints; the image of the word is
+    # the product of the images of its halves, multiplied as polynomials
+    half = parse_presentation(two_bridge_text(5, 3)).longitude ** 4
+    ab = ("a", "b")
+    assert len((half * half).letters) > 61 >= len(half.letters)
+    assert apoly._riley_word(half * half, ab).dtype == object
+    A = check_riley_word(half, ab, rng)
+    AA = check_riley_word(half * half, ab, rng)
+    assert AA == [[A[r][0] * A[0][c] + A[r][1] * A[1][c] for c in range(2)]
+                  for r in range(2)]
+
 
 def test_riley_polynomial_matches_numeric_roots():
     fig8 = load_builtin("figure8")

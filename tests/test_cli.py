@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from knotslope.cli import main
+from knotslope.data import load_builtin
 
 from helpers import two_bridge_file, two_bridge_text
 
@@ -245,6 +246,10 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
         calls.append(args[0])
         return original(*args, **kwargs)
 
+    # a bundled presentation is checked, with its own phi, on its first
+    # load in the process only: load both before counting
+    for name in ("trefoil", "figure8"):
+        load_builtin(name)
     for mod in (apoly_mod, cli_mod, reps_mod):
         monkeypatch.setattr(mod, "riley_polynomial", counted)
     # a file-loaded presentation is checked with the command's phi too
@@ -289,6 +294,29 @@ def test_route1_is_planned_once_per_command(monkeypatch, capsys):
         assert code == 0
         assert calls == {"augment": 1, "_fox_coefficients": 1,
                          "_riley_generators": 1}, argv
+
+
+def test_riley_words_are_built_once_per_command(monkeypatch, capsys):
+    import knotslope.apoly as apoly_mod
+
+    calls = []
+    original = apoly_mod._riley_word
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(apoly_mod, "_riley_word", counted)
+    for name in ("trefoil", "figure8"):
+        # both sides of the one relator, and the longitude for route 2
+        assert len(load_builtin(name).relators) == 1
+        for argv, expected in ((["scan", name, "--samples", "5"], 2),
+                               (["verify", name, "--samples", "3"], 3),
+                               (["apoly", name], 3)):
+            calls.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert len(calls) == expected, argv
 
 
 def _agree(a, b, rel: float = 1e-12) -> bool:
