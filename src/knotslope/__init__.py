@@ -32,12 +32,11 @@ from .representations import (BoundaryData, InvariantVector, NonFiniteError,
                               is_unitarizable, parabolic_modulus,
                               reducibility_defect, representation_from_dict,
                               representation_to_dict, riley_family)
-from .slope import (AdmissibilityReport, AugmentedPresentation,
-                    DegenerateIntersectionError, NotAdmissibleError,
-                    Route1Plan, Route1Result, SlopeError, SlopeValue,
-                    TwistedAlexanderMatrix, admissibility, augment,
+from .slope import (AugmentedPresentation, DegenerateIntersectionError,
+                    NotAdmissibleError, Route1Plan, Route1Result, SlopeError,
+                    SlopeValue, TwistedAlexanderMatrix, augment,
                     build_twisted_alexander, compute_slope,
-                    slope_from_invariant_vector, slope_of_character)
+                    slope_of_character)
 
 __version__ = "0.1.0"
 
@@ -61,8 +60,7 @@ __all__ = [
     "SlopeValue", "AugmentedPresentation", "TwistedAlexanderMatrix",
     "Route1Plan", "Route1Result",
     "augment", "build_twisted_alexander", "compute_slope",
-    "slope_from_invariant_vector", "slope_of_character", "admissibility",
-    "AdmissibilityReport",
+    "slope_of_character",
     # apoly
     "ApolyError", "ApolyResult", "BiLaurent", "NewtonPolygon",
     "IdealSlopeReport", "parse_bilaurent", "format_bilaurent",

@@ -1172,23 +1172,23 @@ def _certified_squarefree_in_L(p: BiLaurent) -> bool:
     return len(_q_gcd(spec, [i * c for i, c in enumerate(spec)][1:])) == 1
 
 
-def squarefree_part(p: BiLaurent, var: str = "L") -> tuple[BiLaurent, int]:
-    """Collapse repeated factors: returns ``(p / gcd(p, dp/dvar), d)`` in
-    canonical form, where ``d`` is the ``var``-degree of the removed gcd.
+def squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
+    """Collapse repeated factors in ``L``: returns ``(p / gcd(p, dp/dL),
+    d)`` in canonical form, where ``d`` is the ``L``-degree of the removed
+    gcd.
 
-    For ``var = "L"`` the gcd, a primitive PRS over ``Z[M]``, is skipped
-    when ``_certified_squarefree_in_L`` proves it trivial, and ``(p, 0)``
-    is returned; the result is the same either way."""
+    The gcd, a primitive PRS over ``Z[M]``, is skipped when
+    ``_certified_squarefree_in_L`` proves it trivial, and ``(p, 0)`` is
+    returned; the result is the same either way."""
     p = p.canonical()
-    dp = p.derivative(var)
-    if dp.is_zero or (var == "L" and _certified_squarefree_in_L(p)):
+    dp = p.derivative("L")
+    if dp.is_zero or _certified_squarefree_in_L(p):
         return p, 0
     g = bilaurent_gcd(p, dp)
     if len(g.terms) == 1 and g.leading_exponents() == (0, 0):
         return p, 0
     part = p.exact_div(g)
-    k = 0 if var == "L" else 1
-    removed = max(e[k] for e in g.terms) - min(e[k] for e in g.terms)
+    removed = max(e[0] for e in g.terms) - min(e[0] for e in g.terms)
     return part.canonical(), removed
 
 
@@ -1320,7 +1320,7 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
 
     if primitive.is_zero or _is_univariate(primitive, 0):
         raise ApolyError("eliminated polynomial has no L-dependence")
-    apoly, removed = squarefree_part(primitive, "L")
+    apoly, removed = squarefree_part(primitive)
 
     includes = False
     if with_reducible:

@@ -37,10 +37,8 @@ from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     parse_bilaurent, polygon_to_json, riley_polynomial)
 from .presentation import (KnotPresentation, PresentationError,
                            format_presentation, parse_presentation)
-from .representations import (BoundaryData, NonFiniteError,
-                              RepresentationError, riley_family)
-from .slope import (DegenerateIntersectionError, NotAdmissibleError,
-                    Route1Plan, SlopeError)
+from .representations import NonFiniteError, RepresentationError, riley_family
+from .slope import Route1Plan, SlopeError
 
 
 class CLIError(ValueError):
@@ -160,32 +158,18 @@ def _records(M: complex, family) -> list[dict]:
     records = []
     for k, (rep, res) in enumerate(family):
         rec = dict(_base_record(M), t=_pair(rep.riley_t), root_index=k,
-                   L=None, slope=None, verdict="error", residuals={},
-                   error=None)
+                   L=None if res.L is None else _pair(res.L), slope=None,
+                   verdict=res.verdict, residuals={},
+                   error=None if res.error is None else str(res.error))
         records.append(rec)
-        if not res.finite:
-            rec["error"] = str(res.slope)
-            continue
-        rec["residuals"] = {"relator": res.relator_residual,
-                            "commutation": res.commutation_residual}
-        if isinstance(res.boundary, BoundaryData):
-            rec["L"] = _pair(res.boundary.L)
-        else:
-            rec["error"] = str(res.boundary)
-        sv = res.slope
-        if isinstance(sv, Exception):
-            rec["error"] = str(sv)
-            if isinstance(sv, NotAdmissibleError):
-                rec["verdict"] = "not-admissible"
-            elif isinstance(sv, DegenerateIntersectionError):
-                rec["verdict"] = "degenerate"
-        elif res.parabolic:
-            rec["slope"] = _pair(sv)
-            rec["verdict"] = "parabolic"
-        else:
-            rec["slope"] = sv.as_json_value()
-            rec["verdict"] = "admissible"
-            rec["residuals"]["peripheral_fit"] = sv.residual
+        if res.finite:
+            rec["residuals"] = {"relator": res.relator_residual,
+                                "commutation": res.commutation_residual}
+        if res.verdict == "parabolic":
+            rec["slope"] = _pair(res.slope)
+        elif res.verdict == "admissible":
+            rec["slope"] = res.slope.as_json_value()
+            rec["residuals"]["peripheral_fit"] = res.slope.residual
     return records
 
 
@@ -249,7 +233,7 @@ def _cmd_slope(args) -> int:
     if isinstance(family, list):
         for _, res in family:
             if not res.finite:
-                raise res.slope
+                raise res.error
     _emit_records(_records(M, family), args.format)
     return 0
 
@@ -332,15 +316,15 @@ def _cmd_verify(args) -> int:
             if res.parabolic:
                 entry["error"] = "parabolic sample; no pairing slope"
                 continue
+            if res.error is not None:
+                entry["error"] = str(res.error)
+                continue
+            sv, L = res.slope, res.L
             try:
-                for value in (res.slope, res.boundary):
-                    if isinstance(value, Exception):
-                        raise value
-                sv, bd = res.slope, res.boundary
-                scale = A.abs_evaluate(abs(bd.L), abs(M)) + 1.0
-                a_resid = abs(A.evaluate(bd.L, M)) / scale
+                scale = A.abs_evaluate(abs(L), abs(M)) + 1.0
+                a_resid = abs(A.evaluate(L, M)) / scale
                 entry["apoly_residual"] = a_resid
-                lg = log_gauss(A, bd.L, M)
+                lg = log_gauss(A, L, M)
                 entry["log_gauss"] = "inf" if lg == math.inf else _pair(lg)
                 entry["slope"] = sv.as_json_value()
                 if sv.is_infinite or lg == math.inf:
@@ -349,7 +333,7 @@ def _cmd_verify(args) -> int:
                     dev = abs(complex(sv.reading) - lg) / max(1.0, abs(lg))
                 entry["relative_deviation"] = None if dev == math.inf else dev
                 entry["ok"] = (dev <= args.tol and a_resid <= args.tol)
-            except (SlopeError, RepresentationError, ApolyError) as exc:
+            except ApolyError as exc:
                 entry["error"] = str(exc)
         return out
 

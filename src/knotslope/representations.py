@@ -14,14 +14,18 @@ multiplies along a word for ``N`` representations at a time, images
 stacked ``(N, #generators, 2, 2)``.  The single-representation functions
 are its ``N = 1`` case.
 
-``boundary_data`` reads the peripheral eigenvalue pair ``(M, L)`` on a
-common eigenvector, ``invariant_vector`` the adjoint-invariant direction
-in sl(2) fixed by both peripheral images, and ``parabolic_modulus`` the
-cusp translation ratio at boundary-parabolic representations;
-``peripheral_stack`` runs all of them on ``(N, 2, 2)`` stacks of those
-images, in closed form.  A non-central ``m`` has the invariant vector
-``coords(m - tr(m)/2 I)``, and its eigenvectors give the meridian frame
-``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read off the diagonal.
+``peripheral_stack`` reads, in closed form, everything route 1 needs
+from ``(N, 2, 2)`` stacks of meridian and longitude images ``m`` and
+``l``: the peripheral eigenvalue pair ``(M, L)`` on a common eigenvector,
+the cusp translation ratio at boundary-parabolic representations, and
+one error per representation, from the first check that fails.  The
+eigenvectors of ``m`` give the meridian frame ``P`` with ``P^-1 m P``
+diagonal, in which ``L`` is read off the diagonal.  ``boundary_data``,
+``parabolic_modulus``, ``is_boundary_parabolic`` and
+``commutation_residual`` read that stack for one representation.
+``invariant_vector``, the adjoint-invariant direction in sl(2) fixed by
+both peripheral images, is ``coords(m - tr(m)/2 I)`` for a non-central
+``m``.
 """
 
 from __future__ import annotations
@@ -340,12 +344,6 @@ def commutation_residuals(m: np.ndarray, l: np.ndarray) -> np.ndarray:
     return _max_abs(m @ l - l @ m) / scale
 
 
-def commutation_residual(rep: Representation) -> float:
-    """Relative commutator residual of the meridian and longitude images."""
-    m, l = rep.meridian_image(), rep.longitude_image()
-    return float(commutation_residuals(m[None], l[None])[0])
-
-
 def _parabolic_signs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sign ``s = ±1`` nearer to ``tr/2``, and the trace, per matrix."""
     tr = m[:, 0, 0] + m[:, 1, 1]
@@ -363,11 +361,6 @@ def _boundary_parabolic(m: np.ndarray, tol: float) -> np.ndarray:
     return trace_2 & ~_central(m, tol)
 
 
-def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
-    """True when the meridian image has trace ±2 but is not ±identity."""
-    return bool(_boundary_parabolic(rep.meridian_image()[None], tol)[0])
-
-
 def _eigenvectors(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """A unit eigenvector of each ``m`` for ``lam``: the kernel of ``m -
     lam I``, read off its row of larger norm."""
@@ -378,17 +371,16 @@ def _eigenvectors(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where(first[:, None], top, bottom) / norms.max(axis=0)[:, None]
 
 
-def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
-                    parabolic: np.ndarray, tol: float, prefer_large: bool
-                    ) -> tuple[np.ndarray, list[BoundaryData | RepresentationError]]:
-    """``boundary_data`` for finite ``(N, 2, 2)`` meridian and longitude
-    images with commutation residuals ``comm`` and parabolic flags, and
-    the meridian frames: determinant-1 ``P`` with ``P^-1 m P = diag(M,
-    1/M)`` from closed-form eigenvectors, the identity on parabolic and
-    central slices."""
+def _boundary_stack(m: np.ndarray, l: np.ndarray, parabolic: np.ndarray,
+                    central: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """For finite ``(N, 2, 2)`` meridian and longitude images with their
+    parabolic and central flags: the meridian frames, determinant-1 ``P``
+    with ``P^-1 m P = diag(M, 1/M)`` from closed-form eigenvectors (the
+    identity on parabolic and central slices), ``M`` (the ``|M| >= 1``
+    branch), ``L``, M's eigenvector ``e`` and the residual ``max|l e - L
+    e|``."""
     rows = np.arange(len(m))
     s, _ = _parabolic_signs(m)
-    identity = _central(m, tol)
     half = (m[:, 0, 0] + m[:, 1, 1]) / 2
     root = np.sqrt(half * half - 1.0)
     # the larger eigenvalue has no cancellation; the other is its inverse
@@ -396,12 +388,12 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
                    half + root, half - root)
     # the |M| >= 1 branch; on the unit circle ties break toward im >= 0
     first = np.where(np.abs(big) - np.abs(1.0 / big) > tol * np.abs(big),
-                     True, big.imag >= (1.0 / big).imag) == prefer_large
+                     True, big.imag >= (1.0 / big).imag)
     Mval = np.where(parabolic, s, np.where(first, big, 1.0 / big))
     # M's eigenvector first; a parabolic meridian has only that one
     E = np.stack([_eigenvectors(m, Mval), _eigenvectors(m, 1.0 / Mval)], axis=2)
     det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
-    framed = ~(parabolic | identity)
+    framed = ~(parabolic | central)
     P = np.where(framed[:, None, None], E / np.sqrt(det)[:, None, None],
                  np.eye(2))
     # l commutes with m, so it is diagonal in the frame.  Its larger entry
@@ -415,99 +407,22 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, comm: np.ndarray,
     le = (l @ e[:, :, None])[:, :, 0]
     L = np.where(parabolic, le[rows, k],
                  np.where(np.abs(d0) >= np.abs(d1), d0, 1.0 / d1))
-    resid = np.abs(le - L[:, None] * e).max(axis=1)
-
-    off = resid > tol * (1.0 + _max_abs(l))
-    out: list[BoundaryData | RepresentationError] = []
-    for i in range(len(m)):
-        if comm[i] > tol:
-            out.append(RepresentationError(
-                "peripheral images do not commute; no common eigenvector"))
-        elif identity[i]:
-            out.append(RepresentationError(
-                "meridian image is ±identity; eigenvector is not determined"))
-        elif off[i]:
-            out.append(RepresentationError(
-                f"longitude image does not preserve the meridian eigenvector "
-                f"(residual {resid[i]:.2e})"))
-        else:
-            out.append(BoundaryData(M=complex(Mval[i]), L=complex(L[i]),
-                                    eigenvector=e[i],
-                                    parabolic=bool(parabolic[i])))
-    return P, out
+    return P, Mval, L, e, np.abs(le - L[:, None] * e).max(axis=1)
 
 
-def boundary_data(rep: Representation, tol: float = 1e-8,
-                  prefer_large: bool = True) -> BoundaryData:
-    """Eigenvalues of the peripheral images on a shared eigenvector.
-
-    For a diagonalizable meridian image the ``|M| >= 1`` eigenvalue branch
-    is selected (``prefer_large=False`` selects the reciprocal branch); on
-    the unit circle ties break toward nonnegative imaginary part.  The
-    eigenvector is normalized so its largest-modulus coordinate is 1.
-    """
-    m, l = rep.meridian_image(), rep.longitude_image()
-    (bd,) = peripheral_stack(m[None], l[None], tol, prefer_large).boundary
-    if isinstance(bd, RepresentationError):
-        raise bd
-    return bd
-
-
-@dataclass(frozen=True)
-class InvariantVector:
-    """The common adjoint-fixed row vector of the peripheral images,
-    normalized so its largest-modulus coordinate is 1."""
-
-    vector: np.ndarray
-    residual_meridian: float
-    residual_longitude: float
-
-
-def _invariant_vectors(m: np.ndarray, l: np.ndarray, adj: np.ndarray,
-                       comm: np.ndarray, tol: float
-                       ) -> tuple[np.ndarray, list[InvariantVector | RepresentationError]]:
-    """From finite peripheral images, their adjoints ``(N, 2, 3, 3)`` and
-    commutation residuals: the dimension of the vectors both adjoints fix,
-    and the vector where it is 1.  ``Ad(X)`` of a non-central ``X`` fixes
-    the line of ``coords(X - tr(X)/2 I)``, the meridian's or, when that is
-    central, the longitude's; the other image fixes it when they commute.
-    """
-    N = len(m)
-    rows = np.arange(N)
-    central_m = _central(m, tol)
-    dims = np.where(central_m & _central(l, tol), 3, 1)
-    v = sl2_coordinates(np.where(central_m[:, None, None], l, m))
-    v = v / v[rows, np.argmax(np.abs(v), axis=1)][:, None]
-    moved = (v[:, None, None, :] @ (adj - np.eye(3)))[:, :, 0]
-    resid = np.abs(moved).max(axis=2) / (1.0 + _max_abs(adj))
-    out: list[InvariantVector | RepresentationError] = []
-    for i in range(N):
-        if dims[i] != 1:
-            out.append(RepresentationError(
-                f"peripheral invariant subspace has dimension {dims[i]}, "
-                f"expected 1"))
-        elif comm[i] > tol:
-            out.append(RepresentationError(
-                f"peripheral images do not commute; no common invariant "
-                f"vector (commutation residual {comm[i]:.2e})"))
-        else:
-            out.append(InvariantVector(vector=v[i],
-                                       residual_meridian=float(resid[i, 0]),
-                                       residual_longitude=float(resid[i, 1])))
-    return dims, out
-
-
-def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
-    """The unique row vector fixed by both peripheral adjoint images.
-
-    Raises ``RepresentationError`` when the common fixed space does not
-    have dimension exactly 1.
-    """
-    m, l = rep.meridian_image(), rep.longitude_image()
-    (iv,) = peripheral_stack(m[None], l[None], tol).invariant
-    if isinstance(iv, RepresentationError):
-        raise iv
-    return iv
+def _invariant_failure(both_central: bool, comm: float,
+                       tol: float) -> RepresentationError | None:
+    """Why the peripheral images have no unique common adjoint-fixed
+    vector, or ``None``: ``Ad`` of a non-central image fixes one line,
+    which the other image fixes when they commute."""
+    if both_central:
+        return RepresentationError(
+            "peripheral invariant subspace has dimension 3, expected 1")
+    if comm > tol:
+        return RepresentationError(
+            f"peripheral images do not commute; no common invariant "
+            f"vector (commutation residual {comm:.2e})")
+    return None
 
 
 def _parabolic_modulus(m: np.ndarray, l: np.ndarray, tol: float) -> complex:
@@ -531,6 +446,122 @@ def _parabolic_modulus(m: np.ndarray, l: np.ndarray, tol: float) -> complex:
     return complex((l2[0, 1] / l2[0, 0]) / (m2[0, 1] / m2[0, 0]))
 
 
+@dataclass(frozen=True, eq=False)
+class PeripheralStack:
+    """Peripheral data of ``N`` representations, read from their meridian
+    and longitude images ``(N, 2, 2)``: arrays over the stack, and one
+    ``error`` per representation.
+
+    ``finite`` is false where the adjoint peripheral images overflow.
+    ``commutation`` holds the relative commutator residuals, ``parabolic``
+    the boundary-parabolic flags and ``invariant_dimension`` the dimension
+    of the common adjoint-fixed space, 1, or 3 where both images are
+    central.  ``M``, ``L`` and ``eigenvector`` are what ``boundary_data``
+    returns, ``L`` NaN where it cannot be read; ``modulus`` is the cusp
+    modulus, NaN off the parabolic locus or where it is undefined; ``frame``
+    holds the meridian frames (``_boundary_stack``).  ``error`` is the
+    ``RepresentationError`` of the first check that fails, or ``None``.
+    The checks run in this order: overflow (a ``NonFiniteError``); on a
+    parabolic representation the modulus, on any other the invariant
+    vector (``_invariant_failure``) and a non-central meridian; last,
+    that the longitude preserves the meridian's eigenvector.
+    """
+
+    finite: np.ndarray
+    commutation: np.ndarray
+    parabolic: np.ndarray
+    invariant_dimension: np.ndarray
+    M: np.ndarray
+    L: np.ndarray
+    eigenvector: np.ndarray
+    modulus: np.ndarray
+    frame: np.ndarray
+    error: list
+
+
+def peripheral_stack(m: np.ndarray, l: np.ndarray,
+                     tol: float = 1e-8) -> PeripheralStack:
+    """Every peripheral check and value of route 1 on stacks of meridian
+    and longitude images."""
+    N = len(m)
+    with np.errstate(all="ignore"):
+        adj = adjoint_of(np.stack([m, l], axis=1))
+        finite = np.isfinite(adj).all(axis=(1, 2, 3))
+        ok = np.flatnonzero(finite)
+        m, l = m[ok], l[ok]
+        comm = commutation_residuals(m, l)
+        parabolic = _boundary_parabolic(m, tol)
+        central = _central(m, tol)
+        both_central = central & _central(l, tol)
+        P, M, L, e, resid = _boundary_stack(m, l, parabolic, central, tol)
+    off = resid > tol * (1.0 + _max_abs(l))
+    L[(comm > tol) | central | off] = np.nan
+    modulus = np.full(len(ok), np.nan, dtype=complex)
+    error: list[RepresentationError | None] = [NonFiniteError(
+        "values overflow floating point in the peripheral images")] * N
+    for k, i in enumerate(ok):
+        err = None
+        if parabolic[k]:
+            try:
+                modulus[k] = _parabolic_modulus(m[k], l[k], tol)
+            except RepresentationError as exc:
+                err = exc
+        else:
+            err = _invariant_failure(both_central[k], comm[k], tol)
+            if err is None and central[k]:
+                err = RepresentationError("meridian image is ±identity; "
+                                          "eigenvector is not determined")
+        if err is None and off[k]:
+            err = RepresentationError(
+                f"longitude image does not preserve the meridian eigenvector "
+                f"(residual {resid[k]:.2e})")
+        error[i] = err
+
+    def scatter(values, fill):
+        out = np.full((N,) + values.shape[1:], fill, dtype=values.dtype)
+        out[ok] = values
+        return out
+
+    return PeripheralStack(
+        finite, scatter(comm, np.nan), scatter(parabolic, False),
+        scatter(np.where(both_central, 3, 1), 0), scatter(M, np.nan),
+        scatter(L, np.nan), scatter(e, np.nan), scatter(modulus, np.nan),
+        scatter(P, np.eye(2)), error)
+
+
+def _peripheral(rep: Representation, tol: float) -> PeripheralStack:
+    """``peripheral_stack`` of one representation."""
+    m, l = rep.meridian_image(), rep.longitude_image()
+    return peripheral_stack(m[None], l[None], tol)
+
+
+def commutation_residual(rep: Representation) -> float:
+    """Relative commutator residual of the meridian and longitude images;
+    NaN where they overflow."""
+    return float(_peripheral(rep, 1e-8).commutation[0])
+
+
+def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
+    """True when the meridian image has trace ±2 but is not ±identity."""
+    return bool(_peripheral(rep, tol).parabolic[0])
+
+
+def boundary_data(rep: Representation, tol: float = 1e-8) -> BoundaryData:
+    """Eigenvalues of the peripheral images on a shared eigenvector.
+
+    For a diagonalizable meridian image the ``|M| >= 1`` eigenvalue branch
+    is selected; on the unit circle ties break toward nonnegative imaginary
+    part.  The eigenvector is normalized so its largest-modulus coordinate
+    is 1.  Where ``L`` cannot be read, raises ``PeripheralStack.error``.
+    """
+    per = _peripheral(rep, tol)
+    if np.isnan(per.L[0]):
+        raise per.error[0]
+    return BoundaryData(M=complex(per.M[0]), L=complex(per.L[0]),
+                        eigenvector=per.eigenvector[0],
+                        parabolic=bool(per.parabolic[0]))
+
+
 def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
     """The cusp translation ratio at a boundary-parabolic representation.
 
@@ -539,70 +570,48 @@ def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
     As Möbius maps these translate by ``1/s`` and ``beta/eps``; the modulus
     is the ratio ``(beta/eps)/(1/s)``, invariant under conjugation.
     """
-    m, l = rep.meridian_image(), rep.longitude_image()
-    (mod,) = peripheral_stack(m[None], l[None], tol).modulus
-    if mod is None:
+    per = _peripheral(rep, tol)
+    if per.finite[0] and not per.parabolic[0]:
         raise RepresentationError("representation is not boundary-parabolic")
-    if isinstance(mod, RepresentationError):
-        raise mod
-    return mod
+    if np.isnan(per.modulus[0]):
+        raise per.error[0]
+    return complex(per.modulus[0])
 
 
-@dataclass(frozen=True, eq=False)
-class PeripheralStack:
-    """Peripheral data of ``N`` representations, read from their meridian
-    and longitude images ``(N, 2, 2)``.
+@dataclass(frozen=True)
+class InvariantVector:
+    """The common adjoint-fixed row vector of the peripheral images,
+    normalized so its largest-modulus coordinate is 1."""
 
-    ``boundary``, ``invariant`` and ``modulus`` hold per representation
-    what ``boundary_data``, ``invariant_vector`` and ``parabolic_modulus``
-    return, or the ``RepresentationError`` they raise; ``modulus`` is
-    ``None`` off the parabolic locus.  ``frame`` holds the meridian frames
-    (``_boundary_stack``).  A representation whose adjoint peripheral
-    images are not finite has ``finite`` false and a ``NonFiniteError`` in
-    each of ``boundary``, ``invariant`` and ``modulus``.
+    vector: np.ndarray
+    residual_meridian: float
+    residual_longitude: float
+
+
+def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
+    """The unique row vector fixed by both peripheral adjoint images: the
+    coordinates of ``X - tr(X)/2 I`` for ``X`` the meridian image or, when
+    that is central, the longitude image.
+
+    Raises ``RepresentationError`` when the common fixed space does not
+    have dimension exactly 1.
     """
-
-    finite: np.ndarray
-    commutation: np.ndarray
-    parabolic: np.ndarray
-    boundary: list
-    invariant_dimension: np.ndarray
-    invariant: list
-    modulus: list
-    frame: np.ndarray
-
-
-def peripheral_stack(m: np.ndarray, l: np.ndarray, tol: float = 1e-8,
-                     prefer_large: bool = True) -> PeripheralStack:
-    """Every peripheral check and value of route 1 on stacks of meridian
-    and longitude images."""
-    N = len(m)
-    commutation = np.full(N, np.nan)
-    parabolic = np.zeros(N, dtype=bool)
-    dims = np.zeros(N, dtype=int)
-    frame = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
-    overflow = NonFiniteError("values overflow floating point in the "
-                              "peripheral images")
-    boundary, invariant, modulus = [overflow] * N, [overflow] * N, [overflow] * N
+    m, l = rep.meridian_image(), rep.longitude_image()
     with np.errstate(all="ignore"):
-        adj = adjoint_of(np.stack([m, l], axis=1))
-        finite = np.isfinite(adj).all(axis=(1, 2, 3))
-        ok = np.flatnonzero(finite)
-        commutation[ok] = commutation_residuals(m[ok], l[ok])
-        parabolic[ok] = _boundary_parabolic(m[ok], tol)
-        dims[ok], inv = _invariant_vectors(m[ok], l[ok], adj[ok],
-                                           commutation[ok], tol)
-        frame[ok], bds = _boundary_stack(m[ok], l[ok], commutation[ok],
-                                         parabolic[ok], tol, prefer_large)
-    for i, bd, iv in zip(ok, bds, inv):
-        boundary[i], invariant[i], modulus[i] = bd, iv, None
-        if parabolic[i]:
-            try:
-                modulus[i] = _parabolic_modulus(m[i], l[i], tol)
-            except RepresentationError as exc:
-                modulus[i] = exc
-    return PeripheralStack(finite, commutation, parabolic, boundary, dims,
-                           invariant, modulus, frame)
+        adj = adjoint_of(np.stack([m, l]))
+    if not np.isfinite(adj).all():
+        raise NonFiniteError("values overflow floating point in the "
+                             "peripheral images")
+    central_m = _central(m[None], tol)[0]
+    err = _invariant_failure(central_m and _central(l[None], tol)[0],
+                             commutation_residuals(m[None], l[None])[0], tol)
+    if err is not None:
+        raise err
+    v = sl2_coordinates(l if central_m else m)
+    v = v / v[np.argmax(np.abs(v))]
+    resid = np.abs(v @ (adj - np.eye(3))).max(axis=1) / (1.0 + _max_abs(adj))
+    return InvariantVector(vector=v, residual_meridian=float(resid[0]),
+                           residual_longitude=float(resid[1]))
 
 
 def reducibility_defect(rep: Representation) -> float:

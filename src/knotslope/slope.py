@@ -31,13 +31,15 @@ magnitude: correct slices reach gaps of 5e-6, a change of rank gives ~1.
 words as generator-index and sign arrays, and the augmented relators
 with their Fox coefficients (``augment``).  ``Route1Plan.evaluate`` runs
 route 1 on ``N`` representations together, as ``(N, ...)`` stacks.  The
-meridian and longitude images feed the commutation residual, the
-parabolic test, ``L`` and the invariant vector; the generator images are
+meridian and longitude images feed ``peripheral_stack``: the
+commutation residual, the parabolic test and ``L``; the generator images are
 then conjugated into the meridian frame, where ``rho(m)`` is diagonal and
 ``v = H``, and the words are evaluated there (``_framed_images``).  One
-SVD stack gives the kernels, one more the pairing solutions.
-``compute_slope``, ``slope_from_invariant_vector`` and ``admissibility``
-are its ``N = 1`` case.
+SVD stack gives the kernels, one more the pairing solutions.  Each
+representation is classified once, by the first check that fails, into a
+``Route1Result`` with its verdict, error, ``L`` and slope;
+``compute_slope`` and ``slope_of_character`` read that result for one
+representation.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ import numpy as np
 
 from .linalg import adjoint_of, sl2_coordinates, sl2_inverse, svd_stack
 from .presentation import KnotPresentation, Word
-from .representations import (BoundaryData, InvariantVector, Letters,
-                              NonFiniteError, Representation,
+from .representations import (Letters, NonFiniteError, Representation,
                               RepresentationError, WordPlan, peripheral_stack,
                               prefix_images, riley_generators, word_letters)
 
@@ -205,9 +206,10 @@ class SlopeValue:
 
 
 def _slopes(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
-            tol: float) -> list[SlopeValue | SlopeError | RepresentationError]:
-    """``slope_from_invariant_vector`` for a stack: augmented generator
-    images ``(N, #generators, 2, 2)`` and invariant vectors ``(N, 3)``."""
+            tol: float) -> list[tuple[str, SlopeError | None, SlopeValue | None]]:
+    """Per representation, ``(verdict, error, slope)`` of the pairing for
+    augmented generator images ``(N, #generators, 2, 2)`` and invariant
+    vectors ``(N, 3)``."""
     T = build_twisted_alexander(aug, images).matrix
     N, _, n = T.shape
     rows = np.arange(N)
@@ -233,26 +235,28 @@ def _slopes(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
         ab = vh2[:, 1].conj()
         ab = ab / ab[rows, np.argmax(np.abs(ab), axis=1)][:, None]
     finite = np.isfinite(T).all(axis=(1, 2))
-    out: list[SlopeValue | SlopeError | RepresentationError] = []
+    out = []
     for i in range(N):
         if not finite[i]:
-            out.append(NonFiniteError("values overflow floating point in the "
-                                      "twisted-Alexander matrix"))
+            out.append(("error", NonFiniteError(
+                "values overflow floating point in the twisted-Alexander "
+                "matrix"), None))
         elif not gap[i] <= math.sqrt(tol):
-            out.append(DegenerateIntersectionError(
+            out.append(("degenerate", DegenerateIntersectionError(
                 f"matrix rank is not the structural rank {rank[i]} "
-                f"(rank gap {gap[i]:.2e})"))
+                f"(rank gap {gap[i]:.2e})"), None))
         elif not s2[i, 0] > tol:
-            out.append(DegenerateIntersectionError(
+            out.append(("degenerate", DegenerateIntersectionError(
                 f"peripheral intersection has dimension 2, expected 1 "
-                f"(largest pairing singular value {s2[i, 0]:.2e})"))
+                f"(largest pairing singular value {s2[i, 0]:.2e})"), None))
         elif not pairing[i] <= tol:
-            out.append(NotAdmissibleError(
+            out.append(("not-admissible", NotAdmissibleError(
                 f"matrix row space does not meet the peripheral space "
-                f"(pairing margin {pairing[i]:.2e})"))
+                f"(pairing margin {pairing[i]:.2e})"), None))
         else:
-            out.append(SlopeValue(a=complex(ab[i, 0]), b=complex(ab[i, 1]),
-                                  residual=float(pairing[i]), tol=tol))
+            out.append(("admissible", None, SlopeValue(
+                a=complex(ab[i, 0]), b=complex(ab[i, 1]),
+                residual=float(pairing[i]), tol=tol)))
     return out
 
 
@@ -278,22 +282,28 @@ def _framed_images(images: np.ndarray, P: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Route1Result:
-    """Route 1 on one representation.
+    """Route 1 on one representation, classified once.
 
-    ``boundary`` is what ``boundary_data`` returns or raises.  ``slope`` is
-    the ``SlopeValue`` of an admissible representation, the cusp modulus
-    of a parabolic one, or the error that ``compute_slope`` (on a parabolic
-    one, ``parabolic_modulus``) raises.  ``finite`` is false when the words
-    overflow floating point; ``boundary`` and ``slope`` then hold a
-    ``NonFiniteError``.
+    ``verdict`` is ``admissible``, ``parabolic``, ``not-admissible``,
+    ``degenerate`` or ``error``.  ``error`` is the exception of the first
+    check that failed (``PeripheralStack.error``, then the pairing), or
+    ``None``; with the verdict ``parabolic`` it can only report that ``L``
+    could not be read.  ``L`` is the longitude eigenvalue on the meridian's
+    eigenvector, ``None`` where it cannot be read.  ``slope`` is the
+    ``SlopeValue`` of an admissible representation, the cusp modulus of a
+    parabolic one, ``None`` otherwise.  ``finite`` is false when the
+    peripheral images or relators overflow floating point, and ``error`` is
+    then a ``NonFiniteError``.
     """
 
+    verdict: str
+    error: SlopeError | RepresentationError | None
+    L: complex | None
+    slope: SlopeValue | complex | None
     relator_residual: float
     commutation_residual: float
     parabolic: bool
-    boundary: BoundaryData | RepresentationError
     invariant_dimension: int
-    slope: SlopeValue | complex | SlopeError | RepresentationError
     finite: bool
 
 
@@ -334,21 +344,24 @@ class Route1Plan:
         relator = self.words.relator_residuals(images)
         per = peripheral_stack(m, l, tol)
         finite = per.finite & np.isfinite(relator)
-        slopes: list = [None] * N
+        # per representation (verdict, error, slope), from the first check
+        # that fails; the pairing decides the ones left in ready
+        outcome: list = [None] * N
         ready = []
         for i in range(N):
-            iv, bd = per.invariant[i], per.boundary[i]
+            error = per.error[i]
             if not per.finite[i]:
-                slopes[i] = iv
+                outcome[i] = ("error", error, None)
             elif not finite[i]:
-                slopes[i] = NonFiniteError(
-                    "values overflow floating point in the relators")
+                outcome[i] = ("error", NonFiniteError(
+                    "values overflow floating point in the relators"), None)
             elif per.parabolic[i]:
-                slopes[i] = per.modulus[i]
-            elif not isinstance(iv, InvariantVector):
-                slopes[i] = NotAdmissibleError(str(iv))
-            elif not isinstance(bd, BoundaryData):
-                slopes[i] = NotAdmissibleError(str(bd))
+                mod = per.modulus[i]
+                outcome[i] = (("error", error, None) if np.isnan(mod)
+                              else ("parabolic", error, complex(mod)))
+            elif error is not None:
+                outcome[i] = ("not-admissible", NotAdmissibleError(str(error)),
+                              None)
             else:
                 ready.append(i)
         if ready:
@@ -356,53 +369,40 @@ class Route1Plan:
                 aug = self.augmented
             except SlopeError as exc:
                 for i in ready:
-                    slopes[i] = exc
+                    outcome[i] = ("error", exc, None)
             else:
                 framed = _framed_images(images[ready], per.frame[ready], tol)
                 stack = self._augmented_images(framed, prefix_images(
                     framed, self.words.longitude)[:, -1])
                 # the meridian generator's image, second in the stack
                 v = sl2_coordinates(stack[:, 1])
-                for i, sv in zip(ready, _slopes(aug, stack, v, tol)):
-                    slopes[i] = sv
+                for i, out in zip(ready, _slopes(aug, stack, v, tol)):
+                    outcome[i] = out
         return [Route1Result(
-            relator_residual=float(relator[i]),
+            verdict=verdict, error=error,
+            L=None if not finite[i] or np.isnan(per.L[i]) else complex(per.L[i]),
+            slope=slope, relator_residual=float(relator[i]),
             commutation_residual=float(per.commutation[i]),
             parabolic=bool(finite[i] and per.parabolic[i]),
-            boundary=per.boundary[i] if finite[i] else slopes[i],
             invariant_dimension=int(per.invariant_dimension[i]),
-            slope=slopes[i], finite=bool(finite[i])) for i in range(N)]
+            finite=bool(finite[i]))
+            for i, (verdict, error, slope) in enumerate(outcome)]
 
 
 def _route1(rep: Representation, tol: float) -> Route1Result:
     return Route1Plan(rep.presentation).evaluate([rep], tol)[0]
 
 
-def slope_from_invariant_vector(rep: Representation, v: np.ndarray,
-                                tol: float = 1e-8) -> SlopeValue:
-    """Slope of ``rep`` given a peripheral-invariant row vector ``v``.
-
-    The result does not depend on the scaling of ``v``.
-    """
-    plan = Route1Plan(rep.presentation)
-    images = plan.words.stack([rep])
-    _, l = plan.words.peripheral(images)
-    (sv,) = _slopes(plan.augmented, plan._augmented_images(images, l),
-                    np.reshape(v, (1, 3)), tol)
-    if isinstance(sv, Exception):
-        raise sv
-    return sv
-
-
 def compute_slope(rep: Representation, tol: float = 1e-8) -> SlopeValue:
-    """The boundary slope of a non-parabolic admissible representation."""
+    """The boundary slope of a non-parabolic admissible representation;
+    raises ``Route1Result.error`` otherwise."""
     res = _route1(rep, tol)
     if res.parabolic:
         raise SlopeError(
             "representation is boundary-parabolic; use parabolic_modulus "
             "or slope_of_character")
-    if isinstance(res.slope, Exception):
-        raise res.slope
+    if res.slope is None:
+        raise res.error
     return res.slope
 
 
@@ -411,39 +411,6 @@ def slope_of_character(rep: Representation, tol: float = 1e-8) -> complex | floa
     the cusp translation ratio on it.  Returns ``math.inf`` for a vertical
     pairing line."""
     res = _route1(rep, tol)
-    if isinstance(res.slope, Exception):
-        raise res.slope
+    if res.slope is None:
+        raise res.error
     return res.slope if res.parabolic else res.slope.reading
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Diagnostics for the slope pipeline on one representation:
-    ``intersection_dimension`` counts the pairing system's solutions where
-    they decide, ``peripheral_fit`` is ``SlopeValue.residual``."""
-
-    invariant_dimension: int
-    commutation_residual: float
-    parabolic: bool
-    intersection_dimension: int | None
-    peripheral_fit: float | None
-    verdict: str  # "admissible" | "parabolic" | "not-admissible" | "degenerate"
-
-
-def admissibility(rep: Representation, tol: float = 1e-8) -> AdmissibilityReport:
-    """Run the slope pipeline's checks without computing the slope."""
-    res = _route1(rep, tol)
-    if not res.finite:
-        raise res.slope
-    dim, comm, sv = res.invariant_dimension, res.commutation_residual, res.slope
-    if res.parabolic:
-        return AdmissibilityReport(dim, comm, True, None, None, "parabolic")
-    if dim != 1 or comm > tol:
-        return AdmissibilityReport(dim, comm, False, None, None, "not-admissible")
-    if isinstance(sv, NotAdmissibleError):
-        return AdmissibilityReport(dim, comm, False, 0, None, "not-admissible")
-    if isinstance(sv, DegenerateIntersectionError):
-        return AdmissibilityReport(dim, comm, False, None, None, "degenerate")
-    if isinstance(sv, Exception):
-        raise sv
-    return AdmissibilityReport(dim, comm, False, 1, sv.residual, "admissible")

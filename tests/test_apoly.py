@@ -382,10 +382,10 @@ def test_gcd_simple_cases():
 
 def test_squarefree_part_removes_multiplicity():
     base = parse_bilaurent("L*M + 1") ** 2 * parse_bilaurent("L + M")
-    part, removed = squarefree_part(base, "L")
+    part, removed = squarefree_part(base)
     assert part == (parse_bilaurent("L*M + 1") * parse_bilaurent("L + M")).canonical()
     assert removed == 1
-    already, removed0 = squarefree_part(parse_bilaurent(L_FIG8), "L")
+    already, removed0 = squarefree_part(parse_bilaurent(L_FIG8))
     assert removed0 == 0
     assert already == parse_bilaurent(L_FIG8)
 
@@ -429,7 +429,7 @@ def two_bridge_resultant(name: str) -> BiLaurent:
 
 
 def prs_squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
-    """``squarefree_part(p, "L")`` computed from the PRS gcd alone."""
+    """``squarefree_part(p)`` computed from the PRS gcd alone."""
     p = p.canonical()
     g = bilaurent_gcd(p, p.derivative("L"))
     exps = [i for i, _ in g.terms]
@@ -463,7 +463,7 @@ def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, certified,
         return bilaurent_gcd(a, b)
 
     monkeypatch.setattr(apoly, "bilaurent_gcd", counting_gcd)
-    got = squarefree_part(p, "L")
+    got = squarefree_part(p)
     monkeypatch.undo()
     assert (not gcd_calls) == certified
     assert got == prs_squarefree_part(p)

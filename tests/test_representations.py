@@ -211,14 +211,6 @@ def test_trefoil_boundary_eigenvalues():
     assert np.allclose(l @ v, bd.L * v, atol=1e-10)
 
 
-def test_boundary_other_branch_inverts_eigenvalues():
-    pres = load_builtin("trefoil")
-    (rep,) = riley_family(pres, 2.0)
-    small = boundary_data(rep, prefer_large=False)
-    assert abs(small.M - 0.5) < 1e-12
-    assert abs(small.L - (-64.0)) < 1e-9
-
-
 def test_commutation_residual_small_on_family():
     pres = load_builtin("figure8")
     for rep in riley_family(pres, 1.3):

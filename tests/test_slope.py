@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from random import Random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +12,15 @@ from knotslope.data import load_builtin
 from knotslope.linalg import adjoint_of
 from knotslope.presentation import (KnotPresentation, Word, fox_derivative,
                                     parse_presentation)
+from knotslope.cli import _records
 from knotslope.representations import (NonFiniteError, Representation,
                                        abelian_representation, evaluate_word,
-                                       invariant_vector, riley_family)
+                                       riley_family)
 from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
-                             SlopeValue, admissibility, augment,
-                             build_twisted_alexander, compute_slope,
-                             slope_from_invariant_vector, slope_of_character)
+                             SlopeValue, augment, build_twisted_alexander,
+                             compute_slope, slope_of_character)
 
-from helpers import TWO_BRIDGE, random_complex
+from helpers import TWO_BRIDGE
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ def test_overflowing_slices_do_not_abort_the_stack():
     results = Route1Plan(pres).evaluate(far[:1] + near + far[1:])
     assert [r.finite for r in results] == [False, True, True, False]
     for res in results[:1] + results[3:]:
-        assert isinstance(res.slope, NonFiniteError)
-        assert isinstance(res.boundary, NonFiniteError)
+        assert isinstance(res.error, NonFiniteError)
+        assert res.slope is None and res.L is None
     for rep, res in zip(near, results[1:3]):
         assert res.slope == compute_slope(rep)
     with pytest.raises(NonFiniteError):
@@ -148,18 +148,6 @@ def test_trefoil_slope_is_minus_six():
         assert abs(sv.reading - (-6.0)) < 1e-8
         assert sv.residual < 1e-7
         assert max(abs(sv.a), abs(sv.b)) == pytest.approx(1.0)
-
-
-def test_slope_ignores_invariant_vector_scaling():
-    pres = load_builtin("trefoil")
-    (rep,) = riley_family(pres, 2.0)
-    v = invariant_vector(rep).vector
-    base = slope_from_invariant_vector(rep, v)
-    rng = Random(23)
-    for _ in range(5):
-        c = random_complex(rng, 3.0) + 0.5
-        scaled = slope_from_invariant_vector(rep, c * v)
-        assert abs(scaled.reading - base.reading) < 1e-9
 
 
 def test_power_longitude_slope_is_the_exponent():
@@ -211,25 +199,61 @@ def test_slope_of_character_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# admissibility report
+# verdicts
 
 def test_admissibility_verdicts():
     trefoil = load_builtin("trefoil")
     (rep,) = riley_family(trefoil, 2.0)
-    rpt = admissibility(rep)
-    assert rpt.verdict == "admissible"
-    assert rpt.invariant_dimension == 1
-    assert rpt.intersection_dimension == 1
-    assert rpt.commutation_residual < 1e-10
-    assert not rpt.parabolic
-    assert rpt.peripheral_fit < 1e-7
+    (res,) = Route1Plan(trefoil).evaluate([rep])
+    assert res.verdict == "admissible" and res.error is None
+    assert res.invariant_dimension == 1
+    assert res.commutation_residual < 1e-10
+    assert not res.parabolic
+    assert res.slope.residual < 1e-7
 
-    trivial = abelian_representation(trefoil, 1.0)
-    assert admissibility(trivial).verdict == "not-admissible"
-    assert admissibility(trivial).invariant_dimension == 3
+    (trivial,) = Route1Plan(trefoil).evaluate(
+        [abelian_representation(trefoil, 1.0)])
+    assert trivial.verdict == "not-admissible"
+    assert trivial.invariant_dimension == 3
 
     fig8 = load_builtin("figure8")
-    (par, _) = riley_family(fig8, 1.0)
-    rpt = admissibility(par)
-    assert rpt.verdict == "parabolic"
-    assert rpt.parabolic
+    (par, _) = Route1Plan(fig8).evaluate(riley_family(fig8, 1.0))
+    assert par.verdict == "parabolic"
+    assert par.parabolic
+
+
+def test_mixed_stack_is_classified_once():
+    fig8 = load_builtin("figure8")
+    reps = [riley_family(fig8, 1.3)[0], riley_family(fig8, 1.0)[0],
+            riley_family(fig8, 1e80)[0], abelian_representation(fig8, 1.0),
+            abelian_representation(fig8, 2.0)]
+    results = Route1Plan(fig8).evaluate(reps)
+    # a peripheral pair alone: a diagonal meridian and a parabolic
+    # longitude that does not commute with it
+    pair = KnotPresentation(("u", "v"), (), Word([("u", 1)]), Word([("v", 1)]))
+    rep = Representation(pair, {"u": np.diag([2.0, 0.5]).astype(complex),
+                                "v": np.array([[1.0, 1.0], [0.0, 1.0]])})
+    reps.append(rep)
+    results += Route1Plan(pair).evaluate([rep])
+    expected = [
+        ("admissible", None, ""),
+        ("parabolic", None, ""),
+        ("error", NonFiniteError, "overflow floating point"),
+        ("not-admissible", NotAdmissibleError,
+         "peripheral invariant subspace has dimension 3, expected 1"),
+        ("admissible", None, ""),
+        ("not-admissible", NotAdmissibleError,
+         "peripheral images do not commute; no common invariant vector "
+         "(commutation residual 5.00e-01)"),
+    ]
+    for rep, res, (verdict, error, text) in zip(reps, results, expected):
+        assert res.verdict == verdict
+        assert type(res.error) is error if error else res.error is None
+        assert text in str(res.error or "")
+        # records carry a Riley parameter, which abelian ones lack
+        (rec,) = _records(1.3, [(replace(rep, riley_t=0j), res)])
+        assert rec["verdict"] == res.verdict
+        assert rec["error"] == (None if error is None else str(res.error))
+    assert [r.finite for r in results] == [True, True, False, True, True, True]
+    assert abs(results[4].slope.reading) <= 1e-10
+    assert abs(abs(results[1].slope.imag) - 2.0 * 3.0 ** 0.5) < 1e-8
