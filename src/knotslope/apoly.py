@@ -1265,7 +1265,8 @@ def _riley_entry(entry: np.ndarray) -> TPoly:
 
 def riley_polynomial(pres: KnotPresentation, allow_constant: bool = False,
                      *, generators: tuple[str, str] | None = None) -> TPoly:
-    """The gcd of all relator entry polynomials in t (primitive in M).
+    """The gcd of all relator entry polynomials in t (primitive in M),
+    monic when its leading coefficient is a unit ``±M^k``.
 
     Raises ``ApolyError`` when the presentation is not in Riley form, when the
     relators impose no polynomial condition, or when the gcd is constant (no
@@ -1288,6 +1289,12 @@ def riley_polynomial(pres: KnotPresentation, allow_constant: bool = False,
         if g.degree == 0:
             break
     g = g.primitive_part()
+    # the gcd is defined up to a Laurent unit; a leading ±M^k is divided
+    # out, so that resultant_t can take its modular path
+    (((i, k), c), *rest) = g.leading.terms.items()
+    if not rest and abs(c) == 1:
+        g = TPoly([x.shift(-i, -k) if c == 1 else -x.shift(-i, -k)
+                   for x in g.coeffs])
     if g.degree < 1 and not allow_constant:
         raise ApolyError("Riley polynomial is constant: the presentation "
                          "has no irreducible Riley locus")

@@ -293,6 +293,8 @@ def _cmd_verify(args) -> int:
     pres = _load_presentation(args.pres)
     if args.apoly is not None:
         A = _read_apoly_arg(args.apoly).canonical()
+        if A.is_zero or A.degree_in("L") == 0:
+            raise ApolyError("supplied A-polynomial has no L-dependence")
         phi = riley_polynomial(pres, allow_constant=True)
         apoly_source = "supplied"
     else:

@@ -17,10 +17,12 @@ are its ``N = 1`` case.
 ``peripheral_stack`` reads, in closed form, everything route 1 needs
 from ``(N, 2, 2)`` stacks of meridian and longitude images ``m`` and
 ``l``: the peripheral eigenvalue pair ``(M, L)`` on a common eigenvector,
-the cusp translation ratio at boundary-parabolic representations, and
-one error per representation, from the first check that fails.  The
-eigenvectors of ``m`` give the meridian frame ``P`` with ``P^-1 m P``
-diagonal, in which ``L`` is read off the diagonal.  ``boundary_data``,
+the cusp modulus at boundary-parabolic representations, read from the
+same ``L`` and held to the same scale, and one error per representation,
+from the first check that fails; a parabolic representation gets a
+modulus or an error, never both.  The eigenvectors of ``m`` give the
+meridian frame ``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read
+off the diagonal.  ``boundary_data``,
 ``parabolic_modulus``, ``is_boundary_parabolic`` and
 ``commutation_residual`` read that stack for one representation.
 ``invariant_vector``, the adjoint-invariant direction in sl(2) fixed by
@@ -355,12 +357,6 @@ def _central(m: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(sl2_coordinates(m)).max(axis=-1) <= tol
 
 
-def _boundary_parabolic(m: np.ndarray, tol: float) -> np.ndarray:
-    s, tr = _parabolic_signs(m)
-    trace_2 = np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))
-    return trace_2 & ~_central(m, tol)
-
-
 def _eigenvectors(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """A unit eigenvector of each ``m`` for ``lam``: the kernel of ``m -
     lam I``, read off its row of larger norm."""
@@ -371,16 +367,16 @@ def _eigenvectors(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where(first[:, None], top, bottom) / norms.max(axis=0)[:, None]
 
 
-def _boundary_stack(m: np.ndarray, l: np.ndarray, parabolic: np.ndarray,
-                    central: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+def _boundary_stack(m: np.ndarray, l: np.ndarray, s: np.ndarray,
+                    parabolic: np.ndarray, central: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, ...]:
     """For finite ``(N, 2, 2)`` meridian and longitude images with their
-    parabolic and central flags: the meridian frames, determinant-1 ``P``
-    with ``P^-1 m P = diag(M, 1/M)`` from closed-form eigenvectors (the
-    identity on parabolic and central slices), ``M`` (the ``|M| >= 1``
-    branch), ``L``, M's eigenvector ``e`` and the residual ``max|l e - L
-    e|``."""
+    signs ``s`` (``_parabolic_signs``), parabolic and central flags: the
+    meridian frames, determinant-1 ``P`` with ``P^-1 m P = diag(M, 1/M)``
+    from closed-form eigenvectors (the identity on parabolic and central
+    slices), ``M`` (the ``|M| >= 1`` branch), ``L``, M's eigenvector ``e``
+    and the residual ``max|l e - L e|``."""
     rows = np.arange(len(m))
-    s, _ = _parabolic_signs(m)
     half = (m[:, 0, 0] + m[:, 1, 1]) / 2
     root = np.sqrt(half * half - 1.0)
     # the larger eigenvalue has no cancellation; the other is its inverse
@@ -425,27 +421,6 @@ def _invariant_failure(both_central: bool, comm: float,
     return None
 
 
-def _parabolic_modulus(m: np.ndarray, l: np.ndarray, tol: float) -> complex:
-    if commutation_residuals(m[None], l[None])[0] > tol:
-        raise RepresentationError(
-            "peripheral images do not commute; modulus undefined")
-    s = _parabolic_signs(m[None])[0][0]
-    N = m - s * np.eye(2)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    f = e1 if np.linalg.norm(N @ e1) >= np.linalg.norm(N @ e0) else e0
-    e = N @ f
-    S = np.column_stack([e, f])
-    Si = np.linalg.inv(S)
-    m2 = Si @ m @ S
-    l2 = Si @ l @ S
-    scale = 1.0 + float(np.abs(l2).max())
-    if abs(l2[1, 0]) > tol * scale or abs(l2[0, 0] - l2[1, 1]) > tol * scale:
-        raise RepresentationError(
-            "longitude image is not parabolic on the meridian's fixed line")
-    return complex((l2[0, 1] / l2[0, 0]) / (m2[0, 1] / m2[0, 0]))
-
-
 @dataclass(frozen=True, eq=False)
 class PeripheralStack:
     """Peripheral data of ``N`` representations, read from their meridian
@@ -458,13 +433,14 @@ class PeripheralStack:
     of the common adjoint-fixed space, 1, or 3 where both images are
     central.  ``M``, ``L`` and ``eigenvector`` are what ``boundary_data``
     returns, ``L`` NaN where it cannot be read; ``modulus`` is the cusp
-    modulus, NaN off the parabolic locus or where it is undefined; ``frame``
-    holds the meridian frames (``_boundary_stack``).  ``error`` is the
-    ``RepresentationError`` of the first check that fails, or ``None``.
-    The checks run in this order: overflow (a ``NonFiniteError``); on a
-    parabolic representation the modulus, on any other the invariant
-    vector (``_invariant_failure``) and a non-central meridian; last,
-    that the longitude preserves the meridian's eigenvector.
+    modulus, NaN off the parabolic locus and wherever ``error`` is set;
+    ``frame`` holds the meridian frames (``_boundary_stack``).  ``error``
+    is the ``RepresentationError`` of the first check that fails, or
+    ``None``.  The checks run in this order: overflow (a
+    ``NonFiniteError``); commutation, off the parabolic locus with the
+    invariant vector (``_invariant_failure``) and a non-central meridian;
+    the ``L`` read, that the longitude preserves the meridian's
+    eigenvector; last, on the parabolic locus, the modulus.
     """
 
     finite: np.ndarray
@@ -482,7 +458,10 @@ class PeripheralStack:
 def peripheral_stack(m: np.ndarray, l: np.ndarray,
                      tol: float = 1e-8) -> PeripheralStack:
     """Every peripheral check and value of route 1 on stacks of meridian
-    and longitude images."""
+    and longitude images.  The cusp modulus comes from the ``L`` read and
+    is held to its scale ``tol·(1 + max|l|)``: commuting parabolics satisfy
+    ``l/L - I = tau (m/s - I)``, ``s = ±1`` the meridian's sign, and
+    ``tau`` is their ratio at the largest entry of ``m/s - I``."""
     N = len(m)
     with np.errstate(all="ignore"):
         adj = adjoint_of(np.stack([m, l], axis=1))
@@ -490,22 +469,31 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
         ok = np.flatnonzero(finite)
         m, l = m[ok], l[ok]
         comm = commutation_residuals(m, l)
-        parabolic = _boundary_parabolic(m, tol)
+        s, tr = _parabolic_signs(m)
         central = _central(m, tol)
+        parabolic = (np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))) & ~central
         both_central = central & _central(l, tol)
-        P, M, L, e, resid = _boundary_stack(m, l, parabolic, central, tol)
-    off = resid > tol * (1.0 + _max_abs(l))
-    L[(comm > tol) | central | off] = np.nan
-    modulus = np.full(len(ok), np.nan, dtype=complex)
+        P, M, L, e, resid = _boundary_stack(m, l, s, parabolic, central, tol)
+        scale = tol * (1.0 + _max_abs(l))
+        off = resid > scale
+        L[(comm > tol) | central | off] = np.nan
+        # tau on the parabolic subset, NaN where L is or where it misfits
+        p = np.flatnonzero(parabolic)
+        A = (m[p] / s[p, None, None] - np.eye(2)).reshape(-1, 4)
+        B = (l[p] / L[p, None, None] - np.eye(2)).reshape(-1, 4)
+        at = np.argmax(np.abs(A), axis=1)[:, None]
+        tau = np.take_along_axis(B, at, 1) / np.take_along_axis(A, at, 1)
+        fits = np.abs(B - tau * A).max(axis=1) <= scale[p]
+        modulus = np.full(len(ok), np.nan, dtype=complex)
+        # + 0.0: a part that is exactly zero reads +0, whatever sign the
+        # rounding of the divisions left on it
+        modulus[p] = np.where(fits, tau[:, 0], np.nan) + 0.0
     error: list[RepresentationError | None] = [NonFiniteError(
         "values overflow floating point in the peripheral images")] * N
     for k, i in enumerate(ok):
-        err = None
         if parabolic[k]:
-            try:
-                modulus[k] = _parabolic_modulus(m[k], l[k], tol)
-            except RepresentationError as exc:
-                err = exc
+            err = None if comm[k] <= tol else RepresentationError(
+                "peripheral images do not commute; modulus undefined")
         else:
             err = _invariant_failure(both_central[k], comm[k], tol)
             if err is None and central[k]:
@@ -515,6 +503,9 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
             err = RepresentationError(
                 f"longitude image does not preserve the meridian eigenvector "
                 f"(residual {resid[k]:.2e})")
+        if err is None and parabolic[k] and np.isnan(modulus[k]):
+            err = RepresentationError(
+                "longitude image is not parabolic on the meridian's fixed line")
         error[i] = err
 
     def scatter(values, fill):

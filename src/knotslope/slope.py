@@ -287,13 +287,13 @@ class Route1Result:
     ``verdict`` is ``admissible``, ``parabolic``, ``not-admissible``,
     ``degenerate`` or ``error``.  ``error`` is the exception of the first
     check that failed (``PeripheralStack.error``, then the pairing), or
-    ``None``; with the verdict ``parabolic`` it can only report that ``L``
-    could not be read.  ``L`` is the longitude eigenvalue on the meridian's
+    ``None``.  ``L`` is the longitude eigenvalue on the meridian's
     eigenvector, ``None`` where it cannot be read.  ``slope`` is the
     ``SlopeValue`` of an admissible representation, the cusp modulus of a
-    parabolic one, ``None`` otherwise.  ``finite`` is false when the
-    peripheral images or relators overflow floating point, and ``error`` is
-    then a ``NonFiniteError``.
+    parabolic one, ``None`` otherwise: a representation has a slope or an
+    error, never both.  ``finite`` is false when the peripheral images or
+    relators overflow floating point, and ``error`` is then a
+    ``NonFiniteError``.
     """
 
     verdict: str
@@ -356,9 +356,8 @@ class Route1Plan:
                 outcome[i] = ("error", NonFiniteError(
                     "values overflow floating point in the relators"), None)
             elif per.parabolic[i]:
-                mod = per.modulus[i]
-                outcome[i] = (("error", error, None) if np.isnan(mod)
-                              else ("parabolic", error, complex(mod)))
+                outcome[i] = (("parabolic", None, complex(per.modulus[i]))
+                              if error is None else ("error", error, None))
             elif error is not None:
                 outcome[i] = ("not-admissible", NotAdmissibleError(str(error)),
                               None)

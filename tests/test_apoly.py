@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -480,6 +481,36 @@ def test_elimination_stores_integer_coefficients():
         polys = [*phi.coeffs, *lam.coeffs, res.resultant, res.apoly]
         assert all(type(c) is int for f in polys for c in f.terms.values())
         assert apoly._eigenvalue_of_elimination(phi, l_minus(lam)) is not None
+
+
+#: relators of b(p, q) not written ``a w = w b``, from ``a``, ``b`` and ``w``
+REWRITES = {
+    "a-w-b^-1-w^-1=1": lambda a, b, w: (a * w * b.inverse() * w.inverse(),
+                                        Word.identity()),
+    "w^-1-a-w=b": lambda a, b, w: (w.inverse() * a * w, b),
+    "conjugated-by-a-b": lambda a, b, w: (
+        a * b * a * w * b.inverse() * w.inverse() * b.inverse() * a.inverse(),
+        Word.identity()),
+}
+
+
+@pytest.mark.parametrize("rewrite", REWRITES)
+@pytest.mark.parametrize("p, q", [(7, 3), (11, 3), (13, 5)],
+                         ids=["b7_3", "b11_3", "b13_5"])
+def test_rewritten_relator_gives_the_monic_riley_polynomial(monkeypatch, p, q,
+                                                            rewrite):
+    """These relators leave a unit ``±M^k`` on the leading coefficient of
+    the gcd (``-M^-55`` on b(13,5) conjugated by ``a b``); dividing it out
+    gives the Schubert text's ``phi``, and the elimination stays modular."""
+    pres = parse_presentation(two_bridge_text(p, q))
+    ref = compute_apoly_twobridge_detailed(pres)
+    ((aw, _),) = pres.relators
+    w = Word(aw.letters[1:])
+    relator = REWRITES[rewrite](Word([("a", 1)]), Word([("b", 1)]), w)
+    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
+    res = compute_apoly_twobridge_detailed(replace(pres, relators=(relator,)))
+    assert res.riley_polynomial == ref.riley_polynomial
+    assert res.apoly == ref.apoly
 
 
 def test_b17_5_apoly_meets_the_theorems():

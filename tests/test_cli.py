@@ -468,6 +468,10 @@ def test_bad_arc_and_samples(capsys):
     ["slope", "trefoil", "--M", "1e-200"],
     ["slope", "figure8", "--M", "1e60"],
     ["slope", "figure8", "--M", "1e80"],
+    # supplied A-polynomials with no L in them
+    ["verify", "trefoil", "--samples", "2", "--apoly", "0"],
+    ["verify", "trefoil", "--samples", "2", "--apoly", "3"],
+    ["verify", "trefoil", "--samples", "2", "--apoly", "M^2"],
 ])
 def test_bad_input_exits_2_with_a_message(argv, capsys):
     code, out, err = run(capsys, *argv)

@@ -14,13 +14,14 @@ from knotslope.presentation import (KnotPresentation, Word, fox_derivative,
                                     parse_presentation)
 from knotslope.cli import _records
 from knotslope.representations import (NonFiniteError, Representation,
+                                       RepresentationError,
                                        abelian_representation, evaluate_word,
                                        riley_family)
 from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
                              SlopeValue, augment, build_twisted_alexander,
                              compute_slope, slope_of_character)
 
-from helpers import TWO_BRIDGE
+from helpers import TWO_BRIDGE, two_bridge_text
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +229,20 @@ def test_mixed_stack_is_classified_once():
             riley_family(fig8, 1e80)[0], abelian_representation(fig8, 1.0),
             abelian_representation(fig8, 2.0)]
     results = Route1Plan(fig8).evaluate(reps)
-    # a peripheral pair alone: a diagonal meridian and a parabolic
-    # longitude that does not commute with it
+    # peripheral pairs alone: a diagonal meridian and a parabolic longitude
+    # that does not commute with it; the same swapped; and a parabolic
+    # meridian near I with a longitude that commutes with it to 3e-10 but
+    # does not preserve its fixed line (residual 1e-3)
     pair = KnotPresentation(("u", "v"), (), Word([("u", 1)]), Word([("v", 1)]))
-    rep = Representation(pair, {"u": np.diag([2.0, 0.5]).astype(complex),
-                                "v": np.array([[1.0, 1.0], [0.0, 1.0]])})
-    reps.append(rep)
-    results += Route1Plan(pair).evaluate([rep])
+    diagonal = np.diag([2.0, 0.5]).astype(complex)
+    parabolic = np.array([[1.0, 1.0], [0.0, 1.0]])
+    pairs = [Representation(pair, {"u": diagonal, "v": parabolic}),
+             Representation(pair, {"u": parabolic, "v": diagonal}),
+             Representation(pair, {
+                 "u": np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                 "v": np.array([[1.0, 2.0], [1e-3, 1.0]]) / np.sqrt(0.998)})]
+    reps += pairs
+    results += Route1Plan(pair).evaluate(pairs)
     expected = [
         ("admissible", None, ""),
         ("parabolic", None, ""),
@@ -245,15 +253,67 @@ def test_mixed_stack_is_classified_once():
         ("not-admissible", NotAdmissibleError,
          "peripheral images do not commute; no common invariant vector "
          "(commutation residual 5.00e-01)"),
+        ("error", RepresentationError,
+         "peripheral images do not commute; modulus undefined"),
+        ("error", RepresentationError,
+         "longitude image does not preserve the meridian eigenvector "
+         "(residual 1.00e-03)"),
     ]
+    assert len(results) == len(expected)
     for rep, res, (verdict, error, text) in zip(reps, results, expected):
         assert res.verdict == verdict
         assert type(res.error) is error if error else res.error is None
         assert text in str(res.error or "")
+        # a slope or an error, never both
+        assert res.slope is None or res.error is None
         # records carry a Riley parameter, which abelian ones lack
         (rec,) = _records(1.3, [(replace(rep, riley_t=0j), res)])
         assert rec["verdict"] == res.verdict
         assert rec["error"] == (None if error is None else str(res.error))
-    assert [r.finite for r in results] == [True, True, False, True, True, True]
+        assert rec["slope"] is None or rec["error"] is None
+    assert [r.finite for r in results] == [True, True, False, True, True,
+                                           True, True, True]
+    assert results[-1].slope is None and results[-1].L is None
     assert abs(results[4].slope.reading) <= 1e-10
     assert abs(abs(results[1].slope.imag) - 2.0 * 3.0 ** 0.5) < 1e-8
+
+
+#: trefoil, figure8 and every two-bridge knot b(p, q) with odd q and p <= 13
+PARABOLIC_FAMILY = ["trefoil", "figure8"] + [
+    f"b{p}_{q}" for p in range(3, 14, 2) for q in range(1, p, 2)
+    if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("name", PARABOLIC_FAMILY)
+def test_riley_branches_at_M_plus_minus_1_are_parabolic(name):
+    """Every Riley branch at M = ±1 reads a cusp modulus and no error.  The
+    twist ``g -> (-1)^w(g) rho(g)`` maps the branches at M = 1 to those at
+    M = -1; it leaves ``m/s`` unchanged and fixes the longitude, of weight
+    0, so both sets of moduli are equal.  Measured: equal bit for bit, and
+    the closed forms hold within 4.1e-14 relative (b(13,1))."""
+    if name.startswith("b"):
+        p, q = map(int, name[1:].split("_"))
+        pres = parse_presentation(two_bridge_text(p, q))
+    else:
+        pres = load_builtin(name)
+    plan = Route1Plan(pres)
+    moduli = {}
+    for M in (1.0, -1.0):
+        results = plan.evaluate(riley_family(pres, M))
+        assert results
+        assert all(r.verdict == "parabolic" and r.error is None
+                   for r in results)
+        moduli[M] = [r.slope for r in results]
+    # equal as multisets: each modulus at M = 1 takes its nearest at M = -1
+    rest = list(moduli[-1.0])
+    assert len(rest) == len(moduli[1.0])
+    for tau in moduli[1.0]:
+        nearest = min(rest, key=lambda z: abs(z - tau))
+        assert abs(nearest - tau) <= 1e-12 * abs(tau)
+        rest.remove(nearest)
+    closed = {"trefoil": [-6.0], "figure8": [-2j * 3 ** 0.5, 2j * 3 ** 0.5]}
+    if name.endswith("_1"):
+        closed[name] = [-2.0 * p] * len(moduli[1.0])
+    for tau, want in zip(sorted(moduli[1.0], key=lambda z: z.imag),
+                         closed.get(name, [])):
+        assert abs(tau - want) <= 1e-12 * abs(want)
