@@ -492,8 +492,10 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
         "values overflow floating point in the peripheral images")] * N
     for k, i in enumerate(ok):
         if parabolic[k]:
-            err = None if comm[k] <= tol else RepresentationError(
-                "peripheral images do not commute; modulus undefined")
+            err = None
+            if comm[k] > tol:
+                err = RepresentationError(
+                    "peripheral images do not commute; modulus undefined")
         else:
             err = _invariant_failure(both_central[k], comm[k], tol)
             if err is None and central[k]:
