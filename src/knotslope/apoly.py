@@ -29,12 +29,12 @@ polynomial of the eigenvalue variety's closure.
 then takes a modular route: reduce ``lam`` modulo ``phi``, evaluate the
 characteristic polynomial of ``lam(C)``, ``C`` the companion matrix of
 ``phi``, at ``M = 1, ..., K`` modulo word-size primes, interpolate in
-``M`` and rebuild each coefficient by the Chinese remainder theorem.  The
-number of points comes from an exponent bound and the number of primes
-from a coefficient bound, both proven on the Sylvester matrix (see
-``_resultant_modular``), so the result is the exact determinant.  Any
-other input, such as a ``phi`` that is not monic, takes the fraction-free
-(Bareiss) elimination of the Sylvester matrix.
+``M`` and rebuild each coefficient by the Chinese remainder theorem, on
+as many points as ``phi``'s Newton polygon bounds the resultant's M-span
+and as many primes as a Hadamard bound asks (see ``_resultant_modular``),
+so the result is the exact determinant.  Any other input, such as a
+``phi`` that is not monic, takes the fraction-free (Bareiss) elimination
+of the Sylvester matrix.
 
 Collapsing repeated factors needs ``gcd(A, dA/dL)``, a primitive
 pseudo-remainder sequence whose univariate steps run over ``Z``.
@@ -849,19 +849,16 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     companion matrix ``C`` of ``P``, whose eigenvalues are the roots ``a``:
     the characteristic polynomial of ``r(C)``.
 
-    Both bounds come from the Sylvester matrix ``S`` of ``(P, L - r)``:
+    Bounds, both proven:
 
-    - M-exponents: every term of ``det S`` is a product
-      ``prod_i S_(i, s(i))`` over a permutation ``s``, so each M-exponent
-      of the resultant lies between the least sum of smallest exponents
-      and the greatest sum of largest exponents over the permutations
-      through nonzero entries (two assignment problems).  This fixes
-      ``K``, the number of points ``M = 1, ..., K``.
+    - M-exponents: ``_exponent_range`` fixes ``K``, the number of points.
     - Coefficients (Goldstein–Graham, 1974): on the torus
-      ``|L| = |M| = 1`` each entry is at most its coefficient 1-norm, so
-      by Hadamard ``|det S| <= B = prod_i (sum_j |S_ij|_1^2)^(1/2)``, and
-      a coefficient is the mean of ``det S · L^-a M^-b`` over the torus,
-      so it is at most ``B`` in absolute value.  Primes whose product
+      ``|L| = |M| = 1`` each Sylvester entry is at most its coefficient
+      1-norm, and each row holds the coefficients of ``P`` or of
+      ``Q = L - r`` once, so by Hadamard the determinant is at most ``B``,
+      ``B^2 = (sum_k |P_k|_1^2)^deg Q · (sum_k |Q_k|_1^2)^deg P``.  A
+      coefficient is the mean of ``det · L^-a M^-b`` over the torus, so
+      it is at most ``B`` in absolute value.  Primes whose product
       exceeds ``2B`` fix it as a symmetric residue (CRT).
     """
     n = P.degree
@@ -869,13 +866,10 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     Q = TPoly.constant(BiLaurent.monomial(1, 0)) - r
     if Q.degree < 1:
         return Q.coeffs[0] ** n
-    S = _sylvester(P, Q)
-    exps = [[[j for _, j in e.terms] for e in row] for row in S]
-    lo = _assignment([[min(js) if js else None for js in row] for row in exps])
-    hi = -_assignment([[-max(js) if js else None for js in row]
-                       for row in exps])
-    bound_sq = math.prod(sum(sum(map(abs, e.terms.values())) ** 2 for e in row)
-                         for row in S)
+    lo, hi = _exponent_range(P, r)
+    bound_sq = math.prod(
+        sum(sum(map(abs, c.terms.values())) ** 2 for c in T.coeffs) ** e
+        for T, e in ((P, Q.degree), (Q, n)))
     primes = _word_primes(n, 4 * bound_sq)
     x = np.arange(1, hi - lo + 2, dtype=np.int64)
     values = _charpoly_at(P, r, x, primes) \
@@ -896,40 +890,34 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     return BiLaurent._normalised(terms)
 
 
-def _assignment(cost: list[list]) -> int:
-    """The least ``sum_i cost[i][s(i)]`` over the permutations ``s`` that
-    avoid the ``None`` entries of a square matrix, one of which must
-    exist (Hungarian method, O(N^3))."""
-    N = len(cost)
-    big = 1 + 2 * N * max(abs(c) for row in cost for c in row if c is not None)
-    w = [[big if c is None else c for c in row] for row in cost]
-    u, v = [0] * (N + 1), [0] * (N + 1)
-    match, way = [0] * (N + 1), [0] * (N + 1)  # match[col] = row, 1-based
-    for i in range(1, N + 1):
-        match[0], j0 = i, 0
-        minv, used = [math.inf] * (N + 1), [False] * (N + 1)
-        while match[j0]:
-            used[j0] = True
-            i0, delta, j1 = match[j0], math.inf, 0
-            for j in range(1, N + 1):
-                if not used[j]:
-                    cur = w[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(N + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    return sum(w[match[j] - 1][j - 1] for j in range(1, N + 1))
+def _exponent_range(P: TPoly, r: TPoly) -> tuple[int, int]:
+    """``lo <= 0 <= hi`` bounding the M-exponents of ``Res_t(P, L - r) =
+    prod (L - r(a))`` over the roots ``a`` of a monic ``P``, from the sides
+    of ``P``'s Newton polygon in the (t-exponent, M-exponent) plane.  A
+    side with ``di`` roots and slope ``s = dj/di`` gives them the valuation
+    ``-s``: at ``M = 0`` on a lower side (``di > 0``), at ``M = ∞`` on an
+    upper one, where ``r(a)`` is bounded by its smallest or largest term.
+    ``lo`` sums the negative parts, ``hi`` the positive ones, each an
+    integer ``|di|·(j - k·s)`` for a term ``M^j t^k`` of ``r``; a collinear
+    support's one side bounds both ways."""
+    polygon = newton_polygon(_from_L_tpoly(P))  # t-exponents in the L slot
+    sides = polygon.sides
+    if len(sides) == 1:
+        sides += (Side(sides[0].end, sides[0].start),)
+    r_exps = [(k, [j for _, j in c.terms]) for k, c in enumerate(r.coeffs)
+              if not c.is_zero]
+    lo = hi = 0
+    for side in sides:
+        di, dj = side.di, side.dj
+        if di > 0:
+            lo += min(0, *(di * min(js) - k * dj for k, js in r_exps))
+        elif di < 0:
+            hi += max(0, *(k * dj - di * max(js) for k, js in r_exps))
+    k, js = r_exps[0]
+    if k == 0:  # the roots a = 0 of P's factor t^z, where r(a) = r_0
+        z = polygon.vertices[0][0]
+        lo, hi = lo + z * min(0, *js), hi + z * max(0, *js)
+    return lo, hi
 
 
 def _word_primes(n: int, bound_sq: int) -> list[int]:

@@ -15,7 +15,9 @@ Subcommands::
 ``PRES`` is a bundled name (``trefoil``, ``figure8``) or a file path.
 Results are JSON on stdout (``--format csv`` for tabular records).  Exit
 codes: 0 success / verification PASS, 1 verification FAIL, 2 bad usage,
-unreadable input, or computation errors.
+unreadable input (a missing file, or one that is not UTF-8), or
+computation errors.  A record's ``L`` is the longitude eigenvalue paired
+with its own sampled ``M``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file; ``CLIError`` naming it otherwise."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"{str(path)!r} is not UTF-8 text: byte "
+                       f"{exc.object[exc.start]:#04x} at offset "
+                       f"{exc.start}") from exc
+
+
 def _load_presentation(name_or_path: str) -> KnotPresentation:
     if data_mod.resolve_builtin(name_or_path) is not None:
         return data_mod.load_builtin(name_or_path)
@@ -78,7 +90,7 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
     if not path.exists():
         raise CLIError(f"{name_or_path!r} is neither a bundled presentation "
                        f"({', '.join(data_mod.builtin_names())}) nor a file")
-    return parse_presentation(path.read_text(encoding="utf-8"))
+    return parse_presentation(_read_text(path))
 
 
 def _check_presentation_file(name_or_path: str, pres: KnotPresentation,
@@ -152,13 +164,24 @@ def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float,
                       else [(rep, next(results)) for rep in fam])
 
 
+def _paired_L(M: complex, res) -> complex | None:
+    """``res.L`` paired with the sampled ``M``.  Route 1 reads ``L`` on the
+    eigenvector of ``res.M``, the eigenvalue of modulus >= 1, which is
+    ``1/M`` inside the unit circle (and on it below the real axis); the
+    pair ``(1/M, L)`` lies on the curve with ``(M, 1/L)``."""
+    if res.L is None or abs(res.M - M) <= abs(res.M - 1.0 / M):
+        return res.L
+    return 1.0 / res.L
+
+
 def _records(M: complex, family) -> list[dict]:
     if isinstance(family, Exception):
         return [_error_record(M, family)]
     records = []
     for k, (rep, res) in enumerate(family):
+        L = _paired_L(M, res)
         rec = dict(_base_record(M), t=_pair(rep.riley_t), root_index=k,
-                   L=None if res.L is None else _pair(res.L), slope=None,
+                   L=None if L is None else _pair(L), slope=None,
                    verdict=res.verdict, residuals={},
                    error=None if res.error is None else str(res.error))
         records.append(rec)
@@ -282,7 +305,7 @@ def _read_apoly_arg(text: str):
         path = Path(text[1:])
         if not path.exists():
             raise CLIError(f"A-polynomial file {str(path)!r} not found")
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path)
     return parse_bilaurent(text)
 
 
@@ -321,7 +344,7 @@ def _cmd_verify(args) -> int:
             if res.error is not None:
                 entry["error"] = str(res.error)
                 continue
-            sv, L = res.slope, res.L
+            sv, L = res.slope, _paired_L(M, res)
             try:
                 scale = A.abs_evaluate(abs(L), abs(M)) + 1.0
                 a_resid = abs(A.evaluate(L, M)) / scale
@@ -337,6 +360,9 @@ def _cmd_verify(args) -> int:
                 entry["ok"] = (dev <= args.tol and a_resid <= args.tol)
             except ApolyError as exc:
                 entry["error"] = str(exc)
+            except OverflowError:
+                entry["error"] = ("A-polynomial evaluation overflows "
+                                  "floating point at this sample")
         return out
 
     samples = [s for M, family in _route1_samples(
@@ -369,7 +395,7 @@ def _cmd_presentation_check(args) -> int:
     path = Path(args.path)
     if not path.exists():
         raise CLIError(f"file {str(path)!r} not found")
-    pres = parse_presentation(path.read_text(encoding="utf-8"))
+    pres = parse_presentation(_read_text(path))
     weights = pres.validate()
     data_mod.check_presentation(pres, str(path))
     payload = {
@@ -391,15 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary slopes of SL(2,C) knot group representations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_format=True):
+    def add_common(p):
         p.add_argument("pres", help="bundled presentation name "
                        f"({', '.join(data_mod.builtin_names())}) or a file path")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="verdict tolerance: the pairing margin is held "
                             "to it, the rank gap to its root (default 1e-8)")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="output format (default json)")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (default json)")
 
     p_slope = sub.add_parser("slope", help="slope of each Riley branch at one M")
     add_common(p_slope)

@@ -70,9 +70,8 @@ def check_presentation(pres: KnotPresentation, label: str,
 
 
 @lru_cache(maxsize=None)
-def load_builtin(name: str, check: bool = True) -> KnotPresentation:
-    """Parse a bundled presentation; with ``check`` (default) also run
-    ``check_presentation`` on it."""
+def load_builtin(name: str) -> KnotPresentation:
+    """Parse a bundled presentation and run ``check_presentation`` on it."""
     canonical = resolve_builtin(name)
     if canonical is None:
         raise DataError(f"unknown builtin presentation {name!r}; "
@@ -80,6 +79,5 @@ def load_builtin(name: str, check: bool = True) -> KnotPresentation:
     text = (resources.files("knotslope") / "_data" / _BUILTIN_FILES[canonical]) \
         .read_text(encoding="utf-8")
     pres = parse_presentation(text)
-    if check:
-        check_presentation(pres, f"builtin {canonical!r}")
+    check_presentation(pres, f"builtin {canonical!r}")
     return pres

@@ -33,15 +33,16 @@ KILLING_GRAM = np.array([[0.0, 0.0, 4.0],
                          [4.0, 0.0, 0.0]], dtype=complex)
 
 
-def as_sl2(A, det_tol: float = 1e-9) -> np.ndarray:
-    """Coerce to a 2x2 complex array and check ``det A = 1``."""
+def as_sl2(A) -> np.ndarray:
+    """Coerce to a 2x2 complex array and check ``det A = 1`` to within
+    ``1e-9·(1 + max|A_ij|^2)``."""
     A = np.asarray(A, dtype=complex)
     if A.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     top = float(np.abs(A).max())
     scale = 1.0 + top * top
-    if abs(det - 1.0) > det_tol * scale:
+    if abs(det - 1.0) > 1e-9 * scale:
         raise ValueError(f"matrix is not in SL(2): det = {det}")
     return A
 

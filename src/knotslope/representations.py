@@ -544,8 +544,12 @@ def boundary_data(rep: Representation, tol: float = 1e-8) -> BoundaryData:
 
     For a diagonalizable meridian image the ``|M| >= 1`` eigenvalue branch
     is selected; on the unit circle ties break toward nonnegative imaginary
-    part.  The eigenvector is normalized so its largest-modulus coordinate
-    is 1.  Where ``L`` cannot be read, raises ``PeripheralStack.error``.
+    part.  ``L`` is the longitude eigenvalue on that ``M``'s eigenvector:
+    for a Riley representation at a meridian ``M0`` inside the unit circle
+    (or on it below the real axis) ``M`` is ``1/M0``, and the longitude
+    eigenvalue paired with ``M0`` is ``1/L``.  The eigenvector is
+    normalized so its largest-modulus coordinate is 1.  Where ``L`` cannot
+    be read, raises ``PeripheralStack.error``.
     """
     per = _peripheral(rep, tol)
     if np.isnan(per.L[0]):

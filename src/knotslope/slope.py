@@ -287,8 +287,9 @@ class Route1Result:
     ``verdict`` is ``admissible``, ``parabolic``, ``not-admissible``,
     ``degenerate`` or ``error``.  ``error`` is the exception of the first
     check that failed (``PeripheralStack.error``, then the pairing), or
-    ``None``.  ``L`` is the longitude eigenvalue on the meridian's
-    eigenvector, ``None`` where it cannot be read.  ``slope`` is the
+    ``None``.  ``L`` is the longitude eigenvalue on the eigenvector of
+    ``M``, the meridian eigenvalue of modulus >= 1 (``boundary_data``),
+    ``None`` where it cannot be read.  ``slope`` is the
     ``SlopeValue`` of an admissible representation, the cusp modulus of a
     parabolic one, ``None`` otherwise: a representation has a slope or an
     error, never both.  ``finite`` is false when the peripheral images or
@@ -298,6 +299,7 @@ class Route1Result:
 
     verdict: str
     error: SlopeError | RepresentationError | None
+    M: complex | None
     L: complex | None
     slope: SlopeValue | complex | None
     relator_residual: float
@@ -379,6 +381,7 @@ class Route1Plan:
                     outcome[i] = out
         return [Route1Result(
             verdict=verdict, error=error,
+            M=complex(per.M[i]) if finite[i] else None,
             L=None if not finite[i] or np.isnan(per.L[i]) else complex(per.L[i]),
             slope=slope, relator_residual=float(relator[i]),
             commutation_residual=float(per.commutation[i]),

@@ -391,18 +391,13 @@ def test_squarefree_part_removes_multiplicity():
     assert already == parse_bilaurent(L_FIG8)
 
 
-def test_assignment_matches_brute_force():
-    rng = Random(61)
-    for _ in range(40):
-        N = rng.randrange(1, 6)
-        cost = [[None if rng.random() < 0.3 else rng.randrange(-9, 10)
-                 for _ in range(N)] for _ in range(N)]
-        for i in range(N):  # some permutation avoids None: the identity
-            cost[i][i] = rng.randrange(-9, 10)
-        best = min(sum(cost[i][s] for i, s in enumerate(perm))
-                   for perm in itertools.permutations(range(N))
-                   if all(cost[i][s] is not None for i, s in enumerate(perm)))
-        assert apoly._assignment(cost) == best
+def assert_in_exponent_range(phi: TPoly, lam: TPoly, resultant: BiLaurent):
+    """The M-exponent range read off ``phi``'s Newton polygon holds every
+    M-exponent of ``resultant``."""
+    r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
+    lo, hi = apoly._exponent_range(phi, r)
+    js = [j for _, j in resultant.terms]
+    assert lo <= min(js) and max(js) <= hi
 
 
 #: every two-bridge knot b(p, q) with odd q and p <= 15
@@ -414,7 +409,8 @@ ODD_Q_FAMILY = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2)
                          ids=[f"b{p}_{q}" for p, q in ODD_Q_FAMILY])
 def test_family_resultant_equals_bareiss(monkeypatch, p, q):
     """The elimination's resultant, by the modular method, is the raw
-    Bareiss determinant of the same Sylvester matrix."""
+    Bareiss determinant of the same Sylvester matrix, and its M-exponents
+    lie in the range read off phi's Newton polygon."""
     res = compute_apoly_twobridge_detailed(parse_presentation(two_bridge_text(p, q)))
     phi, G = res.riley_polynomial, l_minus(res.longitude_eigenvalue)
     bareiss = apoly._resultant_bareiss
@@ -422,6 +418,28 @@ def test_family_resultant_equals_bareiss(monkeypatch, p, q):
     got = resultant_t(phi, G)
     monkeypatch.undo()
     assert got == bareiss(phi, G)
+    assert_in_exponent_range(phi, res.longitude_eigenvalue, got)
+
+
+#: monic ``phi`` whose Newton polygon is one segment, and ``lam``, both
+#: ascending in t
+SEGMENT_CASES = {
+    "t^2-M^4": (["-M^4", "0", "1"], ["M", "M^-2"]),
+    "t+M^3": (["M^3", "1"], ["M^-1", "M^2"]),
+    "(t+M^2)^2": (["M^4", "2*M^2", "1"], ["M", "M^-2"]),
+    # the roots 0 and -M, where r = M^5 + t is M^5 and M^5 - M
+    "t^2+M*t": (["0", "M", "1"], ["M^5", "1"]),
+}
+
+
+@pytest.mark.parametrize("phi, lam", SEGMENT_CASES.values(), ids=SEGMENT_CASES)
+def test_segment_polygon_resultant_equals_bareiss(monkeypatch, phi, lam):
+    phi = TPoly([parse_bilaurent(c) for c in phi])
+    lam = TPoly([parse_bilaurent(c) for c in lam])
+    expected = apoly._resultant_bareiss(phi, l_minus(lam))
+    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
+    assert resultant_t(phi, l_minus(lam)) == expected
+    assert_in_exponent_range(phi, lam, expected)
 
 
 def two_bridge_resultant(name: str) -> BiLaurent:

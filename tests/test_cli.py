@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 from math import gcd
 
@@ -9,6 +10,8 @@ import pytest
 
 from knotslope.cli import main
 from knotslope.data import load_builtin
+from knotslope.representations import riley_family
+from knotslope.slope import Route1Plan
 
 from helpers import two_bridge_file, two_bridge_text
 
@@ -61,6 +64,31 @@ def test_slope_trefoil(capsys):
     assert abs(rec["slope"][1]) < 1e-8
     assert abs(rec["t"][0] - (-3.25)) < 1e-10
     assert abs(rec["L"][0] - (-1.0 / 64.0)) < 1e-10
+
+
+@pytest.mark.parametrize("M", [0.7, 0.6 + 0.3j, 0.8 - 0.5j, cmath.exp(-0.5j),
+                               cmath.exp(0.5j), 1.3 + 0.4j, 2.0 - 0.1j])
+def test_record_L_is_paired_with_its_own_M(M, capsys):
+    """A record's L belongs to the record's M: -M^-6 on the trefoil, also
+    inside the unit circle and on it below the real axis, where route 1
+    reads L on the eigenvector of 1/M."""
+    code, out, _ = run(capsys, "slope", "trefoil", "--M",
+                       f"{M.real!r},{M.imag!r}")
+    assert code == 0
+    (rec,) = records(out)
+    assert complex(*rec["M"]) == M
+    assert abs(complex(*rec["L"]) + M ** -6) <= 1e-12 * abs(M) ** -6
+
+
+def test_records_outside_the_unit_circle_keep_the_route1_L(capsys):
+    pres = load_builtin("figure8")
+    for M in (1.3 + 0.4j, 1.1 - 0.2j, 2.0):
+        code, out, _ = run(capsys, "slope", "figure8", "--M",
+                           f"{M.real!r},{M.imag!r}")
+        results = Route1Plan(pres).evaluate(riley_family(pres, M))
+        assert [complex(*r["L"]) for r in records(out)] == \
+            [res.L for res in results]
+        assert all(res.M == pytest.approx(M, rel=1e-12) for res in results)
 
 
 def test_slope_complex_meridian_forms_agree(capsys):
@@ -183,6 +211,38 @@ def test_verify_accepts_apoly_from_file(tmp_path, capsys):
                        "--apoly", f"@{path}")
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("name", ["trefoil", "figure8", "b7_3", "b9_5"])
+@pytest.mark.parametrize("arc", ["0.6,0.9,0.1,1.0", "1,1,-1.0,-0.1"],
+                         ids=["inside", "unit-circle-below"])
+def test_verify_passes_where_route1_reads_L_on_1_over_M(name, arc, tmp_path,
+                                                         capsys):
+    if name.startswith("b"):
+        p, q = map(int, name[1:].split("_"))
+        path = tmp_path / f"{name}.txt"
+        path.write_text(two_bridge_text(p, q), encoding="utf-8")
+        name = str(path)
+    code, out, _ = run(capsys, "verify", name, "--arc", arc)
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "PASS")
+    assert report["max_relative_deviation"] < 1e-10
+    assert report["max_apoly_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("apoly", [
+    "1" + "0" * 400 + "*L + 1",  # a coefficient beyond float range
+    "L*M^6 + 1 + M^100000000000000000000",  # a power beyond float range
+], ids=["coefficient", "exponent"])
+def test_verify_apoly_overflow_fails_the_sample(apoly, capsys):
+    code, out, err = run(capsys, "verify", "trefoil", "--samples", "2",
+                         "--apoly", apoly)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert all("overflows floating point" in s["error"]
+               for s in report["samples"])
+    assert err == "verify: FAIL\n"
 
 
 def test_verify_long_products_are_not_revalidated(tmp_path, capsys):
@@ -479,6 +539,22 @@ def test_bad_input_exits_2_with_a_message(argv, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "{file}"],
+    ["apoly", "{file}"],
+    ["presentation", "check", "{file}"],
+    ["verify", "trefoil", "--apoly", "@{file}"],
+], ids=["scan", "apoly", "presentation-check", "verify-apoly"])
+def test_non_utf8_file_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"gens: a b ;\n\xff\n")
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "not UTF-8" in err
 
 
 def test_missing_apoly_file(capsys):
