@@ -52,7 +52,7 @@ letter as a column operation, a slice shift and an add.  A coefficient at
 most doubles per letter, so it is at most ``2^n`` after ``n`` letters and
 the difference of two relator sides at most ``2^(n+1)``: the array is
 ``int64`` up to 61 letters and Python ints beyond.  Both routes share
-``riley_polynomial``: ``representations.riley_family`` roots the same
+``riley_polynomial``: ``representations.riley_stack`` roots the same
 ``phi`` with its coefficients evaluated at each meridian eigenvalue.
 """
 
@@ -325,8 +325,7 @@ class BiLaurent:
         """Sum of |coefficient| * |L|^i * |M|^j — a conditioning scale."""
         out = 0.0
         for (i, j), c in self.terms.items():
-            out += abs(float(c.numerator) / float(c.denominator)) \
-                * (absL ** i) * (absM ** j)
+            out += abs(float(c)) * (absL ** i) * (absM ** j)
         return out
 
 
@@ -734,12 +733,12 @@ def tpoly_prem(P: TPoly, Q: TPoly) -> TPoly:
     d = P.degree - Q.degree
     if d < 0:
         raise ApolyError("pseudo-remainder requires deg P >= deg Q")
-    lcq = Q.leading
-    R = P.scale(lcq ** (d + 1))
+    # a factor lc(Q) per step and the rest at the end keeps R small
+    R, lcq, e = P, Q.leading, d + 1
     while not R.is_zero and R.degree >= Q.degree:
-        q = R.leading.exact_div(lcq)
-        R = R - Q.shift_t(R.degree - Q.degree).scale(q)
-    return R
+        R = R.scale(lcq) - Q.shift_t(R.degree - Q.degree).scale(R.leading)
+        e -= 1
+    return R.scale(lcq ** e) if e else R
 
 
 def tpoly_gcd(A: TPoly, B: TPoly) -> TPoly:

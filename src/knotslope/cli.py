@@ -18,6 +18,10 @@ codes: 0 success / verification PASS, 1 verification FAIL, 2 bad usage,
 unreadable input (a missing file, or one that is not UTF-8), or
 computation errors.  A record's ``L`` is the longitude eigenvalue paired
 with its own sampled ``M``.
+
+Route 1 runs on one ``Route1Plan`` per command, given route 2's Riley
+polynomial where the command has computed it, ``CHUNK_SAMPLES`` meridians
+per stacked pass; no ``Representation`` is built.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from . import data as data_mod
 from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     format_bilaurent, bilaurent_to_json, ideal_point_slopes,
                     ideal_report_to_json, log_gauss, newton_polygon,
-                    parse_bilaurent, polygon_to_json, riley_polynomial)
+                    parse_bilaurent, polygon_to_json)
 from .presentation import (KnotPresentation, PresentationError,
                            format_presentation, parse_presentation)
-from .representations import NonFiniteError, RepresentationError, riley_family
+from .representations import NonFiniteError, RepresentationError
 from .slope import Route1Plan, SlopeError
 
 
@@ -93,12 +97,16 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
     return parse_presentation(_read_text(path))
 
 
-def _check_presentation_file(name_or_path: str, pres: KnotPresentation,
-                             phi) -> None:
-    """``data.check_presentation`` on a presentation read from a file
-    (bundled ones are checked when loaded), reusing the command's ``phi``."""
+def _check_presentation_file(name_or_path: str, plan: Route1Plan) -> None:
+    """``data.check_presentation`` with the command's plan, on a file in
+    Riley form: bundled presentations are checked when loaded, and outside
+    Riley form route 1 reports the error at every sample."""
+    try:
+        plan.riley
+    except RepresentationError:
+        return
     if data_mod.resolve_builtin(name_or_path) is None:
-        data_mod.check_presentation(pres, name_or_path, phi=phi)
+        data_mod.check_presentation(plan, name_or_path)
 
 
 def _check_tol(tol: float) -> None:
@@ -121,12 +129,14 @@ def _parse_arc(text: str) -> tuple[float, float, float, float]:
     return r0, r1, t0, t1
 
 
-def _sample_meridians(n: int, seed: int,
-                      arc: tuple[float, float, float, float]) -> list[complex]:
-    r0, r1, t0, t1 = arc
-    rng = Random(seed)
+def _sample_meridians(args) -> list[complex]:
+    """The ``--samples`` meridians of ``scan`` and ``verify``."""
+    if args.samples < 1:
+        raise CLIError("--samples must be at least 1")
+    r0, r1, t0, t1 = _parse_arc(args.arc)
+    rng = Random(args.seed)
     return [rng.uniform(r0, r1) * cmath.exp(1j * rng.uniform(t0, t1))
-            for _ in range(n)]
+            for _ in range(args.samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +146,13 @@ def _base_record(M: complex) -> dict:
     return {"M": _pair(M), "x": _pair(M + 1.0 / M)}
 
 
-def _error_record(M: complex, exc: Exception) -> dict:
-    return dict(_base_record(M), t=None, root_index=None, L=None, slope=None,
-                verdict="error", residuals={}, error=str(exc))
-
-
-def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float,
-                    phi=None):
-    """Per meridian, ``(M, [(rep, result), ...])``, or ``(M, error)`` when
-    ``riley_family`` raises there; route 1 runs on ``CHUNK_SAMPLES``
-    meridians' branches at a time."""
+def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float):
+    """Per meridian, ``(M, [(t, result), ...])`` or ``(M, error)``
+    (``Route1Plan.evaluate_meridians``), ``CHUNK_SAMPLES`` meridians at a
+    time."""
     for start in range(0, len(meridians), CHUNK_SAMPLES):
         chunk = meridians[start:start + CHUNK_SAMPLES]
-        families = []
-        for M in chunk:
-            try:
-                families.append(riley_family(
-                    plan.words.presentation, M, tol=tol, phi=phi,
-                    generators=plan.riley_generators))
-            except RepresentationError as exc:
-                families.append(exc)
-        results = iter(plan.evaluate(
-            [rep for fam in families if isinstance(fam, list) for rep in fam],
-            tol))
-        for M, fam in zip(chunk, families):
-            yield M, (fam if isinstance(fam, Exception)
-                      else [(rep, next(results)) for rep in fam])
+        yield from zip(chunk, plan.evaluate_meridians(chunk, tol))
 
 
 def _paired_L(M: complex, res) -> complex | None:
@@ -176,11 +167,13 @@ def _paired_L(M: complex, res) -> complex | None:
 
 def _records(M: complex, family) -> list[dict]:
     if isinstance(family, Exception):
-        return [_error_record(M, family)]
+        return [dict(_base_record(M), t=None, root_index=None, L=None,
+                     slope=None, verdict="error", residuals={},
+                     error=str(family))]
     records = []
-    for k, (rep, res) in enumerate(family):
+    for k, (t, res) in enumerate(family):
         L = _paired_L(M, res)
-        rec = dict(_base_record(M), t=_pair(rep.riley_t), root_index=k,
+        rec = dict(_base_record(M), t=_pair(t), root_index=k,
                    L=None if L is None else _pair(L), slope=None,
                    verdict=res.verdict, residuals={},
                    error=None if res.error is None else str(res.error))
@@ -207,28 +200,15 @@ def _records_to_csv(records: list[dict]) -> str:
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
     for r in records:
-        slope = r.get("slope")
-        if slope == "inf":
-            s_re, s_im, s_inf = "", "", 1
-        elif slope is None:
-            s_re, s_im, s_inf = "", "", ""
-        else:
-            s_re, s_im, s_inf = slope[0], slope[1], 0
-        res = r.get("residuals", {})
-        row = [
-            *(r["M"] if r.get("M") else ["", ""]),
-            *(r["x"] if r.get("x") else ["", ""]),
-            *(r["t"] if r.get("t") else ["", ""]),
-            r.get("root_index", ""),
-            *(r["L"] if r.get("L") else ["", ""]),
-            s_re, s_im, s_inf,
-            r.get("verdict", ""),
-            res.get("relator", ""),
-            res.get("commutation", ""),
-            res.get("peripheral_fit", ""),
-            r.get("error") or "",
-        ]
-        writer.writerow(row)
+        slope, res = r["slope"], r["residuals"]
+        writer.writerow([
+            *r["M"], *r["x"], *(r["t"] or ["", ""]), r["root_index"],
+            *(r["L"] or ["", ""]),
+            *(["", "", 1] if slope == "inf" else ["", "", ""] if slope is None
+              else [*slope, 0]),
+            r["verdict"], *(res.get(key, "") for key in
+                            ("relator", "commutation", "peripheral_fit")),
+            r["error"]])
     return buf.getvalue()
 
 
@@ -248,35 +228,24 @@ def _cmd_slope(args) -> int:
     M = _parse_complex(args.M)
     if M == 0:
         raise CLIError("meridian eigenvalue must be nonzero")
-    ((_, family),) = _route1_samples(Route1Plan(pres), [M], args.tol)
+    (family,) = Route1Plan(pres).evaluate_meridians([M], args.tol)
     # no record can be computed where the words overflow: at the one
     # meridian asked for, that is an error
-    if isinstance(family, NonFiniteError):
-        raise family
-    if isinstance(family, list):
-        for _, res in family:
-            if not res.finite:
-                raise res.error
+    for exc in ([family] if isinstance(family, Exception)
+                else [res.error for _, res in family if not res.finite]):
+        if isinstance(exc, NonFiniteError):
+            raise exc
     _emit_records(_records(M, family), args.format)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    if args.samples < 1:
-        raise CLIError("--samples must be at least 1")
+    meridians = _sample_meridians(args)
     _check_tol(args.tol)
-    pres = _load_presentation(args.pres)
-    arc = _parse_arc(args.arc)
-    meridians = _sample_meridians(args.samples, args.seed, arc)
-    try:
-        phi = riley_polynomial(pres, allow_constant=True)
-    except ApolyError as exc:  # riley_family would raise this at every M
-        records = [_error_record(M, exc) for M in meridians]
-    else:
-        _check_presentation_file(args.pres, pres, phi)
-        records = [rec for M, family in _route1_samples(
-                       Route1Plan(pres), meridians, args.tol, phi)
-                   for rec in _records(M, family)]
+    plan = Route1Plan(_load_presentation(args.pres))
+    _check_presentation_file(args.pres, plan)
+    records = [rec for M, family in _route1_samples(plan, meridians, args.tol)
+               for rec in _records(M, family)]
     _emit_records(records, args.format)
     return 0
 
@@ -285,7 +254,8 @@ def _cmd_apoly(args) -> int:
     pres = _load_presentation(args.pres)
     result = compute_apoly_twobridge_detailed(
         pres, with_reducible=args.with_reducible)
-    _check_presentation_file(args.pres, pres, result.riley_polynomial)
+    _check_presentation_file(args.pres,
+                             Route1Plan(pres, result.riley_polynomial))
     polygon = newton_polygon(result.apoly)
     report = ideal_point_slopes(polygon)
     payload = {
@@ -310,39 +280,32 @@ def _read_apoly_arg(text: str):
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise CLIError("--samples must be at least 1")
+    meridians = _sample_meridians(args)
     _check_tol(args.tol)
     pres = _load_presentation(args.pres)
     if args.apoly is not None:
         A = _read_apoly_arg(args.apoly).canonical()
         if A.is_zero or A.degree_in("L") == 0:
             raise ApolyError("supplied A-polynomial has no L-dependence")
-        phi = riley_polynomial(pres, allow_constant=True)
-        apoly_source = "supplied"
+        plan = Route1Plan(pres)
     else:
         result = compute_apoly_twobridge_detailed(pres)
-        A, phi = result.apoly, result.riley_polynomial
-        apoly_source = "computed"
-    _check_presentation_file(args.pres, pres, phi)
-    arc = _parse_arc(args.arc)
-    meridians = _sample_meridians(args.samples, args.seed, arc)
+        A, plan = result.apoly, Route1Plan(pres, result.riley_polynomial)
+    _check_presentation_file(args.pres, plan)
 
     def check(M: complex, family) -> list[dict]:
         if isinstance(family, Exception):
             raise family
         out = []
-        for k, (rep, res) in enumerate(family):
-            entry = {"M": _pair(M), "root_index": k, "t": _pair(rep.riley_t),
+        for k, (t, res) in enumerate(family):
+            entry = {"M": _pair(M), "root_index": k, "t": _pair(t),
                      "ok": False, "error": None, "slope": None,
                      "log_gauss": None, "apoly_residual": None,
                      "relative_deviation": None}
             out.append(entry)
-            if res.parabolic:
-                entry["error"] = "parabolic sample; no pairing slope"
-                continue
-            if res.error is not None:
-                entry["error"] = str(res.error)
+            if res.parabolic or res.error is not None:
+                entry["error"] = ("parabolic sample; no pairing slope"
+                                  if res.parabolic else str(res.error))
                 continue
             sv, L = res.slope, _paired_L(M, res)
             try:
@@ -365,19 +328,17 @@ def _cmd_verify(args) -> int:
                                   "floating point at this sample")
         return out
 
-    samples = [s for M, family in _route1_samples(
-                   Route1Plan(pres), meridians, 1e-8, phi)
+    samples = [s for M, family in _route1_samples(plan, meridians, 1e-8)
                for s in check(M, family)]
     comparable = [s for s in samples if s["relative_deviation"] is not None]
     max_dev = max((s["relative_deviation"] for s in comparable), default=None)
     max_resid = max((s["apoly_residual"] for s in samples
                      if s["apoly_residual"] is not None), default=None)
-    passed = bool(comparable) and all(s["ok"] for s in samples
-                                      if s["error"] is None) \
-        and all(s["error"] is None for s in samples)
+    # a sample is ok only without an error
+    passed = bool(comparable) and all(s["ok"] for s in samples)
     report = {
         "apoly": format_bilaurent(A),
-        "apoly_source": apoly_source,
+        "apoly_source": "computed" if args.apoly is None else "supplied",
         "sample_count": len(samples),
         "comparable_count": len(comparable),
         "max_relative_deviation": max_dev,
@@ -397,7 +358,7 @@ def _cmd_presentation_check(args) -> int:
         raise CLIError(f"file {str(path)!r} not found")
     pres = parse_presentation(_read_text(path))
     weights = pres.validate()
-    data_mod.check_presentation(pres, str(path))
+    data_mod.check_presentation(Route1Plan(pres), str(path))
     payload = {
         "ok": True,
         "generators": list(pres.generators),
@@ -426,6 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
 
+    def add_sampling(p, samples: int):
+        p.add_argument("--samples", type=int, default=samples,
+                       help=f"number of meridian samples (default {samples})")
+        p.add_argument("--seed", type=int, default=0,
+                       help="sampling seed (default 0)")
+        p.add_argument("--arc", default="1.1,2.0,0.1,1.0",
+                       help="sampling region r0,r1,theta0,theta1 for "
+                            "M = r*exp(i*theta) (default 1.1,2.0,0.1,1.0)")
+
     p_slope = sub.add_parser("slope", help="slope of each Riley branch at one M")
     add_common(p_slope)
     p_slope.add_argument("--M", required=True,
@@ -434,13 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="slopes over a sampled arc of M values")
     add_common(p_scan)
-    p_scan.add_argument("--samples", type=int, default=25,
-                        help="number of meridian samples (default 25)")
-    p_scan.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (default 0)")
-    p_scan.add_argument("--arc", default="1.1,2.0,0.1,1.0",
-                        help="sampling region r0,r1,theta0,theta1 for "
-                             "M = r*exp(i*theta) (default 1.1,2.0,0.1,1.0)")
+    add_sampling(p_scan, 25)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_apoly = sub.add_parser("apoly",
@@ -454,13 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-validate pairing slopes against the log-Gauss "
                        "map of the A-polynomial")
     p_verify.add_argument("pres", help="bundled presentation name or file path")
-    p_verify.add_argument("--samples", type=int, default=20,
-                          help="number of meridian samples (default 20)")
-    p_verify.add_argument("--seed", type=int, default=0,
-                          help="sampling seed (default 0)")
-    p_verify.add_argument("--arc", default="1.1,2.0,0.1,1.0",
-                          help="sampling region r0,r1,theta0,theta1 "
-                               "(default 1.1,2.0,0.1,1.0)")
+    add_sampling(p_verify, 20)
     p_verify.add_argument("--tol", type=float, default=1e-6,
                           help="acceptance tolerance for relative deviation "
                                "and on-curve residual (default 1e-6)")
@@ -481,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CLIError, PresentationError, RepresentationError, SlopeError,

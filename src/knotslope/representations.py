@@ -1,12 +1,14 @@
 """SL(2, C) representations of presented knot groups.
 
-The central constructor is ``riley_family``: for a 2-generator presentation
-whose generators are conjugate meridians it sends the meridian generator to
-``[[M, 1], [0, 1/M]]`` and the other generator to ``[[M, 0], [t, 1/M]]``,
-and returns one representation per root ``t`` of the exact Riley
-polynomial ``phi(t, M)`` of ``apoly.riley_polynomial``, evaluated at ``M``.
-``Representation.relator_residual`` evaluates the relators numerically and
-is the check on those roots that does not go through ``phi``.
+Riley representations of a 2-generator presentation whose generators are
+conjugate meridians send the meridian generator to ``[[M, 1], [0, 1/M]]``
+and the other generator to ``[[M, 0], [t, 1/M]]``, ``t`` a root of the
+exact Riley polynomial ``phi(t, M)`` of ``apoly.riley_polynomial``.
+``riley_stack`` finds them for a chunk of meridians ``M`` in one stacked
+pass, as generator-image stacks; ``riley_family`` is its one-meridian view,
+one ``Representation`` per root.  ``Representation.relator_residual``
+evaluates the relators numerically and is the check on those roots that
+does not go through ``phi``.
 
 Words are evaluated on stacks: ``WordPlan`` compiles a presentation's
 words to generator-index and sign arrays once, and ``prefix_images``
@@ -32,6 +34,7 @@ both peripheral images, is ``coords(m - tr(m)/2 I)`` for a non-central
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -216,90 +219,123 @@ def _runs(items: list, close: Callable) -> list[list]:
     return runs
 
 
-def riley_generators(pres: KnotPresentation) -> tuple[str, str]:
-    """The (meridian generator, partner generator) pair of a presentation
-    in Riley form; ``RepresentationError`` otherwise."""
-    try:
-        return _riley_generators(pres)
-    except ApolyError as exc:
-        raise RepresentationError(str(exc)) from exc
-
-
 #: the commutator [g, h] = g h g^-1 h^-1 of the two Riley generators
 _COMMUTATOR = Letters(np.array([0, 1, 0, 1], dtype=np.intp),
                       np.array([1, 1, -1, -1], dtype=np.int8))
 
 
-def riley_family(pres: KnotPresentation, M: complex, tol: float = 1e-8, *,
-                 phi: TPoly | None = None,
-                 generators: tuple[str, str] | None = None
-                 ) -> list[Representation]:
-    """All Riley representations at meridian eigenvalue ``M``.
-
-    The roots ``t`` are those of the exact Riley polynomial ``phi`` (from
-    ``apoly.riley_polynomial``; computed here when not given): its
-    coefficients are evaluated at ``M``, rooted numerically and each root
-    is Newton-refined twice.  ``phi`` is the primitive gcd of the relator
-    entry polynomials, so every root satisfies all of them; a constant
-    ``phi`` (no Riley locus) gives no representations.  Roots closer than
-    ``1e-6 * max(1, |t|)`` are merged.  Returns one representation per
-    root, with ``riley_t`` and ``reducible`` (commutator trace within
-    ``tol`` of 2) set, sorted by ``re t`` with real parts within that
-    tolerance ordered by ``im t``.  ``generators`` is the pair that
-    ``riley_generators`` returns, computed here when not given.  Raises
-    ``NonFiniteError`` when ``phi`` or the commutators overflow at ``M``.
-    """
-    M = complex(M)
-    if M == 0:
-        raise RepresentationError("meridian eigenvalue must be nonzero")
-    mgen, other = generators or riley_generators(pres)
-    try:
-        if phi is None:
-            phi = riley_polynomial(pres, allow_constant=True)
-    except ApolyError as exc:
-        raise RepresentationError(str(exc)) from exc
-    overflow = NonFiniteError(f"values overflow floating point at M = {M}")
-    Mi = 1.0 / M
-    try:
-        coeffs = np.array([c.evaluate(1.0, M) for c in phi.coeffs],
-                          dtype=complex)
-    except (OverflowError, ZeroDivisionError):  # |M| far from 1
-        raise overflow from None
-    if not np.isfinite(coeffs).all():
-        raise overflow
-    with np.errstate(all="ignore"):
-        roots = npp.polyroots(coeffs)
-        deriv = npp.polyder(coeffs)
-        for _ in range(2):
-            d = npp.polyval(roots, deriv)
-            # no step where the derivative vanishes (a double root)
-            roots = roots - np.divide(npp.polyval(roots, coeffs), d,
-                                      out=np.zeros_like(roots), where=d != 0)
-    if not np.isfinite(roots).all():
-        raise overflow
-
+def _merged_roots(roots: np.ndarray) -> list[complex]:
+    """One meridian's roots sorted by ``re t``, a run of real parts within
+    ``1e-6 * max(1, |t|)`` of each other ordered by ``im t``, and roots
+    that close merged into their mean."""
     near = lambda z: 1e-6 * max(1.0, abs(z))
     kept = sorted((complex(t) for t in roots), key=lambda z: z.real)
     # real parts equal up to rounding must not decide the order: sort each
     # run of close real parts by imaginary part instead
     kept = [z for run in _runs(kept, lambda u, z: z.real - u.real <= near(z))
             for z in sorted(run, key=lambda z: z.imag)]
-    ts = [complex(np.mean(cluster))
-          for cluster in _runs(kept, lambda u, z: abs(z - u) <= near(z))]
+    return [c[0] if len(c) == 1 else complex(np.mean(c))
+            for c in _runs(kept, lambda u, z: abs(z - u) <= near(z))]
 
-    # images of (mgen, other) for every root, and their commutators
-    images = np.zeros((len(ts), 2, 2, 2), dtype=complex)
-    images[:, :, 0, 0] = M
-    images[:, :, 1, 1] = Mi
-    images[:, 0, 0, 1] = 1.0
-    images[:, 1, 1, 0] = ts
-    comm = prefix_images(images, _COMMUTATOR)[:, -1]
-    if not np.isfinite(comm).all():
-        raise overflow
-    tr = comm[:, 0, 0] + comm[:, 1, 1]
-    reducible = np.abs(tr - 2.0) <= tol * (1.0 + _max_abs(comm))
-    return [Representation(pres, {mgen: img[0], other: img[1]},
-                           riley_t=t0, reducible=bool(red))
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """The roots ``(S, n)`` of ``S`` polynomials of degree ``n``, ascending
+    coefficients ``c`` ``(n + 1, S)``, as ``npp.polyroots`` takes them: the
+    sorted eigenvalues of their companion matrices; then two Newton steps,
+    none where the derivative vanishes (a double root)."""
+    n, S = len(c) - 1, c.shape[1]
+    if n < 1:
+        return np.zeros((S, 0), dtype=complex)
+    comp = np.zeros((S, n, n), dtype=complex)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, :, -1] -= (c[:-1] / c[-1]).T
+    roots = np.sort(np.linalg.eigvals(comp), axis=1)
+    c, deriv = c[:, :, None], npp.polyder(c)[:, :, None]
+    for _ in range(2):
+        d = npp.polyval(roots, deriv, tensor=False)
+        roots = roots - np.divide(npp.polyval(roots, c, tensor=False), d,
+                                  out=np.zeros_like(roots), where=d != 0)
+    return roots
+
+
+def _power(z: complex, j: int) -> complex:
+    """``z ** j`` as Python computes it; NaN where that overflows."""
+    try:
+        return z ** j
+    except (OverflowError, ZeroDivisionError):  # |z| far from 1
+        return complex(math.nan, math.nan)
+
+
+def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
+                ) -> tuple[list, np.ndarray, np.ndarray]:
+    """The Riley representations at every meridian eigenvalue, one stacked
+    pass over the roots ``t`` of ``phi(t, M)``.  ``phi``, the primitive gcd
+    of the relator entry polynomials, is evaluated at every ``M`` as
+    ``BiLaurent.evaluate`` does, rooted by ``_roots`` and ordered and
+    merged by ``_merged_roots``; a constant ``phi`` (no Riley locus) gives
+    no roots.  Returns ``t``, per meridian its roots or its error: ``M =
+    0``, or a ``NonFiniteError`` where ``phi``, its roots or the
+    commutators overflow.  Then, over the roots of the meridians without
+    one, in order, the images ``(K, 2, 2, 2)`` of the (meridian generator,
+    partner) pair, and whether each commutator trace is within ``tol`` of
+    2.  No meridian's values or error depend on the others."""
+    Ms = [complex(M) for M in meridians]
+    overflow = "values overflow floating point at M = {}".format
+    # a meridian's error, until its roots are found
+    t: list = [NonFiniteError(overflow(M)) if M else RepresentationError(
+        "meridian eigenvalue must be nonzero") for M in Ms]
+    coeffs = np.zeros((phi.degree + 1, len(Ms)), dtype=complex)
+    with np.errstate(all="ignore"):
+        power = {j: np.array([_power(M, j) for M in Ms])
+                 for j in {j for c in phi.coeffs for _, j in c.terms}}
+        try:
+            # (a + 0i)(x + iy) rounds to (ax, ay) with or without fused
+            # multiply-adds: the same bits as evaluate's Python arithmetic
+            for k, c in enumerate(phi.coeffs):
+                for (_, j), a in c.terms.items():
+                    coeffs[k] += float(a) * power[j]
+        except OverflowError:  # a coefficient beyond floating point
+            coeffs[:] = np.nan
+        ok = np.isfinite(coeffs).all(axis=0) & np.array([M != 0 for M in Ms])
+        # trailing zeros are no degree: roots are taken per degree
+        degree = np.array([max(np.flatnonzero(c), default=0) for c in coeffs.T])
+        for n in set(degree[ok].tolist()):
+            rows = np.flatnonzero(ok & (degree == n))
+            for i, roots in zip(rows, _roots(coeffs[:n + 1, rows])):
+                if np.isfinite(roots).all():
+                    t[i] = _merged_roots(roots)
+        found = [ts if isinstance(ts, list) else [] for ts in t]
+        owner = np.repeat(np.arange(len(Ms)), list(map(len, found)))
+        images = np.zeros((len(owner), 2, 2, 2), dtype=complex)
+        images[:, :, 0, 0] = np.array([Ms[i] for i in owner])[:, None]
+        images[:, :, 1, 1] = np.array([1.0 / Ms[i] for i in owner])[:, None]
+        images[:, 0, 0, 1] = 1.0
+        images[:, 1, 1, 0] = [z for ts in found for z in ts]
+        comm = prefix_images(images, _COMMUTATOR)[:, -1]
+        tr = comm[:, 0, 0] + comm[:, 1, 1]
+        reducible = np.abs(tr - 2.0) <= tol * (1.0 + _max_abs(comm))
+    for i in owner[~np.isfinite(comm).all(axis=(1, 2))]:
+        t[i] = NonFiniteError(overflow(Ms[i]))
+    keep = np.array([isinstance(t[i], list) for i in owner], dtype=bool)
+    return t, images[keep], reducible[keep]
+
+
+def riley_family(pres: KnotPresentation, M: complex,
+                 tol: float = 1e-8) -> list[Representation]:
+    """All Riley representations at meridian eigenvalue ``M``, with
+    ``riley_t`` and ``reducible`` set: ``riley_stack`` at one meridian,
+    with ``phi`` computed here.  Raises the meridian's error, or a
+    ``RepresentationError`` for a presentation outside Riley form."""
+    try:
+        generators = _riley_generators(pres)
+        phi = riley_polynomial(pres, allow_constant=True, generators=generators)
+    except ApolyError as exc:
+        raise RepresentationError(str(exc)) from exc
+    (ts,), images, reducible = riley_stack(phi, [M], tol)
+    if isinstance(ts, RepresentationError):
+        raise ts
+    return [Representation(pres, dict(zip(generators, img)), riley_t=t0,
+                           reducible=bool(red))
             for t0, img, red in zip(ts, images, reducible)]
 
 
@@ -623,12 +659,8 @@ def reducibility_defect(rep: Representation) -> float:
     return worst
 
 
-_HERMITIAN_BASIS = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-)
+_HERMITIAN_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                             [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
 
 
 def is_unitarizable(rep: Representation, tol: float = 1e-8) -> bool:
@@ -638,16 +670,13 @@ def is_unitarizable(rep: Representation, tol: float = 1e-8) -> bool:
     generators and reports whether a positive- (or negative-) definite
     solution exists.
     """
-    # real-linear constraint matrix, columns indexed by the Hermitian basis
-    cols = []
-    for B in _HERMITIAN_BASIS:
-        col: list[float] = []
-        for g in rep.presentation.generators:
-            A = rep.images[g]
-            R = A.conj().T @ B @ A - B
-            col.extend([R[0, 0].real, R[1, 1].real, R[0, 1].real, R[0, 1].imag])
-        cols.append(col)
-    mat = np.array(cols).T
+    # real-linear constraint matrix, columns indexed by the Hermitian basis:
+    # R[b, g] = rho(g)^H B_b rho(g) - B_b
+    A = np.array([rep.images[g] for g in rep.presentation.generators])
+    B = _HERMITIAN_BASIS[:, None]
+    R = A.conj().transpose(0, 2, 1) @ B @ A - B
+    mat = np.stack([R[..., 0, 0].real, R[..., 1, 1].real, R[..., 0, 1].real,
+                    R[..., 0, 1].imag], axis=-1).reshape(len(B), -1).T
     ns = nullspace(mat, tol)
     for q in ns:
         Q = sum(float(c.real) * B for c, B in zip(q, _HERMITIAN_BASIS))

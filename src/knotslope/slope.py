@@ -28,9 +28,13 @@ nonzero singular value, and on long words those span ten orders of
 magnitude: correct slices reach gaps of 5e-6, a change of rank gives ~1.
 
 ``Route1Plan`` compiles what depends only on the presentation once: its
-words as generator-index and sign arrays, and the augmented relators
-with their Fox coefficients (``augment``).  ``Route1Plan.evaluate`` runs
-route 1 on ``N`` representations together, as ``(N, ...)`` stacks.  The
+words as generator-index and sign arrays, the augmented relators with
+their Fox coefficients (``augment``), the Riley generators and the Riley
+polynomial ``phi``.  ``Route1Plan.evaluate_meridians`` runs route 1 from
+meridian eigenvalues: ``riley_stack`` roots ``phi`` for all of them at
+once, and its generator-image stack goes straight into
+``Route1Plan.evaluate``, which runs route 1 on ``N`` representations
+together, as ``(N, ...)`` stacks.  The
 meridian and longitude images feed ``peripheral_stack``: the
 commutation residual, the parabolic test and ``L``; the generator images are
 then conjugated into the meridian frame, where ``rho(m)`` is diagonal and
@@ -51,11 +55,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
 from .linalg import adjoint_of, sl2_coordinates, sl2_inverse, svd_stack
 from .presentation import KnotPresentation, Word
 from .representations import (Letters, NonFiniteError, Representation,
                               RepresentationError, WordPlan, peripheral_stack,
-                              prefix_images, riley_generators, word_letters)
+                              prefix_images, riley_stack, word_letters)
 
 
 class SlopeError(ValueError):
@@ -312,36 +317,62 @@ class Route1Result:
 class Route1Plan:
     """Route 1's presentation-only data, compiled once per presentation.
 
-    ``words`` holds its words as letter arrays.  ``augmented`` (the
-    augmented relators' letters and Fox coefficients) and
-    ``riley_generators`` are compiled on first use, as ``augment`` and
-    ``riley_generators`` raise for presentations that lack them.
+    ``words`` holds its words as letter arrays.  ``augmented`` and
+    ``riley`` are compiled on first use, as they raise for presentations
+    that lack them.  The only ``phi`` route 1 takes is one given here, by
+    a command that has it from route 2; otherwise ``riley`` computes it.
     """
 
-    def __init__(self, pres: KnotPresentation):
+    def __init__(self, pres: KnotPresentation, phi: TPoly | None = None):
         self.words = WordPlan.compile(pres)
+        self._phi = phi
 
     @cached_property
     def augmented(self) -> AugmentedPresentation:
         return augment(self.words.presentation)
 
     @cached_property
-    def riley_generators(self) -> tuple[str, str]:
-        return riley_generators(self.words.presentation)
+    def riley(self) -> tuple[list[int], TPoly]:
+        """Each generator's place in the Riley pair (meridian generator,
+        partner), and the Riley polynomial ``phi``; ``RepresentationError``
+        outside Riley form."""
+        pres = self.words.presentation
+        try:
+            generators = _riley_generators(pres)
+            phi = self._phi if self._phi is not None else riley_polynomial(
+                pres, allow_constant=True, generators=generators)
+        except ApolyError as exc:
+            raise RepresentationError(str(exc)) from exc
+        return [generators.index(g) for g in pres.generators], phi
 
-    def _augmented_images(self, images: np.ndarray,
-                          longitude: np.ndarray) -> np.ndarray:
-        """Images of the augmented generators: the longitude image, then
-        the generator images in ``augmented.generators`` order."""
-        gens = self.words.presentation.generators
-        order = [gens.index(g) for g in self.augmented.generators[1:]]
-        return np.concatenate([longitude[:, None], images[:, order]], axis=1)
+    def riley_images(self, meridians: Sequence[complex],
+                     tol: float = 1e-8) -> tuple[list, np.ndarray]:
+        """``riley_stack`` at the meridians, images in generator order."""
+        order, phi = self.riley
+        roots, images, _ = riley_stack(phi, meridians, tol)
+        return roots, images[:, order]
 
-    def evaluate(self, reps: Sequence[Representation],
+    def evaluate_meridians(self, meridians: Sequence[complex],
+                           tol: float = 1e-8) -> list:
+        """Route 1 on the Riley representations at every meridian, one
+        stacked pass: per meridian, ``riley_family``'s branches as ``(t,
+        Route1Result)`` pairs, or the error it raises there."""
+        try:
+            roots, images = self.riley_images(meridians, tol)
+        except RepresentationError as exc:
+            return [exc] * len(meridians)
+        results = iter(self.evaluate(images, tol))
+        return [ts if isinstance(ts, RepresentationError)
+                else [(t, next(results)) for t in ts] for ts in roots]
+
+    def evaluate(self, reps: Sequence[Representation] | np.ndarray,
                  tol: float = 1e-8) -> list[Route1Result]:
-        """Route 1 on representations of the presentation, as stacks."""
-        N = len(reps)
-        images = self.words.stack(reps)
+        """Route 1 on representations of the presentation, or on their
+        generator images stacked ``(N, #generators, 2, 2)`` in its
+        generator order, as stacks."""
+        images = (reps if isinstance(reps, np.ndarray)
+                  else self.words.stack(reps))
+        N = len(images)
         m, l = self.words.peripheral(images)
         relator = self.words.relator_residuals(images)
         per = peripheral_stack(m, l, tol)
@@ -373,8 +404,12 @@ class Route1Plan:
                     outcome[i] = ("error", exc, None)
             else:
                 framed = _framed_images(images[ready], per.frame[ready], tol)
-                stack = self._augmented_images(framed, prefix_images(
-                    framed, self.words.longitude)[:, -1])
+                # the augmented generators' images: the longitude first
+                gens = self.words.presentation.generators
+                stack = np.concatenate([
+                    prefix_images(framed, self.words.longitude)[:, -1:],
+                    framed[:, [gens.index(g) for g in aug.generators[1:]]]],
+                    axis=1)
                 # the meridian generator's image, second in the stack
                 v = sl2_coordinates(stack[:, 1])
                 for i, out in zip(ready, _slopes(aug, stack, v, tol)):

@@ -87,6 +87,12 @@ def test_bilaurent_evaluate():
     assert p.abs_evaluate(2.0, 2.0) == pytest.approx(129.0)
 
 
+def test_abs_evaluate_takes_each_coefficient_as_one_float():
+    # numerator and denominator alone are beyond floating point
+    p = BiLaurent({(1, 0): Fraction(10 ** 400 + 1, 10 ** 399), (0, 0): 1})
+    assert p.abs_evaluate(1.0, 1.0) == 11.0
+
+
 def test_canonical_normalizes_laurent_shifts_and_content():
     p = parse_bilaurent("M^-1 + L^-2")
     assert p.canonical() == parse_bilaurent("L^2 + M")
@@ -269,6 +275,18 @@ def random_tpoly(rng: Random, max_deg: int = 2) -> TPoly:
     return TPoly(coeffs + [lead])
 
 
+def assert_pseudo_remainder(P: TPoly, Q: TPoly) -> None:
+    """``prem = tpoly_prem(P, Q)`` has ``deg prem < deg Q``, and
+    ``lc(Q)^(deg P - deg Q + 1)·P - prem`` is exactly divisible by ``Q``."""
+    prem = apoly.tpoly_prem(P, Q)
+    assert prem.is_zero or prem.degree < Q.degree
+    R = P.scale(Q.leading ** (P.degree - Q.degree + 1)) - prem
+    while not R.is_zero:  # long division by Q; exact_div raises if inexact
+        assert R.degree >= Q.degree
+        q = R.leading.exact_div(Q.leading)
+        R = R - Q.shift_t(R.degree - Q.degree).scale(q)
+
+
 def test_resultant_is_multiplicative():
     rng = Random(47)
     for _ in range(30):
@@ -276,6 +294,9 @@ def test_resultant_is_multiplicative():
         Q = random_tpoly(rng)
         R = random_tpoly(rng)
         assert resultant_t(P * Q, R) == resultant_t(P, R) * resultant_t(Q, R)
+        for A, B in ((P * Q, R), (P, Q), (Q, P)):
+            if A.degree >= B.degree:
+                assert_pseudo_remainder(A, B)
 
 
 def random_elimination_pair(rng: Random, n: int, m: int) -> tuple[TPoly, TPoly]:
@@ -395,6 +416,8 @@ def assert_in_exponent_range(phi: TPoly, lam: TPoly, resultant: BiLaurent):
     """The M-exponent range read off ``phi``'s Newton polygon holds every
     M-exponent of ``resultant``."""
     r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
+    if lam.degree >= phi.degree:
+        assert_pseudo_remainder(lam, phi)
     lo, hi = apoly._exponent_range(phi, r)
     js = [j for _, j in resultant.terms]
     assert lo <= min(js) and max(js) <= hi

@@ -10,7 +10,8 @@ import pytest
 
 from knotslope.cli import main
 from knotslope.data import load_builtin
-from knotslope.representations import riley_family
+from knotslope.representations import (Representation, RepresentationError,
+                                       riley_family)
 from knotslope.slope import Route1Plan
 
 from helpers import two_bridge_file, two_bridge_text
@@ -245,6 +246,19 @@ def test_verify_apoly_overflow_fails_the_sample(apoly, capsys):
     assert err == "verify: FAIL\n"
 
 
+def test_verify_fails_at_a_parabolic_meridian(capsys):
+    # route 1 gives a cusp modulus, not a pairing slope, on the parabolic
+    # locus, so there is nothing to compare with the log-Gauss map
+    code, out, _ = run(capsys, "verify", "figure8", "--samples", "1",
+                       "--arc", "1,1,0,0")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    assert report["samples"]
+    assert all(s["error"] == "parabolic sample; no pairing slope"
+               for s in report["samples"])
+
+
 def test_verify_long_products_are_not_revalidated(tmp_path, capsys):
     # on one branch here the long prefix products drift from det = 1 by
     # 1.2e-9 of their squared scale; they are products of validated
@@ -296,8 +310,8 @@ def test_verify_passes_on_the_two_bridge_family(p, q, seed, tmp_path, capsys):
 def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
                                                       tmp_path):
     import knotslope.apoly as apoly_mod
-    import knotslope.cli as cli_mod
     import knotslope.representations as reps_mod
+    import knotslope.slope as slope_mod
 
     calls = []
     original = apoly_mod.riley_polynomial
@@ -310,7 +324,7 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
     # load in the process only: load both before counting
     for name in ("trefoil", "figure8"):
         load_builtin(name)
-    for mod in (apoly_mod, cli_mod, reps_mod):
+    for mod in (apoly_mod, reps_mod, slope_mod):
         monkeypatch.setattr(mod, "riley_polynomial", counted)
     # a file-loaded presentation is checked with the command's phi too
     path = two_bridge_file(tmp_path, "b9_7")
@@ -329,7 +343,6 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
 
 
 def test_route1_is_planned_once_per_command(monkeypatch, capsys):
-    import knotslope.representations as reps_mod
     import knotslope.slope as slope_mod
 
     calls: dict[str, int] = {}
@@ -346,7 +359,7 @@ def test_route1_is_planned_once_per_command(monkeypatch, capsys):
     # route 1's own calls; route 2 derives the Riley generators separately
     count(slope_mod, "augment")
     count(slope_mod, "_fox_coefficients")
-    count(reps_mod, "_riley_generators")
+    count(slope_mod, "_riley_generators")
     for argv in (["scan", "figure8", "--samples", "40"],
                  ["verify", "figure8", "--samples", "40"]):
         calls.clear()
@@ -429,6 +442,82 @@ def test_scan_chunks_give_the_same_records(monkeypatch, tmp_path, capsys):
         for key in ("M", "t", "root_index", "verdict", "error"):
             assert x[key] == y[key], key
         assert _agree(x["L"], y["L"]) and _agree(x["slope"], y["slope"])
+
+
+#: one chunk of figure8 meridians: the parabolic M = 1 and M = -1, 1e80
+#: (the peripheral images overflow) and 1e200 (phi's coefficients do),
+#: 0.9+0.3j inside the unit circle, the golden ratio (a merged double
+#: root) and ordinary meridians
+MIXED_CHUNK = [1.3 + 0.2j, 1.0, 1e80, -1.0, 0.9 + 0.3j,
+               (1.0 + 5.0 ** 0.5) / 2.0, 1e200, 1.7 - 0.4j]
+
+
+def test_a_mixed_chunk_gives_every_meridian_its_own_records(monkeypatch,
+                                                            capsys):
+    import knotslope.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_sample_meridians",
+                        lambda args: MIXED_CHUNK[:args.samples])
+    argv = ("scan", "figure8", "--samples", str(len(MIXED_CHUNK)))
+    _, whole, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli_mod, "CHUNK_SAMPLES", 1)
+    _, alone, _ = run(capsys, *argv)
+    # no meridian's values or errors depend on its neighbours
+    assert whole == alone
+    recs = records(whole)
+    pres = load_builtin("figure8")
+    for M in MIXED_CHUNK:
+        mine = [r for r in recs if complex(*r["M"]) == M]
+        try:
+            family = riley_family(pres, M)
+        except RepresentationError as exc:
+            assert [(r["verdict"], r["error"]) for r in mine] == \
+                [("error", str(exc))]
+            continue
+        assert [complex(*r["t"]) for r in mine] == \
+            [rep.riley_t for rep in family]
+    verdicts = [r["verdict"] for r in recs]
+    assert verdicts == ["admissible"] * 2 + ["parabolic"] * 2 + \
+        ["error"] * 2 + ["parabolic"] * 2 + ["admissible"] * 2 + \
+        ["degenerate", "error"] + ["admissible"] * 2
+    assert "overflow" in recs[-3]["error"]
+
+
+def test_file_commands_construct_no_representation(monkeypatch, tmp_path,
+                                                   capsys):
+    built = []
+    original = Representation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Representation, "__post_init__", counted)
+    riley_family(load_builtin("figure8"), 1.3)
+    assert len(built) == 2  # the count sees riley_family's
+    built.clear()
+    path = two_bridge_file(tmp_path, "b9_7")
+    for argv in (["scan", path, "--samples", "5"],
+                 ["verify", path, "--samples", "3"],
+                 ["slope", path, "--M", "1.3"]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert built == [], argv
+
+
+def test_python_m_knotslope_runs_the_cli(monkeypatch, capsys):
+    import runpy
+    import sys
+
+    for argv, status in ((["scan", "trefoil", "--samples", "2"], 0),
+                         (["scan", "granny"], 2)):
+        monkeypatch.setattr(sys, "argv", ["knotslope", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("knotslope", run_name="__main__")
+        assert exc.value.code == status
+        out = capsys.readouterr().out
+        if status == 0:
+            assert len(records(out)) == 2
 
 
 def test_scan_outside_riley_form_gives_error_records(tmp_path, capsys):

@@ -11,7 +11,8 @@ import pytest
 from knotslope.apoly import riley_polynomial
 from knotslope.data import load_builtin
 from knotslope.presentation import KnotPresentation, Word, parse_presentation
-from knotslope.representations import (Representation, RepresentationError,
+from knotslope.representations import (NonFiniteError, Representation,
+                                       RepresentationError,
                                        abelian_representation, boundary_data,
                                        commutation_residual,
                                        conjugate_representation,
@@ -19,7 +20,9 @@ from knotslope.representations import (Representation, RepresentationError,
                                        is_boundary_parabolic, is_unitarizable,
                                        parabolic_modulus, reducibility_defect,
                                        representation_from_dict,
-                                       representation_to_dict, riley_family)
+                                       representation_to_dict, riley_family,
+                                       riley_stack)
+from knotslope.slope import Route1Plan
 
 from helpers import TWO_BRIDGE, random_sl2
 
@@ -112,6 +115,27 @@ def test_riley_family_requires_two_bridge_shape():
         riley_family(torus, 1.5)
 
 
+def test_riley_stack_keeps_each_meridian_to_itself():
+    pres = load_builtin("figure8")
+    phi = riley_polynomial(pres, allow_constant=True)
+    meridians = [1.3, 0.0, 1e200, GOLDEN, 0.9 + 0.3j, 1.0, -1.0]
+    roots, images, reducible = riley_stack(phi, meridians)
+    assert type(roots[1]) is RepresentationError
+    assert type(roots[2]) is NonFiniteError
+    start = 0
+    for M, ts in zip(meridians, roots):
+        (alone,), alone_images, alone_reducible = riley_stack(phi, [M])
+        if isinstance(ts, RepresentationError):
+            assert type(alone) is type(ts) and str(alone) == str(ts)
+            continue
+        assert ts == alone
+        end = start + len(ts)
+        assert np.array_equal(images[start:end], alone_images)
+        assert np.array_equal(reducible[start:end], alone_reducible)
+        start = end
+    assert start == len(images) == len(reducible)
+
+
 def _mp_roots(phi, M: complex, dps: int = 50) -> list[complex]:
     """Roots of ``phi(t, M)`` to ``dps`` digits, from its exact coefficients."""
     mpmath = pytest.importorskip("mpmath")
@@ -137,8 +161,8 @@ def test_riley_roots_match_high_precision_roots_of_phi(name):
             r = min(exact, key=lambda r: abs(r - rep.riley_t))
             assert abs(rep.riley_t - r) <= 3e-13 * abs(r)
             assert rep.relator_residual() <= 1e-9
-        given = riley_family(pres, M, phi=phi)
-        assert [r.riley_t for r in given] == [r.riley_t for r in reps]
+        (given,) = Route1Plan(pres, phi).evaluate_meridians([M])
+        assert [t for t, _ in given] == [r.riley_t for r in reps]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,7 +266,7 @@ def test_mixed_stack_is_classified_once():
         # a slope or an error, never both
         assert res.slope is None or res.error is None
         # records carry a Riley parameter, which abelian ones lack
-        (rec,) = _records(1.3, [(replace(rep, riley_t=0j), res)])
+        (rec,) = _records(1.3, [(0j, res)])
         assert rec["verdict"] == res.verdict
         assert rec["error"] == (None if error is None else str(res.error))
         assert rec["slope"] is None or rec["error"] is None
