@@ -1250,17 +1250,16 @@ def _riley_entry(entry: np.ndarray) -> TPoly:
                   for row in entry.tolist()])
 
 
-def riley_polynomial(pres: KnotPresentation, allow_constant: bool = False,
-                     *, generators: tuple[str, str] | None = None) -> TPoly:
+def riley_polynomial(pres: KnotPresentation,
+                     allow_constant: bool = False) -> TPoly:
     """The gcd of all relator entry polynomials in t (primitive in M),
     monic when its leading coefficient is a unit ``±M^k``.
 
     Raises ``ApolyError`` when the presentation is not in Riley form, when the
     relators impose no polynomial condition, or when the gcd is constant (no
-    irreducible Riley locus) unless ``allow_constant``.  ``generators`` is the
-    ``_riley_generators`` pair, computed if not given.
+    irreducible Riley locus) unless ``allow_constant``.
     """
-    generators = generators or _riley_generators(pres)
+    generators = _riley_generators(pres)
     entries: list[TPoly] = []
     for lhs, rhs in pres.relators:
         n = max(len(lhs.letters), len(rhs.letters))
@@ -1293,7 +1292,7 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
     """Eliminate t between the Riley polynomial and the longitude
     eigenvalue; see the module docstring for the pipeline."""
     generators = _riley_generators(pres)
-    phi = riley_polynomial(pres, generators=generators)
+    phi = riley_polynomial(pres)
     lam = _riley_entry(_riley_word(pres.longitude, generators)[0, 0])
     if lam.is_zero:
         raise ApolyError("longitude eigenvalue polynomial is zero")

@@ -129,14 +129,12 @@ def _parse_arc(text: str) -> tuple[float, float, float, float]:
     return r0, r1, t0, t1
 
 
-def _sample_meridians(args) -> list[complex]:
-    """The ``--samples`` meridians of ``scan`` and ``verify``."""
-    if args.samples < 1:
-        raise CLIError("--samples must be at least 1")
-    r0, r1, t0, t1 = _parse_arc(args.arc)
-    rng = Random(args.seed)
+def _sample_meridians(n: int, seed: int,
+                      arc: tuple[float, float, float, float]) -> list[complex]:
+    r0, r1, t0, t1 = arc
+    rng = Random(seed)
     return [rng.uniform(r0, r1) * cmath.exp(1j * rng.uniform(t0, t1))
-            for _ in range(args.samples)]
+            for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +142,11 @@ def _sample_meridians(args) -> list[complex]:
 
 def _base_record(M: complex) -> dict:
     return {"M": _pair(M), "x": _pair(M + 1.0 / M)}
+
+
+def _error_record(M: complex, exc: Exception) -> dict:
+    return dict(_base_record(M), t=None, root_index=None, L=None, slope=None,
+                verdict="error", residuals={}, error=str(exc))
 
 
 def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float):
@@ -167,9 +170,7 @@ def _paired_L(M: complex, res) -> complex | None:
 
 def _records(M: complex, family) -> list[dict]:
     if isinstance(family, Exception):
-        return [dict(_base_record(M), t=None, root_index=None, L=None,
-                     slope=None, verdict="error", residuals={},
-                     error=str(family))]
+        return [_error_record(M, family)]
     records = []
     for k, (t, res) in enumerate(family):
         L = _paired_L(M, res)
@@ -200,15 +201,28 @@ def _records_to_csv(records: list[dict]) -> str:
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
     for r in records:
-        slope, res = r["slope"], r["residuals"]
-        writer.writerow([
-            *r["M"], *r["x"], *(r["t"] or ["", ""]), r["root_index"],
-            *(r["L"] or ["", ""]),
-            *(["", "", 1] if slope == "inf" else ["", "", ""] if slope is None
-              else [*slope, 0]),
-            r["verdict"], *(res.get(key, "") for key in
-                            ("relator", "commutation", "peripheral_fit")),
-            r["error"]])
+        slope = r.get("slope")
+        if slope == "inf":
+            s_re, s_im, s_inf = "", "", 1
+        elif slope is None:
+            s_re, s_im, s_inf = "", "", ""
+        else:
+            s_re, s_im, s_inf = slope[0], slope[1], 0
+        res = r.get("residuals", {})
+        row = [
+            *(r["M"] if r.get("M") else ["", ""]),
+            *(r["x"] if r.get("x") else ["", ""]),
+            *(r["t"] if r.get("t") else ["", ""]),
+            r.get("root_index", ""),
+            *(r["L"] if r.get("L") else ["", ""]),
+            s_re, s_im, s_inf,
+            r.get("verdict", ""),
+            res.get("relator", ""),
+            res.get("commutation", ""),
+            res.get("peripheral_fit", ""),
+            r.get("error") or "",
+        ]
+        writer.writerow(row)
     return buf.getvalue()
 
 
@@ -231,18 +245,23 @@ def _cmd_slope(args) -> int:
     (family,) = Route1Plan(pres).evaluate_meridians([M], args.tol)
     # no record can be computed where the words overflow: at the one
     # meridian asked for, that is an error
-    for exc in ([family] if isinstance(family, Exception)
-                else [res.error for _, res in family if not res.finite]):
-        if isinstance(exc, NonFiniteError):
-            raise exc
+    if isinstance(family, NonFiniteError):
+        raise family
+    if isinstance(family, list):
+        for _, res in family:
+            if not res.finite:
+                raise res.error
     _emit_records(_records(M, family), args.format)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    meridians = _sample_meridians(args)
+    if args.samples < 1:
+        raise CLIError("--samples must be at least 1")
     _check_tol(args.tol)
     plan = Route1Plan(_load_presentation(args.pres))
+    arc = _parse_arc(args.arc)
+    meridians = _sample_meridians(args.samples, args.seed, arc)
     _check_presentation_file(args.pres, plan)
     records = [rec for M, family in _route1_samples(plan, meridians, args.tol)
                for rec in _records(M, family)]
@@ -280,7 +299,8 @@ def _read_apoly_arg(text: str):
 
 
 def _cmd_verify(args) -> int:
-    meridians = _sample_meridians(args)
+    if args.samples < 1:
+        raise CLIError("--samples must be at least 1")
     _check_tol(args.tol)
     pres = _load_presentation(args.pres)
     if args.apoly is not None:
@@ -288,10 +308,14 @@ def _cmd_verify(args) -> int:
         if A.is_zero or A.degree_in("L") == 0:
             raise ApolyError("supplied A-polynomial has no L-dependence")
         plan = Route1Plan(pres)
+        apoly_source = "supplied"
     else:
         result = compute_apoly_twobridge_detailed(pres)
         A, plan = result.apoly, Route1Plan(pres, result.riley_polynomial)
+        apoly_source = "computed"
     _check_presentation_file(args.pres, plan)
+    arc = _parse_arc(args.arc)
+    meridians = _sample_meridians(args.samples, args.seed, arc)
 
     def check(M: complex, family) -> list[dict]:
         if isinstance(family, Exception):
@@ -303,9 +327,11 @@ def _cmd_verify(args) -> int:
                      "log_gauss": None, "apoly_residual": None,
                      "relative_deviation": None}
             out.append(entry)
-            if res.parabolic or res.error is not None:
-                entry["error"] = ("parabolic sample; no pairing slope"
-                                  if res.parabolic else str(res.error))
+            if res.parabolic:
+                entry["error"] = "parabolic sample; no pairing slope"
+                continue
+            if res.error is not None:
+                entry["error"] = str(res.error)
                 continue
             sv, L = res.slope, _paired_L(M, res)
             try:
@@ -334,11 +360,12 @@ def _cmd_verify(args) -> int:
     max_dev = max((s["relative_deviation"] for s in comparable), default=None)
     max_resid = max((s["apoly_residual"] for s in samples
                      if s["apoly_residual"] is not None), default=None)
-    # a sample is ok only without an error
-    passed = bool(comparable) and all(s["ok"] for s in samples)
+    passed = bool(comparable) and all(s["ok"] for s in samples
+                                      if s["error"] is None) \
+        and all(s["error"] is None for s in samples)
     report = {
         "apoly": format_bilaurent(A),
-        "apoly_source": "computed" if args.apoly is None else "supplied",
+        "apoly_source": apoly_source,
         "sample_count": len(samples),
         "comparable_count": len(comparable),
         "max_relative_deviation": max_dev,
@@ -387,15 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
 
-    def add_sampling(p, samples: int):
-        p.add_argument("--samples", type=int, default=samples,
-                       help=f"number of meridian samples (default {samples})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
-        p.add_argument("--arc", default="1.1,2.0,0.1,1.0",
-                       help="sampling region r0,r1,theta0,theta1 for "
-                            "M = r*exp(i*theta) (default 1.1,2.0,0.1,1.0)")
-
     p_slope = sub.add_parser("slope", help="slope of each Riley branch at one M")
     add_common(p_slope)
     p_slope.add_argument("--M", required=True,
@@ -404,7 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="slopes over a sampled arc of M values")
     add_common(p_scan)
-    add_sampling(p_scan, 25)
+    p_scan.add_argument("--samples", type=int, default=25,
+                        help="number of meridian samples (default 25)")
+    p_scan.add_argument("--seed", type=int, default=0,
+                        help="sampling seed (default 0)")
+    p_scan.add_argument("--arc", default="1.1,2.0,0.1,1.0",
+                        help="sampling region r0,r1,theta0,theta1 for "
+                             "M = r*exp(i*theta) (default 1.1,2.0,0.1,1.0)")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_apoly = sub.add_parser("apoly",
@@ -418,7 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-validate pairing slopes against the log-Gauss "
                        "map of the A-polynomial")
     p_verify.add_argument("pres", help="bundled presentation name or file path")
-    add_sampling(p_verify, 20)
+    p_verify.add_argument("--samples", type=int, default=20,
+                          help="number of meridian samples (default 20)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="sampling seed (default 0)")
+    p_verify.add_argument("--arc", default="1.1,2.0,0.1,1.0",
+                          help="sampling region r0,r1,theta0,theta1 "
+                               "(default 1.1,2.0,0.1,1.0)")
     p_verify.add_argument("--tol", type=float, default=1e-6,
                           help="acceptance tolerance for relative deviation "
                                "and on-curve residual (default 1e-6)")
@@ -439,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (CLIError, PresentationError, RepresentationError, SlopeError,

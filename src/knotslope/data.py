@@ -9,9 +9,15 @@ from .presentation import KnotPresentation, parse_presentation
 from .representations import RepresentationError, commutation_residuals
 from .slope import Route1Plan
 
-#: bundled presentations, each in ``_data/<name>.txt``
-_BUILTINS = ("trefoil", "figure8")
-_ALIASES = {"figure-eight": "figure8", "3_1": "trefoil", "4_1": "figure8"}
+_BUILTIN_FILES = {
+    "trefoil": "trefoil.txt",
+    "figure8": "figure8.txt",
+}
+_ALIASES = {
+    "figure-eight": "figure8",
+    "3_1": "trefoil",
+    "4_1": "figure8",
+}
 
 #: meridian eigenvalue used for the numeric cross-check on load
 _CHECK_M = 1.3
@@ -23,13 +29,15 @@ class DataError(ValueError):
 
 
 def builtin_names() -> tuple[str, ...]:
-    return _BUILTINS
+    return tuple(_BUILTIN_FILES)
 
 
 def resolve_builtin(name: str) -> str | None:
     """Canonical builtin name for ``name``, or None if unknown."""
     name = name.strip().lower()
-    return name if name in _BUILTINS else _ALIASES.get(name)
+    if name in _BUILTIN_FILES:
+        return name
+    return _ALIASES.get(name)
 
 
 def check_presentation(plan: Route1Plan, label: str) -> None:
@@ -38,11 +46,11 @@ def check_presentation(plan: Route1Plan, label: str) -> None:
     satisfies the relators and has commuting meridian and longitude
     images.  Raises ``DataError`` prefixed by ``label``."""
     try:
-        (ts,), images = plan.riley_images([_CHECK_M], _CHECK_TOL)
-    except RepresentationError as exc:  # outside Riley form
-        ts = exc
-    if isinstance(ts, RepresentationError):
-        raise DataError(f"{label}: {ts}") from ts
+        (ts,), images = plan.riley_images([_CHECK_M])
+        if isinstance(ts, RepresentationError):  # the meridian's error
+            raise ts
+    except RepresentationError as exc:
+        raise DataError(f"{label}: {exc}") from exc
     if not ts:
         raise DataError(f"{label}: no Riley representations at M = {_CHECK_M}")
     relator = plan.words.relator_residuals(images)
@@ -65,7 +73,8 @@ def load_builtin(name: str) -> KnotPresentation:
     if canonical is None:
         raise DataError(f"unknown builtin presentation {name!r}; "
                         f"available: {', '.join(builtin_names())}")
-    pres = parse_presentation((resources.files("knotslope") / "_data"
-                               / f"{canonical}.txt").read_text(encoding="utf-8"))
+    text = (resources.files("knotslope") / "_data" / _BUILTIN_FILES[canonical]) \
+        .read_text(encoding="utf-8")
+    pres = parse_presentation(text)
     check_presentation(Route1Plan(pres), f"builtin {canonical!r}")
     return pres

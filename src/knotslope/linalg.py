@@ -1,7 +1,7 @@
 """Dense complex linear algebra over sl(2, C), on stacks of matrices.
 
-``sl2_inverse``, ``adjoint_of`` and ``svd_stack`` take ``(N, ...)``
-stacks of matrices; ``nullspace`` is the one single-matrix
+``sl2_inverse``, ``adjoint_of``, ``svd_stack`` and ``rank_cut`` take
+``(N, ...)`` stacks of matrices; ``nullspace`` is the one single-matrix
 tool, a null space cut at ``tol`` times the largest singular value.
 
 Conventions used throughout the package:
@@ -97,10 +97,17 @@ def svd_stack(A) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
+def rank_cut(s, tol: float = 1e-8) -> np.ndarray:
+    """Numerical ranks from singular values ``(..., k)``: the count above
+    ``tol`` times the largest, and 0 where the largest is 0 or NaN."""
+    s = np.asarray(s)
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+
 def nullspace(A, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal rows ``v`` with ``A @ v = 0``."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     _, s, vh = np.linalg.svd(A, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(A.shape[1], dtype=complex)
-    return vh[np.count_nonzero(s > tol * s[0]):].conj()
+    return vh[int(rank_cut(s, tol)):].conj()

@@ -258,21 +258,22 @@ def _roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _power(z: complex, j: int) -> complex:
-    """``z ** j`` as Python computes it; NaN where that overflows."""
+def _coefficients(phi: TPoly, M: complex) -> list[complex]:
+    """``phi``'s coefficients at ``M`` (``BiLaurent.evaluate``); NaN where
+    they overflow."""
     try:
-        return z ** j
-    except (OverflowError, ZeroDivisionError):  # |z| far from 1
-        return complex(math.nan, math.nan)
+        return [c.evaluate(1.0, M) for c in phi.coeffs]
+    except (OverflowError, ZeroDivisionError):  # |M| far from 1, or 0
+        return [complex(math.nan, math.nan)] * len(phi.coeffs)
 
 
 def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
                 ) -> tuple[list, np.ndarray, np.ndarray]:
     """The Riley representations at every meridian eigenvalue, one stacked
     pass over the roots ``t`` of ``phi(t, M)``.  ``phi``, the primitive gcd
-    of the relator entry polynomials, is evaluated at every ``M`` as
-    ``BiLaurent.evaluate`` does, rooted by ``_roots`` and ordered and
-    merged by ``_merged_roots``; a constant ``phi`` (no Riley locus) gives
+    of the relator entry polynomials, is evaluated at every ``M`` by
+    ``_coefficients``, rooted by ``_roots`` and ordered and merged by
+    ``_merged_roots``; a constant ``phi`` (no Riley locus) gives
     no roots.  Returns ``t``, per meridian its roots or its error: ``M =
     0``, or a ``NonFiniteError`` where ``phi``, its roots or the
     commutators overflow.  Then, over the roots of the meridians without
@@ -284,19 +285,11 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
     # a meridian's error, until its roots are found
     t: list = [NonFiniteError(overflow(M)) if M else RepresentationError(
         "meridian eigenvalue must be nonzero") for M in Ms]
-    coeffs = np.zeros((phi.degree + 1, len(Ms)), dtype=complex)
+    coeffs = np.array([_coefficients(phi, M) for M in Ms],
+                      dtype=complex).reshape(len(Ms), phi.degree + 1).T
     with np.errstate(all="ignore"):
-        power = {j: np.array([_power(M, j) for M in Ms])
-                 for j in {j for c in phi.coeffs for _, j in c.terms}}
-        try:
-            # (a + 0i)(x + iy) rounds to (ax, ay) with or without fused
-            # multiply-adds: the same bits as evaluate's Python arithmetic
-            for k, c in enumerate(phi.coeffs):
-                for (_, j), a in c.terms.items():
-                    coeffs[k] += float(a) * power[j]
-        except OverflowError:  # a coefficient beyond floating point
-            coeffs[:] = np.nan
-        ok = np.isfinite(coeffs).all(axis=0) & np.array([M != 0 for M in Ms])
+        nonzero = np.array([M != 0 for M in Ms], dtype=bool)
+        ok = np.isfinite(coeffs).all(axis=0) & nonzero
         # trailing zeros are no degree: roots are taken per degree
         degree = np.array([max(np.flatnonzero(c), default=0) for c in coeffs.T])
         for n in set(degree[ok].tolist()):
@@ -305,7 +298,8 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
                 if np.isfinite(roots).all():
                     t[i] = _merged_roots(roots)
         found = [ts if isinstance(ts, list) else [] for ts in t]
-        owner = np.repeat(np.arange(len(Ms)), list(map(len, found)))
+        owner = np.repeat(np.arange(len(Ms)),
+                          np.array(list(map(len, found)), dtype=int))
         images = np.zeros((len(owner), 2, 2, 2), dtype=complex)
         images[:, :, 0, 0] = np.array([Ms[i] for i in owner])[:, None]
         images[:, :, 1, 1] = np.array([1.0 / Ms[i] for i in owner])[:, None]
@@ -320,17 +314,27 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
     return t, images[keep], reducible[keep]
 
 
+def _riley_locus(pres: KnotPresentation, phi: TPoly | None = None
+                 ) -> tuple[tuple[str, str], TPoly]:
+    """The (meridian generator, partner) pair of a presentation in Riley
+    form and its Riley polynomial: ``phi``, or computed here when it is
+    not given.  ``RepresentationError`` outside Riley form."""
+    try:
+        generators = _riley_generators(pres)
+        if phi is None:
+            phi = riley_polynomial(pres, allow_constant=True)
+    except ApolyError as exc:
+        raise RepresentationError(str(exc)) from exc
+    return generators, phi
+
+
 def riley_family(pres: KnotPresentation, M: complex,
                  tol: float = 1e-8) -> list[Representation]:
     """All Riley representations at meridian eigenvalue ``M``, with
-    ``riley_t`` and ``reducible`` set: ``riley_stack`` at one meridian,
-    with ``phi`` computed here.  Raises the meridian's error, or a
-    ``RepresentationError`` for a presentation outside Riley form."""
-    try:
-        generators = _riley_generators(pres)
-        phi = riley_polynomial(pres, allow_constant=True, generators=generators)
-    except ApolyError as exc:
-        raise RepresentationError(str(exc)) from exc
+    ``riley_t`` and ``reducible`` set: ``riley_stack`` at one meridian.
+    Raises the meridian's error, or a ``RepresentationError`` for a
+    presentation outside Riley form."""
+    generators, phi = _riley_locus(pres)
     (ts,), images, reducible = riley_stack(phi, [M], tol)
     if isinstance(ts, RepresentationError):
         raise ts
@@ -659,8 +663,12 @@ def reducibility_defect(rep: Representation) -> float:
     return worst
 
 
-_HERMITIAN_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
-                             [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+_HERMITIAN_BASIS = (
+    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+)
 
 
 def is_unitarizable(rep: Representation, tol: float = 1e-8) -> bool:
@@ -670,13 +678,16 @@ def is_unitarizable(rep: Representation, tol: float = 1e-8) -> bool:
     generators and reports whether a positive- (or negative-) definite
     solution exists.
     """
-    # real-linear constraint matrix, columns indexed by the Hermitian basis:
-    # R[b, g] = rho(g)^H B_b rho(g) - B_b
-    A = np.array([rep.images[g] for g in rep.presentation.generators])
-    B = _HERMITIAN_BASIS[:, None]
-    R = A.conj().transpose(0, 2, 1) @ B @ A - B
-    mat = np.stack([R[..., 0, 0].real, R[..., 1, 1].real, R[..., 0, 1].real,
-                    R[..., 0, 1].imag], axis=-1).reshape(len(B), -1).T
+    # real-linear constraint matrix, columns indexed by the Hermitian basis
+    cols = []
+    for B in _HERMITIAN_BASIS:
+        col: list[float] = []
+        for g in rep.presentation.generators:
+            A = rep.images[g]
+            R = A.conj().T @ B @ A - B
+            col.extend([R[0, 0].real, R[1, 1].real, R[0, 1].real, R[0, 1].imag])
+        cols.append(col)
+    mat = np.array(cols).T
     ns = nullspace(mat, tol)
     for q in ns:
         Q = sum(float(c.real) * B for c, B in zip(q, _HERMITIAN_BASIS))

@@ -55,12 +55,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
+from .apoly import TPoly
 from .linalg import adjoint_of, sl2_coordinates, sl2_inverse, svd_stack
 from .presentation import KnotPresentation, Word
 from .representations import (Letters, NonFiniteError, Representation,
-                              RepresentationError, WordPlan, peripheral_stack,
-                              prefix_images, riley_stack, word_letters)
+                              RepresentationError, WordPlan, _riley_locus,
+                              peripheral_stack, prefix_images, riley_stack,
+                              word_letters)
 
 
 class SlopeError(ValueError):
@@ -319,8 +320,8 @@ class Route1Plan:
 
     ``words`` holds its words as letter arrays.  ``augmented`` and
     ``riley`` are compiled on first use, as they raise for presentations
-    that lack them.  The only ``phi`` route 1 takes is one given here, by
-    a command that has it from route 2; otherwise ``riley`` computes it.
+    that lack them.  A command that has ``phi`` from route 2 passes it
+    here; otherwise ``riley`` computes it.
     """
 
     def __init__(self, pres: KnotPresentation, phi: TPoly | None = None):
@@ -337,20 +338,23 @@ class Route1Plan:
         partner), and the Riley polynomial ``phi``; ``RepresentationError``
         outside Riley form."""
         pres = self.words.presentation
-        try:
-            generators = _riley_generators(pres)
-            phi = self._phi if self._phi is not None else riley_polynomial(
-                pres, allow_constant=True, generators=generators)
-        except ApolyError as exc:
-            raise RepresentationError(str(exc)) from exc
+        generators, phi = _riley_locus(pres, self._phi)
         return [generators.index(g) for g in pres.generators], phi
 
-    def riley_images(self, meridians: Sequence[complex],
-                     tol: float = 1e-8) -> tuple[list, np.ndarray]:
+    def riley_images(self, meridians: Sequence[complex]
+                     ) -> tuple[list, np.ndarray]:
         """``riley_stack`` at the meridians, images in generator order."""
         order, phi = self.riley
-        roots, images, _ = riley_stack(phi, meridians, tol)
+        roots, images, _ = riley_stack(phi, meridians)
         return roots, images[:, order]
+
+    def _augmented_images(self, images: np.ndarray,
+                          longitude: np.ndarray) -> np.ndarray:
+        """Images of the augmented generators: the longitude image, then
+        the generator images in ``augmented.generators`` order."""
+        gens = self.words.presentation.generators
+        order = [gens.index(g) for g in self.augmented.generators[1:]]
+        return np.concatenate([longitude[:, None], images[:, order]], axis=1)
 
     def evaluate_meridians(self, meridians: Sequence[complex],
                            tol: float = 1e-8) -> list:
@@ -358,20 +362,18 @@ class Route1Plan:
         stacked pass: per meridian, ``riley_family``'s branches as ``(t,
         Route1Result)`` pairs, or the error it raises there."""
         try:
-            roots, images = self.riley_images(meridians, tol)
+            roots, images = self.riley_images(meridians)
         except RepresentationError as exc:
             return [exc] * len(meridians)
         results = iter(self.evaluate(images, tol))
         return [ts if isinstance(ts, RepresentationError)
                 else [(t, next(results)) for t in ts] for ts in roots]
 
-    def evaluate(self, reps: Sequence[Representation] | np.ndarray,
+    def evaluate(self, images: np.ndarray,
                  tol: float = 1e-8) -> list[Route1Result]:
-        """Route 1 on representations of the presentation, or on their
+        """Route 1 on representations of the presentation, from their
         generator images stacked ``(N, #generators, 2, 2)`` in its
-        generator order, as stacks."""
-        images = (reps if isinstance(reps, np.ndarray)
-                  else self.words.stack(reps))
+        generator order (``words.stack``)."""
         N = len(images)
         m, l = self.words.peripheral(images)
         relator = self.words.relator_residuals(images)
@@ -404,12 +406,8 @@ class Route1Plan:
                     outcome[i] = ("error", exc, None)
             else:
                 framed = _framed_images(images[ready], per.frame[ready], tol)
-                # the augmented generators' images: the longitude first
-                gens = self.words.presentation.generators
-                stack = np.concatenate([
-                    prefix_images(framed, self.words.longitude)[:, -1:],
-                    framed[:, [gens.index(g) for g in aug.generators[1:]]]],
-                    axis=1)
+                stack = self._augmented_images(framed, prefix_images(
+                    framed, self.words.longitude)[:, -1])
                 # the meridian generator's image, second in the stack
                 v = sl2_coordinates(stack[:, 1])
                 for i, out in zip(ready, _slopes(aug, stack, v, tol)):
@@ -427,7 +425,8 @@ class Route1Plan:
 
 
 def _route1(rep: Representation, tol: float) -> Route1Result:
-    return Route1Plan(rep.presentation).evaluate([rep], tol)[0]
+    plan = Route1Plan(rep.presentation)
+    return plan.evaluate(plan.words.stack([rep]), tol)[0]
 
 
 def compute_slope(rep: Representation, tol: float = 1e-8) -> SlopeValue:

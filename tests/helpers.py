@@ -9,6 +9,7 @@ from random import Random
 import numpy as np
 
 from knotslope.presentation import Word
+from knotslope.slope import Route1Plan
 
 
 def random_word(rng: Random, gens, max_len: int = 8,
@@ -34,6 +35,13 @@ def random_sl2(rng: Random, scale: float = 1.0) -> np.ndarray:
 
 def random_images(rng: Random, gens, scale: float = 1.0) -> dict:
     return {g: random_sl2(rng, scale) for g in gens}
+
+
+def route1_results(pres, reps, tol: float = 1e-8) -> list:
+    """``Route1Plan.evaluate`` on representations of ``pres``, as one
+    stack of their generator images."""
+    plan = Route1Plan(pres)
+    return plan.evaluate(plan.words.stack(reps), tol)
 
 
 def two_bridge_text(p: int, q: int) -> str:

@@ -12,9 +12,8 @@ from knotslope.cli import main
 from knotslope.data import load_builtin
 from knotslope.representations import (Representation, RepresentationError,
                                        riley_family)
-from knotslope.slope import Route1Plan
 
-from helpers import two_bridge_file, two_bridge_text
+from helpers import route1_results, two_bridge_file, two_bridge_text
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -86,7 +85,7 @@ def test_records_outside_the_unit_circle_keep_the_route1_L(capsys):
     for M in (1.3 + 0.4j, 1.1 - 0.2j, 2.0):
         code, out, _ = run(capsys, "slope", "figure8", "--M",
                            f"{M.real!r},{M.imag!r}")
-        results = Route1Plan(pres).evaluate(riley_family(pres, M))
+        results = route1_results(pres, riley_family(pres, M))
         assert [complex(*r["L"]) for r in records(out)] == \
             [res.L for res in results]
         assert all(res.M == pytest.approx(M, rel=1e-12) for res in results)
@@ -311,7 +310,6 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
                                                       tmp_path):
     import knotslope.apoly as apoly_mod
     import knotslope.representations as reps_mod
-    import knotslope.slope as slope_mod
 
     calls = []
     original = apoly_mod.riley_polynomial
@@ -324,7 +322,7 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
     # load in the process only: load both before counting
     for name in ("trefoil", "figure8"):
         load_builtin(name)
-    for mod in (apoly_mod, reps_mod, slope_mod):
+    for mod in (apoly_mod, reps_mod):
         monkeypatch.setattr(mod, "riley_polynomial", counted)
     # a file-loaded presentation is checked with the command's phi too
     path = two_bridge_file(tmp_path, "b9_7")
@@ -343,6 +341,7 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
 
 
 def test_route1_is_planned_once_per_command(monkeypatch, capsys):
+    import knotslope.representations as reps_mod
     import knotslope.slope as slope_mod
 
     calls: dict[str, int] = {}
@@ -359,7 +358,7 @@ def test_route1_is_planned_once_per_command(monkeypatch, capsys):
     # route 1's own calls; route 2 derives the Riley generators separately
     count(slope_mod, "augment")
     count(slope_mod, "_fox_coefficients")
-    count(slope_mod, "_riley_generators")
+    count(reps_mod, "_riley_generators")
     for argv in (["scan", "figure8", "--samples", "40"],
                  ["verify", "figure8", "--samples", "40"]):
         calls.clear()
@@ -457,7 +456,7 @@ def test_a_mixed_chunk_gives_every_meridian_its_own_records(monkeypatch,
     import knotslope.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "_sample_meridians",
-                        lambda args: MIXED_CHUNK[:args.samples])
+                        lambda n, seed, arc: MIXED_CHUNK[:n])
     argv = ("scan", "figure8", "--samples", str(len(MIXED_CHUNK)))
     _, whole, _ = run(capsys, *argv)
     monkeypatch.setattr(cli_mod, "CHUNK_SAMPLES", 1)

@@ -136,6 +136,13 @@ def test_riley_stack_keeps_each_meridian_to_itself():
     assert start == len(images) == len(reducible)
 
 
+def test_no_meridians_give_no_representations():
+    phi = riley_polynomial(load_builtin("figure8"), allow_constant=True)
+    roots, images, reducible = riley_stack(phi, [])
+    assert roots == [] and images.shape == (0, 2, 2, 2) and len(reducible) == 0
+    assert Route1Plan(load_builtin("figure8")).evaluate_meridians([]) == []
+
+
 def _mp_roots(phi, M: complex, dps: int = 50) -> list[complex]:
     """Roots of ``phi(t, M)`` to ``dps`` digits, from its exact coefficients."""
     mpmath = pytest.importorskip("mpmath")

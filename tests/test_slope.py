@@ -20,7 +20,7 @@ from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
                              SlopeValue, augment, build_twisted_alexander,
                              compute_slope, slope_of_character)
 
-from helpers import TWO_BRIDGE, two_bridge_text
+from helpers import TWO_BRIDGE, route1_results, two_bridge_text
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_overflowing_slices_do_not_abort_the_stack():
     pres = load_builtin("figure8")
     near = riley_family(pres, 1.3)
     far = riley_family(pres, 1e80)  # the longitude overflows here
-    results = Route1Plan(pres).evaluate(far[:1] + near + far[1:])
+    results = route1_results(pres, far[:1] + near + far[1:])
     assert [r.finite for r in results] == [False, True, True, False]
     for res in results[:1] + results[3:]:
         assert isinstance(res.error, NonFiniteError)
@@ -170,7 +170,7 @@ def test_abelian_slope_is_zero():
         reps += [rep] + riley_family(pres, lam)
     # abelian matrices have rank 6 and irreducible ones rank 5: one stack
     # of both gives each its own intersection
-    for rep, res in zip(reps, Route1Plan(pres).evaluate(reps)):
+    for rep, res in zip(reps, route1_results(pres, reps)):
         assert abs(res.slope.reading - compute_slope(rep).reading) <= 1e-12
 
 
@@ -204,20 +204,20 @@ def test_slope_of_character_dispatch():
 def test_admissibility_verdicts():
     trefoil = load_builtin("trefoil")
     (rep,) = riley_family(trefoil, 2.0)
-    (res,) = Route1Plan(trefoil).evaluate([rep])
+    (res,) = route1_results(trefoil, [rep])
     assert res.verdict == "admissible" and res.error is None
     assert res.invariant_dimension == 1
     assert res.commutation_residual < 1e-10
     assert not res.parabolic
     assert res.slope.residual < 1e-7
 
-    (trivial,) = Route1Plan(trefoil).evaluate(
-        [abelian_representation(trefoil, 1.0)])
+    (trivial,) = route1_results(
+        trefoil, [abelian_representation(trefoil, 1.0)])
     assert trivial.verdict == "not-admissible"
     assert trivial.invariant_dimension == 3
 
     fig8 = load_builtin("figure8")
-    (par, _) = Route1Plan(fig8).evaluate(riley_family(fig8, 1.0))
+    (par, _) = route1_results(fig8, riley_family(fig8, 1.0))
     assert par.verdict == "parabolic"
     assert par.parabolic
 
@@ -227,7 +227,7 @@ def test_mixed_stack_is_classified_once():
     reps = [riley_family(fig8, 1.3)[0], riley_family(fig8, 1.0)[0],
             riley_family(fig8, 1e80)[0], abelian_representation(fig8, 1.0),
             abelian_representation(fig8, 2.0)]
-    results = Route1Plan(fig8).evaluate(reps)
+    results = route1_results(fig8, reps)
     # peripheral pairs alone: a diagonal meridian and a parabolic longitude
     # that does not commute with it; the same swapped; and a parabolic
     # meridian near I with a longitude that commutes with it to 3e-10 but
@@ -241,7 +241,7 @@ def test_mixed_stack_is_classified_once():
                  "u": np.array([[1.0, 1e-6], [0.0, 1.0]]),
                  "v": np.array([[1.0, 2.0], [1e-3, 1.0]]) / np.sqrt(0.998)})]
     reps += pairs
-    results += Route1Plan(pair).evaluate(pairs)
+    results += route1_results(pair, pairs)
     expected = [
         ("admissible", None, ""),
         ("parabolic", None, ""),
@@ -298,7 +298,7 @@ def test_riley_branches_at_M_plus_minus_1_are_parabolic(name):
     plan = Route1Plan(pres)
     moduli = {}
     for M in (1.0, -1.0):
-        results = plan.evaluate(riley_family(pres, M))
+        results = plan.evaluate(plan.words.stack(riley_family(pres, M)))
         assert results
         assert all(r.verdict == "parabolic" and r.error is None
                    for r in results)
