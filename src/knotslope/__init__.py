@@ -14,9 +14,9 @@ from .apoly import (ApolyError, ApolyResult, BiLaurent, IdealSlopeReport,
                     NewtonPolygon, bilaurent_from_json, bilaurent_gcd,
                     bilaurent_to_json, compute_apoly_twobridge,
                     compute_apoly_twobridge_detailed, format_bilaurent,
-                    ideal_point_slopes, log_gauss, newton_polygon,
-                    parse_bilaurent, resultant_t, riley_polynomial,
-                    side_slopes, squarefree_part)
+                    ideal_point_slopes, log_gauss, log_gauss_stack,
+                    newton_polygon, parse_bilaurent, resultant_t,
+                    riley_polynomial, side_slopes, squarefree_part)
 from .data import DataError, builtin_names, load_builtin, resolve_builtin
 from .linalg import (KILLING_GRAM, SL2_BASIS, adjoint_of, nullspace,
                      sl2_coordinates)
@@ -68,6 +68,7 @@ __all__ = [
     "resultant_t", "squarefree_part", "riley_polynomial",
     "compute_apoly_twobridge", "compute_apoly_twobridge_detailed",
     "newton_polygon", "side_slopes", "ideal_point_slopes", "log_gauss",
+    "log_gauss_stack",
     # data
     "DataError", "builtin_names", "load_builtin", "resolve_builtin",
 ]

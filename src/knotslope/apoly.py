@@ -45,6 +45,13 @@ derivative at an ``m`` where the leading L-coefficient does not vanish.
 Specialising can only raise the degree of the gcd there, so a gcd of
 degree 0 proves ``A`` squarefree.
 
+``log_gauss_stack`` gives ``verify`` route 2's numbers at a stack of
+points ``(L, M)``.  In log coordinates ``v = log L``, ``u = log M`` the
+partials multiply a term ``t = c L^i M^j`` by ``i`` and ``j``, so the
+log-Gauss map ``-(Σ j·t) / (Σ i·t)`` and the on-curve residual come from
+one pass over ``A``'s terms, with no derivative polynomial and without
+``BiLaurent.evaluate``, which route 1 uses for ``phi``'s coefficients.
+
 This module is the only place that builds the Riley matrices as
 polynomials in ``(t, M)``.  ``_riley_word`` holds a word's image as a dense
 integer array over (row, column, t-exponent, M-exponent) and applies each
@@ -321,13 +328,6 @@ class BiLaurent:
             out += complex(c) * (L ** i) * (M ** j)
         return out
 
-    def abs_evaluate(self, absL: float, absM: float) -> float:
-        """Sum of |coefficient| * |L|^i * |M|^j — a conditioning scale."""
-        out = 0.0
-        for (i, j), c in self.terms.items():
-            out += abs(float(c)) * (absL ** i) * (absM ** j)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # text and JSON forms
@@ -372,6 +372,10 @@ def parse_bilaurent(text: str) -> BiLaurent:
             kind, text_, p = peek()
             if kind == "num":
                 advance()
+                _, slash, den = text_.partition("/")
+                if slash and int(den) == 0:
+                    raise ApolyError(f"column {p + 1}: zero denominator in "
+                                     f"{text_!r}")
                 term = term * BiLaurent.constant(Fraction(text_))
                 saw_factor = True
             elif kind == "var":
@@ -579,30 +583,41 @@ def ideal_point_slopes(p_or_polygon) -> IdealSlopeReport:
     return IdealSlopeReport(tuple(entries))
 
 
-def log_gauss(p: BiLaurent, L: complex, M: complex,
-              tol: float = 1e-8) -> complex | float:
-    """The logarithmic Gauss map ``-(M dA/dM) / (L dA/dL)`` at ``(L, M)``.
+def log_gauss_stack(p: BiLaurent, L, M) -> tuple[np.ndarray, np.ndarray, list]:
+    """At the points ``(L, M)``, broadcast to one axis, from one pass over the
+    terms ``t = c L^i M^j``: the residual ``|Σt| / (1 + Σ|t|)``, NaN where a
+    term overflows; the log-Gauss map ``-(Σ j·t) / (Σ i·t)``, ``inf`` where
+    ``|Σ i·t| <= 1e-8 (|L| + Σ|i·t|)``; an ``ApolyError`` (a zero coordinate,
+    a term beyond floating point, a singular point) or ``None``.  A point's
+    sums run over its own terms: it gives the same bits alone as in a stack."""
+    L, M = np.asarray(L, complex), np.asarray(M, complex)
+    try:
+        i, j, c = np.array([(*e, c) for e, c in p.terms.items()],
+                           dtype=float).reshape(-1, 3).T
+    except OverflowError:
+        i = j = c = np.full(len(p.terms), np.inf)
+    with np.errstate(all="ignore"):
+        t = c * L[..., None] ** i * M[..., None] ** j
+        size, size_i, size_j = (abs(x).sum(axis=1) for x in (t, i * t, j * t))
+        di, dj = (i * t).sum(axis=1), (j * t).sum(axis=1)
+        flat_L = np.abs(di) <= 1e-8 * (np.abs(L) + size_i)
+        flat_M = np.abs(dj) <= 1e-8 * (np.abs(M) + size_j)
+        finite = np.isfinite(size + size_i + size_j)
+        residual = np.where(finite, abs(t.sum(axis=1)) / (1 + size), np.nan)
+        gauss = np.where(flat_L, np.inf, -dj / di)
+    messages = np.select([(L == 0) | (M == 0), ~finite, flat_L & flat_M], [
+        "log-Gauss map requires nonzero L and M",
+        "A-polynomial evaluation overflows floating point at this sample",
+        "both partial derivatives vanish: singular point"], "")
+    return residual, gauss, [ApolyError(m) if m else None for m in messages]
 
-    Returns ``math.inf`` when the L-partial vanishes (relative to its
-    coefficient scale); raises ``ApolyError`` at singular points where both
-    partials vanish, and for ``L = 0`` or ``M = 0``.
-    """
-    L, M = complex(L), complex(M)
-    if L == 0 or M == 0:
-        raise ApolyError("log-Gauss map requires nonzero L and M")
-    dL = p.derivative("L")
-    dM = p.derivative("M")
-    vL = dL.evaluate(L, M)
-    vM = dM.evaluate(L, M)
-    sL = dL.abs_evaluate(abs(L), abs(M)) if not dL.is_zero else 0.0
-    sM = dM.abs_evaluate(abs(L), abs(M)) if not dM.is_zero else 0.0
-    zero_L = abs(vL) <= tol * (1.0 + sL)
-    zero_M = abs(vM) <= tol * (1.0 + sM)
-    if zero_L and zero_M:
-        raise ApolyError("both partial derivatives vanish: singular point")
-    if zero_L:
-        return math.inf
-    return complex(-(M * vM) / (L * vL))
+
+def log_gauss(p: BiLaurent, L: complex, M: complex) -> complex | float:
+    """``log_gauss_stack``'s map at one point; raises its ``ApolyError``."""
+    _, (value,), (error,) = log_gauss_stack(p, [L], [M])
+    if error is not None:
+        raise error
+    return math.inf if value == math.inf else complex(value)
 
 
 def polygon_to_json(polygon: NewtonPolygon) -> dict:

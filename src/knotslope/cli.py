@@ -21,7 +21,8 @@ with its own sampled ``M``.
 
 Route 1 runs on one ``Route1Plan`` per command, given route 2's Riley
 polynomial where the command has computed it, ``CHUNK_SAMPLES`` meridians
-per stacked pass; no ``Representation`` is built.
+per stacked pass; no ``Representation`` is built.  ``verify`` evaluates
+route 2 on each chunk's compared branches with one ``log_gauss_stack``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from random import Random
 from . import data as data_mod
 from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     format_bilaurent, bilaurent_to_json, ideal_point_slopes,
-                    ideal_report_to_json, log_gauss, newton_polygon,
+                    ideal_report_to_json, log_gauss_stack, newton_polygon,
                     parse_bilaurent, polygon_to_json)
 from .presentation import (KnotPresentation, PresentationError,
                            format_presentation, parse_presentation)
@@ -149,13 +150,11 @@ def _error_record(M: complex, exc: Exception) -> dict:
                 verdict="error", residuals={}, error=str(exc))
 
 
-def _route1_samples(plan: Route1Plan, meridians: list[complex], tol: float):
-    """Per meridian, ``(M, [(t, result), ...])`` or ``(M, error)``
-    (``Route1Plan.evaluate_meridians``), ``CHUNK_SAMPLES`` meridians at a
-    time."""
-    for start in range(0, len(meridians), CHUNK_SAMPLES):
-        chunk = meridians[start:start + CHUNK_SAMPLES]
-        yield from zip(chunk, plan.evaluate_meridians(chunk, tol))
+def _chunks(meridians: list[complex]) -> list[list[complex]]:
+    """``meridians`` in runs of ``CHUNK_SAMPLES``, each one stacked pass of
+    ``Route1Plan.evaluate_meridians`` (and in ``verify`` of route 2)."""
+    return [meridians[k:k + CHUNK_SAMPLES]
+            for k in range(0, len(meridians), CHUNK_SAMPLES)]
 
 
 def _paired_L(M: complex, res) -> complex | None:
@@ -263,7 +262,8 @@ def _cmd_scan(args) -> int:
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
     _check_presentation_file(args.pres, plan)
-    records = [rec for M, family in _route1_samples(plan, meridians, args.tol)
+    records = [rec for chunk in _chunks(meridians) for M, family in
+               zip(chunk, plan.evaluate_meridians(chunk, args.tol))
                for rec in _records(M, family)]
     _emit_records(records, args.format)
     return 0
@@ -317,45 +317,40 @@ def _cmd_verify(args) -> int:
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
 
-    def check(M: complex, family) -> list[dict]:
-        if isinstance(family, Exception):
-            raise family
-        out = []
-        for k, (t, res) in enumerate(family):
-            entry = {"M": _pair(M), "root_index": k, "t": _pair(t),
-                     "ok": False, "error": None, "slope": None,
-                     "log_gauss": None, "apoly_residual": None,
-                     "relative_deviation": None}
-            out.append(entry)
-            if res.parabolic:
-                entry["error"] = "parabolic sample; no pairing slope"
-                continue
-            if res.error is not None:
-                entry["error"] = str(res.error)
-                continue
-            sv, L = res.slope, _paired_L(M, res)
-            try:
-                scale = A.abs_evaluate(abs(L), abs(M)) + 1.0
-                a_resid = abs(A.evaluate(L, M)) / scale
-                entry["apoly_residual"] = a_resid
-                lg = log_gauss(A, L, M)
-                entry["log_gauss"] = "inf" if lg == math.inf else _pair(lg)
-                entry["slope"] = sv.as_json_value()
-                if sv.is_infinite or lg == math.inf:
-                    dev = 0.0 if (sv.is_infinite and lg == math.inf) else math.inf
+    samples = []
+    for chunk in _chunks(meridians):
+        compared = []
+        for M, family in zip(chunk, plan.evaluate_meridians(chunk, 1e-8)):
+            if isinstance(family, Exception):
+                raise family
+            for k, (t, res) in enumerate(family):
+                entry = {"M": _pair(M), "root_index": k, "t": _pair(t),
+                         "ok": False, "error": None, "slope": None,
+                         "log_gauss": None, "apoly_residual": None,
+                         "relative_deviation": None}
+                samples.append(entry)
+                if res.parabolic:
+                    entry["error"] = "parabolic sample; no pairing slope"
+                elif res.error is not None:
+                    entry["error"] = str(res.error)
                 else:
-                    dev = abs(complex(sv.reading) - lg) / max(1.0, abs(lg))
-                entry["relative_deviation"] = None if dev == math.inf else dev
-                entry["ok"] = (dev <= args.tol and a_resid <= args.tol)
-            except ApolyError as exc:
-                entry["error"] = str(exc)
-            except OverflowError:
-                entry["error"] = ("A-polynomial evaluation overflows "
-                                  "floating point at this sample")
-        return out
-
-    samples = [s for M, family in _route1_samples(plan, meridians, 1e-8)
-               for s in check(M, family)]
+                    compared.append((entry, res.slope, _paired_L(M, res), M))
+        resids, maps, errors = log_gauss_stack(
+            A, [c[2] for c in compared], [c[3] for c in compared])
+        for (entry, sv, _, _), a_resid, lg, err in zip(
+                compared, resids.tolist(), maps.tolist(), errors):
+            entry["apoly_residual"] = None if math.isnan(a_resid) else a_resid
+            if err is not None:
+                entry["error"] = str(err)
+                continue
+            entry["log_gauss"] = "inf" if lg == math.inf else _pair(lg)
+            entry["slope"] = sv.as_json_value()
+            if sv.is_infinite or lg == math.inf:
+                dev = 0.0 if (sv.is_infinite and lg == math.inf) else math.inf
+            else:
+                dev = abs(complex(sv.reading) - lg) / max(1.0, abs(lg))
+            entry["relative_deviation"] = None if dev == math.inf else dev
+            entry["ok"] = (dev <= args.tol and a_resid <= args.tol)
     comparable = [s for s in samples if s["relative_deviation"] is not None]
     max_dev = max((s["relative_deviation"] for s in comparable), default=None)
     max_resid = max((s["apoly_residual"] for s in samples

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -18,13 +19,14 @@ from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              bilaurent_gcd, bilaurent_to_json,
                              compute_apoly_twobridge,
                              compute_apoly_twobridge_detailed, format_bilaurent,
-                             ideal_point_slopes, log_gauss, newton_polygon,
-                             parse_bilaurent, resultant_t, riley_polynomial,
-                             side_slopes, squarefree_part)
+                             ideal_point_slopes, log_gauss, log_gauss_stack,
+                             newton_polygon, parse_bilaurent, resultant_t,
+                             riley_polynomial, side_slopes, squarefree_part)
 from knotslope.data import load_builtin
 from knotslope.presentation import Word, parse_presentation, parse_word
 from knotslope.representations import (boundary_data, prefix_images,
                                        riley_family, word_letters)
+from knotslope.slope import Route1Plan
 
 sympy = pytest.importorskip("sympy")
 
@@ -84,13 +86,13 @@ def test_bilaurent_evaluate():
     p = parse_bilaurent(L_TREFOIL)
     assert abs(p.evaluate(-2.0 ** -6, 2.0)) < 1e-14
     assert p.evaluate(1.0, 1.0) == pytest.approx(2.0)
-    assert p.abs_evaluate(2.0, 2.0) == pytest.approx(129.0)
 
 
 def test_abs_evaluate_takes_each_coefficient_as_one_float():
     # numerator and denominator alone are beyond floating point
     p = BiLaurent({(1, 0): Fraction(10 ** 400 + 1, 10 ** 399), (0, 0): 1})
-    assert p.abs_evaluate(1.0, 1.0) == 11.0
+    (residual,), _, (error,) = log_gauss_stack(p, [1.0], [1.0])
+    assert (residual, error) == (11 / 12, None)
 
 
 def test_canonical_normalizes_laurent_shifts_and_content():
@@ -156,6 +158,8 @@ def test_parse_errors_carry_position():
         parse_bilaurent("L^")
     with pytest.raises(ApolyError):
         parse_bilaurent("")
+    with pytest.raises(ApolyError, match="column 5: zero denominator"):
+        parse_bilaurent("L + 2/0*M")
 
 
 def test_json_roundtrip():
@@ -229,7 +233,8 @@ def test_log_gauss_constant_on_trefoil_curve():
     for _ in range(20):
         M = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         L = -M ** -6.0
-        assert abs(A.evaluate(L, M)) < 1e-9 * A.abs_evaluate(abs(L), abs(M))
+        (residual,), _, _ = log_gauss_stack(A, [L], [M])
+        assert residual < 1e-9
         assert abs(log_gauss(A, L, M) - (-6.0)) < 1e-10
 
 
@@ -246,6 +251,36 @@ def test_log_gauss_singular_point_rejected():
         log_gauss(A, 1.0, 1.0)  # both partials vanish
     with pytest.raises(ApolyError):
         log_gauss(A, 0.0, 1.0)  # coordinates must be nonzero
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    (L_TREFOIL, (0.0, 2.0), "nonzero L and M"),
+    (L_TREFOIL, (1.0, 0.0), "nonzero L and M"),
+    # a coefficient whose term passes float range at this point only
+    ("1" + "0" * 300 + "*L*M^6 + 1", (1e10, 2.0), "overflows floating point"),
+    # a power beyond float range at |M| > 1, zero at |M| < 1
+    ("L*M^6 + 1 + M^100000000000000000000", (-2.0 ** -6, 2.0),
+     "overflows floating point"),
+    ("L^2 - 2*L*M + M^2", (1.0, 1.0), "singular point"),
+], ids=["L-zero", "M-zero", "coefficient", "exponent", "singular"])
+def test_log_gauss_stack_gives_only_the_bad_point_its_error(text, bad,
+                                                            message):
+    L, M = zip((-64.0, 0.5), bad, (2.0, 0.5 + 0.25j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual, _, errors = log_gauss_stack(parse_bilaurent(text), L, M)
+    assert errors[0] is None and errors[2] is None
+    assert message in str(errors[1])
+    # an overflowing point has no residual; a singular or zero one keeps it
+    assert np.isnan(residual[1]) == (message == "overflows floating point")
+    assert np.isfinite(residual[[0, 2]]).all()
+
+
+def test_log_gauss_stack_without_a_float_coefficient_errs_everywhere():
+    A = parse_bilaurent("1" + "0" * 400 + "*L + 1")
+    residual, _, errors = log_gauss_stack(A, [1.0, 0.5, -2.0], 1.5)
+    assert np.isnan(residual).all()
+    assert all("overflows floating point" in str(e) for e in errors)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +461,30 @@ def assert_in_exponent_range(phi: TPoly, lam: TPoly, resultant: BiLaurent):
 #: every two-bridge knot b(p, q) with odd q and p <= 15
 ODD_Q_FAMILY = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2)
                 if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize(
+    "p, q", [*ODD_Q_FAMILY, (17, 5)],
+    ids=[f"b{p}_{q}" for p, q in [*ODD_Q_FAMILY, (17, 5)]])
+def test_log_gauss_stack_is_the_derivative_quotient_at_route1_points(p, q):
+    """On the family's A at route 1's points, the stack's map is
+    ``-(M A_M) / (L A_L)`` from the derivative polynomials, and a point
+    gives the same bits alone as in its meridian's stack."""
+    pres = parse_presentation(two_bridge_text(p, q))
+    res = compute_apoly_twobridge_detailed(pres)
+    A, plan = res.apoly, Route1Plan(pres, res.riley_polynomial)
+    dL, dM = A.derivative("L"), A.derivative("M")
+    meridians = [1.3 + 0.2j, 1.8 + 0.9j, 0.7 + 0.4j, -1.2 + 0.1j]
+    for family in plan.evaluate_meridians(meridians):
+        points = [(r.L, r.M) for _, r in family if r.L is not None]
+        L, M = zip(*points)
+        residual, gauss, errors = log_gauss_stack(A, L, M)
+        assert errors == [None] * len(points)
+        for k, (Lk, Mk) in enumerate(points):
+            want = -(Mk * dM.evaluate(Lk, Mk)) / (Lk * dL.evaluate(Lk, Mk))
+            assert abs(gauss[k] - want) <= 1e-10 * abs(want)
+            alone = log_gauss_stack(A, [Lk], [Mk])
+            assert (alone[0][0], alone[1][0]) == (residual[k], gauss[k])
 
 
 @pytest.mark.parametrize("p, q", ODD_Q_FAMILY,
@@ -680,8 +739,8 @@ def test_apoly_vanishes_on_boundary_eigenvalues():
             M = complex(rng.uniform(1.1, 1.9), rng.uniform(0.1, 0.6))
             for rep in riley_family(pres, M):
                 bd = boundary_data(rep)
-                scale = A.abs_evaluate(abs(bd.L), abs(M)) + 1.0
-                assert abs(A.evaluate(bd.L, M)) < 1e-7 * scale
+                (residual,), _, _ = log_gauss_stack(A, [bd.L], [M])
+                assert residual < 1e-7
 
 
 def test_apoly_with_reducible_factor():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import json
 from math import gcd
 
@@ -151,6 +153,47 @@ def test_scan_csv_output(capsys):
     assert len(lines) == 1 + 2 * 3  # two branches per sample
 
 
+@pytest.mark.parametrize("argv", [
+    # parabolic rows: a complex slope, slope_is_inf 0, no peripheral fit
+    ["slope", "figure8", "--M", "1"],
+    # one meridian-level error row
+    ["scan", "trefoil", "--samples", "1", "--arc", "1e-200,1e-200,0,0"],
+], ids=["parabolic", "meridian-error"])
+def test_csv_rows_match_json_records(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    recs = records(out)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(recs)
+
+    def cells(value):
+        return ["", ""] if value is None else [str(x) for x in value]
+
+    for rec, row in zip(recs, rows):
+        slope = rec["slope"]
+        if slope == "inf":
+            slope_cells = ["", "", "1"]
+        elif slope is None:
+            slope_cells = ["", "", ""]
+        else:
+            slope_cells = [*cells(slope), "0"]
+        res = rec["residuals"]
+        want = [*cells(rec["M"]), *cells(rec["x"]), *cells(rec["t"]),
+                "" if rec["root_index"] is None else str(rec["root_index"]),
+                *cells(rec["L"]), *slope_cells, rec["verdict"],
+                *(str(res[k]) if k in res else ""
+                  for k in ("relator", "commutation", "peripheral_fit")),
+                rec["error"] or ""]
+        assert list(row.values()) == want
+        assert list(row) == [
+            "M_re", "M_im", "x_re", "x_im", "t_re", "t_im", "root_index",
+            "L_re", "L_im", "slope_re", "slope_im", "slope_is_inf", "verdict",
+            "residual_relator", "residual_commutation", "residual_fit",
+            "error"]
+
+
 def test_scan_custom_arc(capsys):
     code, out, _ = run(capsys, "scan", "trefoil", "--samples", "2",
                        "--arc", "1.5,1.6,0.2,0.3")
@@ -243,6 +286,22 @@ def test_verify_apoly_overflow_fails_the_sample(apoly, capsys):
     assert all("overflows floating point" in s["error"]
                for s in report["samples"])
     assert err == "verify: FAIL\n"
+
+
+def test_verify_differentiates_nothing_per_sample(monkeypatch, capsys):
+    from knotslope.apoly import BiLaurent
+
+    calls = []
+    derivative = BiLaurent.derivative
+    monkeypatch.setattr(BiLaurent, "derivative",
+                        lambda p, var: calls.append(var) or derivative(p, var))
+    counts = []
+    for samples in ("1", "8"):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "figure8", "--samples", samples)
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_verify_fails_at_a_parabolic_meridian(capsys):
@@ -620,6 +679,8 @@ def test_bad_arc_and_samples(capsys):
     ["verify", "trefoil", "--samples", "2", "--apoly", "0"],
     ["verify", "trefoil", "--samples", "2", "--apoly", "3"],
     ["verify", "trefoil", "--samples", "2", "--apoly", "M^2"],
+    # a supplied A-polynomial with a zero denominator
+    ["verify", "trefoil", "--apoly", "2/0*L + 1"],
 ])
 def test_bad_input_exits_2_with_a_message(argv, capsys):
     code, out, err = run(capsys, *argv)
