@@ -23,27 +23,39 @@ relator entries of a 2-generator meridional presentation generate a
 polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
 M-content removed and repeated factors collapsed, is the defining
-polynomial of the eigenvalue variety's closure.
+polynomial of the eigenvalue variety's closure.  ``riley_polynomial``
+takes the entry of least degree as the gcd when it divides every other
+one, and the pseudo-remainder gcd otherwise.
 
 ``phi`` is monic in ``t`` on the two-bridge knots, and ``resultant_t``
-then takes a modular route: reduce ``lam`` modulo ``phi``, evaluate the
-characteristic polynomial of ``lam(C)``, ``C`` the companion matrix of
-``phi``, at ``M = 1, ..., K`` modulo word-size primes, interpolate in
-``M`` and rebuild each coefficient by the Chinese remainder theorem, on
-as many points as ``phi``'s Newton polygon bounds the resultant's M-span
-and as many primes as a Hadamard bound asks (see ``_resultant_modular``),
-so the result is the exact determinant.  Any other input, such as a
-``phi`` that is not monic, takes the fraction-free (Bareiss) elimination
-of the Sylvester matrix.
+then takes a modular route: reduce ``lam`` modulo ``phi`` to ``r``, and
+evaluate the characteristic polynomial of ``r(C)``, ``C`` the companion
+matrix of ``phi``, modulo word-size primes at ``x = 1, ..., K`` for
+``x = M^d``, ``d`` the gcd of the M-exponents of ``phi`` and ``r`` (at least
+2 on every two-bridge knot tried); then interpolate in ``x`` and rebuild each
+coefficient by the Chinese remainder theorem, on as many points as
+``phi``'s Newton polygon bounds the resultant's span in ``x`` and as
+many primes as a Hadamard bound asks (see ``_resultant_modular``), so the
+result is the exact determinant.  Any other input, such as a ``phi``
+that is not monic, takes the fraction-free (Bareiss) elimination of the
+Sylvester matrix.
 
-Collapsing repeated factors needs ``gcd(A, dA/dL)``, a primitive
-pseudo-remainder sequence whose univariate steps run over ``Z``.
-``squarefree_part`` skips that gcd when one integer specialisation
-``M = m`` certifies it trivial: some L-coefficient of ``A`` is a single
-term, so ``A`` has no content in ``M``, and ``A(L, m)`` is coprime to its
-derivative at an ``m`` where the leading L-coefficient does not vanish.
-Specialising can only raise the degree of the gcd there, so a gcd of
-degree 0 proves ``A`` squarefree.
+Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
+first tries a certificate that the gcd is trivial: some L-coefficient of
+``A`` is a single term, so ``A`` has no content in ``M``, and ``A(L, m)``
+is coprime to its derivative at an integer ``m`` where the leading
+L-coefficient does not vanish; specialising can only raise the degree of
+the gcd there, so a gcd of degree 0 proves ``A`` squarefree.  When that
+fails and the leading L-coefficient is a unit ``±M^e``, as the
+elimination's always is, ``_squarefree_modular`` takes ``chi / gcd(chi,
+chi')`` of ``chi = A(L, x)`` modulo primes at points ``x = M^d``, skips
+the points and primes where the gcd's degree exceeds the least one seen,
+interpolates and rebuilds by CRT, and proves the result ``S`` exactly:
+``A = S·G``, ``G`` divides ``dA/dL``, and ``S`` passes the certificate
+give ``G = gcd(A, dA/dL)`` up to a unit.  The primitive pseudo-remainder
+sequence over ``Z[M]`` (``bilaurent_gcd``) is the reference of both, and
+the path only for input that is not monic in ``L`` or that the modular
+path cannot prove.
 
 ``log_gauss_stack`` gives ``verify`` route 2's numbers at a stack of
 points ``(L, M)``.  In log coordinates ``v = log L``, ``u = log M`` the
@@ -69,7 +81,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -712,6 +724,8 @@ class TPoly:
 
     def content(self) -> BiLaurent:
         """Gcd of the coefficients (canonical); zero for the zero poly."""
+        if any(len(c.terms) == 1 for c in self.coeffs):
+            return BiLaurent.one()  # a monomial is a unit up to a rational
         g = BiLaurent.zero()
         for c in self.coeffs:
             g = bilaurent_gcd(g, c)
@@ -750,10 +764,12 @@ def tpoly_prem(P: TPoly, Q: TPoly) -> TPoly:
         raise ApolyError("pseudo-remainder requires deg P >= deg Q")
     # a factor lc(Q) per step and the rest at the end keeps R small
     R, lcq, e = P, Q.leading, d + 1
+    monic = lcq == BiLaurent.one()
     while not R.is_zero and R.degree >= Q.degree:
-        R = R.scale(lcq) - Q.shift_t(R.degree - Q.degree).scale(R.leading)
+        R = (R if monic else R.scale(lcq)) \
+            - Q.shift_t(R.degree - Q.degree).scale(R.leading)
         e -= 1
-    return R.scale(lcq ** e) if e else R
+    return R.scale(lcq ** e) if e and not monic else R
 
 
 def tpoly_gcd(A: TPoly, B: TPoly) -> TPoly:
@@ -854,7 +870,7 @@ def _eigenvalue_of_elimination(P: TPoly, Q: TPoly) -> TPoly | None:
 
 def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     """``Res_t(P, L - lam)`` for a monic ``P``, by evaluation and
-    interpolation in ``M`` modulo word-size primes.
+    interpolation in ``x = M^d`` modulo word-size primes.
 
     Reduction: the resultant is ``prod (L - lam(a))`` over the roots ``a``
     of the monic ``P``, and ``lam(a) = r(a)`` for ``r = lam mod P``, so it
@@ -863,9 +879,15 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     companion matrix ``C`` of ``P``, whose eigenvalues are the roots ``a``:
     the characteristic polynomial of ``r(C)``.
 
+    ``d`` is the gcd of the M-exponents of ``P`` and ``r`` (1 when they
+    have none but 0).  Both are polynomials in ``x = M^d``, so the
+    determinant is too, and the points, the interpolation and the
+    exponent range below all run in ``x``; the coefficients, and so the
+    prime count, are those of the same determinant.
+
     Bounds, both proven:
 
-    - M-exponents: ``_exponent_range`` fixes ``K``, the number of points.
+    - exponents: ``_exponent_range`` fixes ``K``, the number of points.
     - Coefficients (Goldstein–Graham, 1974): on the torus
       ``|L| = |M| = 1`` each Sylvester entry is at most its coefficient
       1-norm, and each row holds the coefficients of ``P`` or of
@@ -880,16 +902,29 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     Q = TPoly.constant(BiLaurent.monomial(1, 0)) - r
     if Q.degree < 1:
         return Q.coeffs[0] ** n
-    lo, hi = _exponent_range(P, r)
     bound_sq = math.prod(
         sum(sum(map(abs, c.terms.values())) ** 2 for c in T.coeffs) ** e
         for T, e in ((P, Q.degree), (Q, n)))
     primes = _word_primes(n, 4 * bound_sq)
+    d = math.gcd(*(j for T in (P, r) for c in T.coeffs for _, j in c.terms)) or 1
+    P, r = (TPoly([_in_x(c, d) for c in T.coeffs]) for T in (P, r))
+    lo, hi = _exponent_range(P, r)
     x = np.arange(1, hi - lo + 2, dtype=np.int64)
     values = _charpoly_at(P, r, x, primes) \
         * _powers(x, -lo, primes)[:, None, :] % np.array(primes)[:, None, None]
-    coeffs = _interpolate(values, primes)
+    return _crt(_interpolate(values, primes), primes, lo, d)
 
+
+def _in_x(c: BiLaurent, d: int) -> BiLaurent:
+    """``c`` as a Laurent polynomial in ``x = M^d``: each M-exponent, a
+    multiple of ``d``, divided by ``d``."""
+    return BiLaurent._normalised({(i, j // d): v for (i, j), v in c.terms.items()})
+
+
+def _crt(coeffs: np.ndarray, primes: list[int], lo: int, d: int) -> BiLaurent:
+    """The integer polynomial whose coefficient of ``L^k x^(j + lo)``,
+    ``x = M^d``, has the residue ``coeffs[i, k, j]`` modulo ``primes[i]``,
+    each the symmetric residue modulo the product of the primes."""
     mods = [math.prod(primes[:i]) for i in range(len(primes))]
     invs = [pow(mod, -1, q) for mod, q in zip(mods, primes)]
     modulus = mods[-1] * primes[-1]
@@ -900,7 +935,7 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
         v = 0
         for res, q, mod, inv in zip(residues, primes, mods, invs):
             v += mod * ((res - v) * inv % q)
-        terms[(k, j + lo)] = v - modulus if 2 * v > modulus else v
+        terms[(k, (j + lo) * d)] = v - modulus if 2 * v > modulus else v
     return BiLaurent._normalised(terms)
 
 
@@ -935,19 +970,26 @@ def _exponent_range(P: TPoly, r: TPoly) -> tuple[int, int]:
 
 
 def _word_primes(n: int, bound_sq: int) -> list[int]:
-    """Descending primes, as many as make their product's square exceed
-    ``bound_sq``, below ``2^b`` for the largest ``b`` with
+    """The first primes of ``_descending_primes(n)``, as many as make their
+    product's square exceed ``bound_sq``."""
+    primes: list[int] = []
+    product = 1
+    for q in _descending_primes(n):
+        if product * product > bound_sq:
+            return primes
+        primes.append(q)
+        product *= q
+
+
+def _descending_primes(n: int) -> Iterator[int]:
+    """The primes below ``2^b``, descending, for the largest ``b`` with
     ``(n + 1)·2^(2b) <= 2^63``: a product of two ``n × n`` matrices of
     residues, plus a residue, then stays below ``2^63``."""
-    bits = (63 - (n + 1).bit_length()) // 2
-    primes: list[int] = []
-    product, q = 1, (1 << bits) - 1
-    while product * product <= bound_sq:
+    q = (1 << (63 - (n + 1).bit_length()) // 2) - 1
+    while True:
         if _is_prime(q):
-            primes.append(q)
-            product *= q
+            yield q
         q -= 2
-    return primes
 
 
 def _is_prime(q: int) -> bool:
@@ -981,13 +1023,11 @@ def _powers(x: np.ndarray, e: int, primes: list[int]) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
+def _evaluate_at(polys: Sequence[BiLaurent], x: np.ndarray,
                  primes: list[int]) -> np.ndarray:
-    """The coefficients of ``det(L·I - r(C))``, ``C`` the companion matrix
-    of the monic ``P``, at ``M = x`` modulo each prime: shape
-    ``(#primes, deg P + 1, len(x))``, ascending in ``L``."""
-    n = P.degree
-    polys = [*P.coeffs[:n], *r.coeffs]
+    """The integer Laurent polynomials ``polys`` in ``M`` at ``M = x``
+    modulo each prime, by Horner's rule: shape ``(#primes, len(polys),
+    len(x))``.  Some polynomial must be nonzero."""
     emin = min(j for c in polys for _, j in c.terms)
     emax = max(j for c in polys for _, j in c.terms)
     dense = np.zeros((len(polys), emax - emin + 1), dtype=object)
@@ -998,9 +1038,20 @@ def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
     digits = (dense[None] % np.array(primes, dtype=object)[:, None, None]
               ).astype(np.int64)
     vals = np.zeros((len(primes), len(polys), len(x)), dtype=np.int64)
-    for e in range(emax - emin, -1, -1):  # Horner in M
+    for e in range(emax - emin, -1, -1):
         vals = (vals * x + digits[:, :, e, None]) % q
-    vals = np.moveaxis(vals * _powers(x, emin, primes)[:, None, :] % q, 1, 2)
+    return vals * _powers(x, emin, primes)[:, None, :] % q
+
+
+def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
+                 primes: list[int]) -> np.ndarray:
+    """The coefficients of ``det(L·I - r(C))``, ``C`` the companion matrix
+    of the monic ``P``, at ``M = x`` modulo each prime: shape
+    ``(#primes, deg P + 1, len(x))``, ascending in ``L``."""
+    n = P.degree
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    vals = np.moveaxis(_evaluate_at([*P.coeffs[:n], *r.coeffs], x, primes),
+                       1, 2)
 
     # C acts on coefficient vectors as multiplication by t modulo P, so the
     # column j of r(C) is t^j·r mod P
@@ -1028,11 +1079,13 @@ def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
     return char
 
 
-def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
+def _interpolate(values: np.ndarray, primes: list[int],
+                 start: int = 1) -> np.ndarray:
     """Ascending coefficients of the polynomials of degree ``< K`` that
-    take ``values[..., i]`` at ``x = i + 1`` (``K`` points), modulo the
+    take ``values[..., i]`` at ``x = start + i`` (``K`` points), modulo the
     prime indexed by the first axis, by Newton's forward differences:
-    ``f(x) = sum_k (Δ^k f)(1) / k! · (x - 1)···(x - k)``."""
+    ``f(x) = sum_k (Δ^k f)(s) / k! · (x - s)···(x - s - k + 1)``,
+    ``s = start``."""
     K = values.shape[-1]
     q = np.array(primes, dtype=np.int64)[:, None, None]
     d = values.copy()
@@ -1047,9 +1100,9 @@ def _interpolate(values: np.ndarray, primes: list[int]) -> np.ndarray:
     d = d * inv_fact[:, None, :] % q
     c = np.zeros_like(d)
     c[..., 0] = d[..., K - 1]
-    for j in range(K - 2, -1, -1):  # c <- c·(x - (j + 1)) + d_j
-        c0 = (d[..., j] - (j + 1) * c[..., 0]) % q[..., 0]
-        c[..., 1:] = (c[..., :-1] - (j + 1) * c[..., 1:]) % q
+    for j in range(K - 2, -1, -1):  # c <- c·(x - (j + s)) + d_j
+        c0 = (d[..., j] - (j + start) * c[..., 0]) % q[..., 0]
+        c[..., 1:] = (c[..., :-1] - (j + start) * c[..., 1:]) % q
         c[..., 0] = c0
     return c
 
@@ -1174,18 +1227,163 @@ def _certified_squarefree_in_L(p: BiLaurent) -> bool:
     return len(_q_gcd(spec, [i * c for i, c in enumerate(spec)][1:])) == 1
 
 
+def _divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ascending coefficient lists modulo the
+    prime ``q``; ``b`` has a nonzero last coefficient, and the remainder's
+    trailing zeros are trimmed."""
+    inv = pow(b[-1], -1, q)
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f = quot[k] = rem[k + len(b) - 1] * inv % q
+        for i, c in enumerate(b):
+            rem[k + i] = (rem[k + i] - f * c) % q
+    del rem[len(b) - 1:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _squarefree_mod(chi: list[int], q: int) -> tuple[list[int], int]:
+    """``chi / gcd(chi, chi')`` for a monic ``chi`` modulo a prime ``q`` above
+    its degree, monic, and the degree of the gcd."""
+    a, b = chi, [i * c % q for i, c in enumerate(chi)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _divmod_mod(a, b, q)[1]
+    quot = _divmod_mod(chi, a, q)[0]
+    return [c * a[-1] % q for c in quot], len(a) - 1
+
+
+def _squarefree_images(coeffs: list[BiLaurent], e: int, lo: int, K: int,
+                       q: int, least: int
+                       ) -> tuple[int, int, np.ndarray] | None:
+    """``S̃(L, x) x^-lo`` modulo ``q`` at ``K`` consecutive points ``x``, for
+    ``S̃`` the monic squarefree part of ``p̃ = x^-e sum_k coeffs[k] L^k``.
+
+    At ``x = 1, 2, ...`` it takes ``chi = p̃(L, x)`` and ``chi / gcd(chi,
+    chi')``; a gcd of degree above the least one seen, here or in ``least``
+    from earlier primes, marks the point unlucky.  It returns ``(least
+    degree, first point, values)``, with ``values[k, i]`` the coefficient
+    of ``L^k`` at the ``i``-th point, or ``None`` when the first ``2K + 2``
+    points hold no ``K`` consecutive points of degree at most ``least``.
+    ``q`` must exceed ``2K + 2`` and the degree of ``p̃``.
+    """
+    run: list[list[int]] = []
+    for start in (1, K + 2):
+        x = np.arange(start, start + K + 1, dtype=np.int64)
+        chis = _evaluate_at(coeffs, x, [q])[0] * _powers(x, -e, [q]) % q
+        for xv, chi in zip(x.tolist(), chis.T.tolist()):
+            s, degree = _squarefree_mod(chi, q)
+            if degree < least:
+                least, run = degree, []
+            if degree > least:
+                run = []
+                continue
+            w = pow(xv, -lo, q)
+            run.append([c * w % q for c in s])
+            if len(run) == K:
+                return least, xv - K + 1, np.array(run, dtype=np.int64).T
+    return None
+
+
+def _squarefree_modular(p: BiLaurent, dp: BiLaurent
+                        ) -> tuple[BiLaurent, int] | None:
+    """``squarefree_part`` of a canonical ``p``, ``dp`` its L-derivative,
+    whose leading L-coefficient is ``M^e``, rebuilt from its images modulo
+    primes at points ``x = M^d``, ``d`` the gcd of ``p``'s M-exponents;
+    ``None`` when no proof is found.
+
+    Write ``p̃ = p / M^e``, monic in ``L``, and ``S̃ = S / M^e'`` for its
+    squarefree part ``S``.  A specialisation ``x -> m`` keeps the leading
+    coefficient, so ``gcd(p̃, p̃')`` maps into a common factor of ``p̃(L,
+    m)`` and its derivative: modulo a prime the gcd's degree there is at
+    least the true one, and where it is equal, ``chi / gcd(chi, chi')`` is
+    ``S̃(L, m)``.  ``S̃``'s Newton polygon, plus the point of the monic
+    ``G̃ = p̃ / S̃`` at ``(deg_L G, 0)``, lies inside ``p̃``'s (the polygon
+    of a product is the Minkowski sum), so ``S̃``'s M-exponents lie in
+    ``p̃``'s span ``[lo, hi]``, and ``K = hi - lo + 1`` points fix each
+    L-coefficient.  The residues are rebuilt by CRT, starting from as many
+    primes as ``p``'s largest coefficient would ask of ``S`` and adding one
+    at a time.
+
+    Whatever the images, the result ``S`` is proven by three exact checks:
+    ``p = S·G``; ``G`` divides ``dp/dL``; ``S`` passes
+    ``_certified_squarefree_in_L``.  Over ``Q(M)``, ``G`` divides ``p`` and
+    ``p'``, so it divides ``H = gcd(p, p')``.  An irreducible factor of
+    multiplicity ``k`` in ``p`` has multiplicity ``k - 1`` in ``H`` and at
+    most 1 in the squarefree ``S``, so at least ``k - 1`` in ``G``.  Hence
+    ``G = H`` up to a unit, ``S = p / H``, and the canonical ``S`` is the
+    PRS's answer; ``deg_L G`` is the multiplicity removed.
+
+    The primes are capped by Mignotte's bound: under ``L -> y^E``,
+    ``x -> y``, ``E`` above ``p``'s x-span, a factor keeps its
+    coefficients, and a factor of a polynomial ``f`` of degree ``N`` has
+    coefficients at most ``2^N |f|_2``.  Beyond it more primes cannot mend
+    the images; the primes tried, unlucky ones included, stop at its
+    square.
+    """
+    coeffs = _as_L_tpoly(p).coeffs
+    n = len(coeffs) - 1
+    d = math.gcd(*(j for _, j in p.terms)) or 1
+    coeffs = [_in_x(c, d) for c in coeffs]
+    ((_, e),) = coeffs[-1].terms
+    span = max(j for _, j in p.terms) // d
+    lo, K = -e, span + 1
+    start_bits = max(map(abs, p.terms.values())).bit_length() + 2
+    cap_bits = (n * (span + 1) + span
+                + sum(c * c for c in p.terms.values()).bit_length() // 2 + 3)
+    least, images, primes, tried = n, [], [], 1
+    for q in _descending_primes(n):
+        if (math.prod(primes).bit_length() > cap_bits
+                or tried.bit_length() > 2 * cap_bits):
+            return None
+        tried *= q
+        found = _squarefree_images(coeffs, e, lo, K, q, least)
+        if found is None:
+            continue
+        degree, start, values = found
+        if degree < least:
+            least, images, primes = degree, [], []
+        images.append(_interpolate(values[None], [q], start)[0])
+        primes.append(q)
+        if math.prod(primes).bit_length() < start_bits:
+            continue
+        S = _crt(np.array(images), primes, lo, d).canonical()
+        try:
+            G = p.exact_div(S)
+            dp.exact_div(G)
+        except ApolyError:
+            continue
+        if not _certified_squarefree_in_L(S):
+            return None
+        # the PRS path's exact quotient lists its terms descending; a
+        # float sum over the terms, as in log_gauss_stack, keeps its bits
+        S = BiLaurent._normalised(dict(sorted(S.terms.items(), reverse=True)))
+        return S, n - max(i for i, _ in S.terms)
+    return None
+
+
 def squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
     """Collapse repeated factors in ``L``: returns ``(p / gcd(p, dp/dL),
     d)`` in canonical form, where ``d`` is the ``L``-degree of the removed
     gcd.
 
-    The gcd, a primitive PRS over ``Z[M]``, is skipped when
-    ``_certified_squarefree_in_L`` proves it trivial, and ``(p, 0)`` is
-    returned; the result is the same either way."""
+    ``(p, 0)`` is returned when ``_certified_squarefree_in_L`` proves ``p``
+    squarefree.  Otherwise a ``p`` whose leading L-coefficient is a unit
+    ``±M^e``, as the elimination's, takes ``_squarefree_modular``; other
+    input, and any that the modular path cannot prove, takes the gcd by
+    the primitive PRS over ``Z[M]``, the reference of both."""
     p = p.canonical()
     dp = p.derivative("L")
     if dp.is_zero or _certified_squarefree_in_L(p):
         return p, 0
+    top = max(i for i, _ in p.terms)
+    lead = [c for (i, _), c in p.terms.items() if i == top]
+    if lead == [1]:
+        found = _squarefree_modular(p, dp)
+        if found is not None:
+            return found
     g = bilaurent_gcd(p, dp)
     if len(g.terms) == 1 and g.leading_exponents() == (0, 0):
         return p, 0
@@ -1265,6 +1463,17 @@ def _riley_entry(entry: np.ndarray) -> TPoly:
                   for row in entry.tolist()])
 
 
+def _divides_all(g: TPoly, entries: list[TPoly]) -> bool:
+    """Whether ``g`` divides every entry in the Laurent ring."""
+    view = _from_L_tpoly(g)
+    try:
+        for e in entries:
+            _from_L_tpoly(e).exact_div(view)
+    except ApolyError:
+        return False
+    return True
+
+
 def riley_polynomial(pres: KnotPresentation,
                      allow_constant: bool = False) -> TPoly:
     """The gcd of all relator entry polynomials in t (primitive in M),
@@ -1284,12 +1493,17 @@ def riley_polynomial(pres: KnotPresentation,
     if not entries:
         raise ApolyError("relators are identically satisfied; "
                          "no Riley polynomial")
-    g = entries[0]
-    for e in entries[1:]:
-        g = tpoly_gcd(g, e)
-        if g.degree == 0:
-            break
-    g = g.primitive_part()
+    # an entry whose primitive part, with a unit leading coefficient and
+    # no factor t, divides every other entry is their gcd
+    g = min(entries, key=lambda e: e.degree).primitive_part()
+    if not (len(g.leading.terms) == 1 and not g.coeffs[0].is_zero
+            and _divides_all(g, entries)):
+        g = entries[0]
+        for e in entries[1:]:
+            g = tpoly_gcd(g, e)
+            if g.degree == 0:
+                break
+        g = g.primitive_part()
     # the gcd is defined up to a Laurent unit; a leading ±M^k is divided
     # out, so that resultant_t can take its modular path
     (((i, k), c), *rest) = g.leading.terms.items()

@@ -172,11 +172,14 @@ def build_twisted_alexander(aug: AugmentedPresentation,
             build_twisted_alexander(aug, stack).matrix[0], aug)
     N, G = rep.shape[:2]
     rows = []
-    for letters, C in zip(aug.letters, aug.fox):
-        Ad = adjoint_of(prefix_images(rep, letters)).reshape(N, -1, 9)
-        # block (k, j, l) of the row block is sum_i C[i, j] Ad[i, k, l]
-        rows.append((C.T @ Ad).reshape(N, G, 3, 3).transpose(0, 2, 1, 3)
-                    .reshape(N, 3, 3 * G))
+    # entries beyond floating point become inf or NaN; the caller tests the
+    # matrix for finiteness
+    with np.errstate(all="ignore"):
+        for letters, C in zip(aug.letters, aug.fox):
+            Ad = adjoint_of(prefix_images(rep, letters)).reshape(N, -1, 9)
+            # block (k, j, l) of the row block is sum_i C[i, j] Ad[i, k, l]
+            rows.append((C.T @ Ad).reshape(N, G, 3, 3).transpose(0, 2, 1, 3)
+                        .reshape(N, 3, 3 * G))
     return TwistedAlexanderMatrix(np.concatenate(rows, axis=1), aug)
 
 

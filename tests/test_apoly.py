@@ -524,6 +524,35 @@ def test_segment_polygon_resultant_equals_bareiss(monkeypatch, phi, lam):
     assert_in_exponent_range(phi, lam, expected)
 
 
+#: monic ``phi`` and ``lam``, both ascending in t, and ``d``, the gcd of
+#: the M-exponents of ``phi`` and ``r = lam mod phi``
+X_CASES = {
+    "odd-exponent": (["-1", "M", "1"], ["M^2", "M^-1"], 1),
+    # lam of degree 4 is reduced modulo phi first
+    "M^3": (["M^-3", "-M^3", "0", "1"], ["M^6", "0", "M^-3 + 2", "0", "1"], 3),
+}
+
+
+@pytest.mark.parametrize("phi, lam, d", X_CASES.values(), ids=X_CASES)
+def test_resultant_in_x_equals_bareiss(monkeypatch, phi, lam, d):
+    """The modular resultant runs in ``x = M^d``: on one point per
+    exponent of ``x``, and equal to the Bareiss determinant."""
+    phi = TPoly([parse_bilaurent(c) for c in phi])
+    lam = TPoly([parse_bilaurent(c) for c in lam])
+    expected = apoly._resultant_bareiss(phi, l_minus(lam))
+    points = []
+    charpoly = apoly._charpoly_at
+    monkeypatch.setattr(apoly, "_charpoly_at", lambda P, r, x, primes:
+                        points.append(len(x)) or charpoly(P, r, x, primes))
+    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
+    assert resultant_t(phi, l_minus(lam)) == expected
+    monkeypatch.undo()
+    assert_in_exponent_range(phi, lam, expected)
+    r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
+    lo, hi = apoly._exponent_range(phi, r)
+    assert points == [(hi - lo) // d + 1]
+
+
 def two_bridge_resultant(name: str) -> BiLaurent:
     pres = parse_presentation(TWO_BRIDGE[name])
     return compute_apoly_twobridge_detailed(pres).resultant
@@ -537,9 +566,10 @@ def prs_squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
     return p.exact_div(g).canonical(), max(exps) - min(exps)
 
 
-@pytest.mark.parametrize("make, certified, removed", [
+@pytest.mark.parametrize("make, skips_prs, removed", [
     pytest.param(lambda: two_bridge_resultant("b13_5"), True, 0, id="b13_5"),
-    pytest.param(lambda: two_bridge_resultant("b15_11"), False, 2,
+    # not certified, but monic in L: the modular path proves its answer
+    pytest.param(lambda: two_bridge_resultant("b15_11"), True, 2,
                  id="b15_11"),
     # lc_L = (M-2)(M-3) vanishes at 2 and 3; p(L, 4) = 2L^2 + L + 1
     pytest.param(lambda: parse_bilaurent("M^2 - 5*M + 6") * LM(2, 0)
@@ -547,14 +577,15 @@ def prs_squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
     # lc_L = (M-2)^2; p(L, 3) = (L+1)^2 (L+3) has a repeated factor
     pytest.param(lambda: parse_bilaurent("L*M - 2*L + 1") ** 2
                  * parse_bilaurent("L + M"), False, 1, id="lc-vanishes-at-2"),
-    # squarefree, but p(L, 2) = L^2 gains a repeated factor
+    # squarefree, but p(L, 2) = L^2 gains a repeated factor; the modular
+    # path finds S = p, which the certificate cannot prove
     pytest.param(lambda: parse_bilaurent("L^2 - M + 2"), False, 0,
                  id="specialisation-gains-a-square"),
     # squarefree in L, but the content M + 1 is part of the gcd
     pytest.param(lambda: parse_bilaurent("M + 1") * parse_bilaurent("L^2 + L + 1"),
                  False, 0, id="content-in-M"),
 ])
-def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, certified,
+def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, skips_prs,
                                                 removed):
     p = make()
     gcd_calls = []
@@ -566,9 +597,92 @@ def test_squarefree_certificate_agrees_with_prs(monkeypatch, make, certified,
     monkeypatch.setattr(apoly, "bilaurent_gcd", counting_gcd)
     got = squarefree_part(p)
     monkeypatch.undo()
-    assert (not gcd_calls) == certified
+    assert (not gcd_calls) == skips_prs
     assert got == prs_squarefree_part(p)
     assert got[1] == removed
+
+
+def fail(*args):
+    raise AssertionError("the PRS gcd ran")
+
+
+UNLUCKY_X_1 = {
+    "b15_11": lambda: two_bridge_resultant("b15_11"),
+    # in x = M^2, the factors L - x and L - 1 meet at x = 1
+    "(L-M^2)^2(L-1)": lambda: (parse_bilaurent("L - M^2") ** 2
+                               * parse_bilaurent("L - 1")),
+}
+
+
+@pytest.mark.parametrize("make", UNLUCKY_X_1.values(), ids=UNLUCKY_X_1)
+def test_modular_squarefree_skips_the_unlucky_point_x_1(monkeypatch, make):
+    p = make()
+    starts = []
+    interpolate = apoly._interpolate
+    monkeypatch.setattr(apoly, "_interpolate", lambda values, primes, start=1:
+                        starts.append(start) or interpolate(values, primes,
+                                                            start))
+    monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
+    got = squarefree_part(p)
+    monkeypatch.undo()
+    assert starts == [2]
+    assert got == prs_squarefree_part(p)
+
+
+#: primes above the 2K + 2 = 34 points b(15,11) may take
+SMALL_PRIMES = [q for q in range(150, 36, -1)
+                if all(q % k for k in range(2, q))]
+
+
+@pytest.mark.parametrize("make", UNLUCKY_X_1.values(), ids=UNLUCKY_X_1)
+def test_modular_squarefree_with_small_primes(monkeypatch, make):
+    """Modulo primes this small some primes and points are unlucky, and the
+    CRT needs several primes; the exact checks still give the PRS's
+    answer."""
+    p = make()
+    monkeypatch.setattr(apoly, "_descending_primes",
+                        lambda n: iter(SMALL_PRIMES))
+    monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
+    got = squarefree_part(p)
+    monkeypatch.undo()
+    assert got == prs_squarefree_part(p)
+
+
+FAMILY_AND_B17_5 = [*ODD_Q_FAMILY, (17, 5)]
+
+
+@pytest.mark.parametrize("p, q", FAMILY_AND_B17_5,
+                         ids=[f"b{p}_{q}" for p, q in FAMILY_AND_B17_5])
+def test_elimination_takes_no_prs_gcd(monkeypatch, p, q):
+    """``riley_polynomial`` takes an entry that divides the others, and the
+    M-content and the squarefree part need no gcd; the Riley polynomial
+    is the one the gcd of the entries gives, term order included."""
+    pres = parse_presentation(two_bridge_text(p, q))
+    monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
+    monkeypatch.setattr(apoly, "tpoly_gcd", fail)
+    compute_apoly_twobridge_detailed(pres)
+    monkeypatch.undo()
+    phi = riley_polynomial(pres)
+    monkeypatch.setattr(apoly, "_divides_all", lambda g, entries: False)
+    reference = riley_polynomial(pres)
+    assert [list(c.terms.items()) for c in phi.coeffs] == \
+        [list(c.terms.items()) for c in reference.coeffs]
+
+
+SQUAREFREE_KNOTS = [*ODD_Q_FAMILY, (17, 1), (19, 1)]
+
+
+@pytest.mark.parametrize("p, q", SQUAREFREE_KNOTS,
+                         ids=[f"b{p}_{q}" for p, q in SQUAREFREE_KNOTS])
+def test_squarefree_part_equals_prs_on_the_family(p, q):
+    """Multiplicities 0 to 8 removed, and a part with a factor removed
+    lists its terms in the PRS quotient's order."""
+    res = compute_apoly_twobridge_detailed(
+        parse_presentation(two_bridge_text(p, q)))
+    got, want = squarefree_part(res.resultant), prs_squarefree_part(res.resultant)
+    assert got == want
+    if got[1]:
+        assert list(got[0].terms.items()) == list(want[0].terms.items())
 
 
 def test_elimination_stores_integer_coefficients():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import hashlib
 import io
 import json
 from math import gcd
@@ -224,6 +225,28 @@ def test_apoly_figure8_with_reducible(capsys):
     assert set(payload["ideal_slopes"]["values"]) >= {"-4", "4"}
 
 
+#: SHA-256 of ``apoly``'s stdout on two-bridge knots beyond the family,
+#: recorded from the PRS-gcd elimination in ``M``; multiplicities 7 and 8
+#: are removed on b(17,1) and b(19,1)
+APOLY_GOLDEN = {
+    (17, 1): "0b610d6142e81931993a52a3957a9c8dbc2cac933285b90c27eca68786f4e406",
+    (19, 1): "08461cb51183dbdb79e920a58c58e61474b35d8d65bf773d416585f3761cb013",
+    (19, 7): "50539d354e6faf991282d7a10d32a43ba915298837dbf9c0e48a27471ad41818",
+    (21, 5): "098be8e88bbb2e099343ddd709320b267d97b381951afcbd9e756e8e758df59f",
+    (23, 5): "d8f0d1f8e4463a0faeb5b5eebe46c69a0976753b3834fe8405104fa037a576f9",
+}
+
+
+@pytest.mark.parametrize("p, q", APOLY_GOLDEN,
+                         ids=[f"b{p}_{q}" for p, q in APOLY_GOLDEN])
+def test_apoly_output_is_golden_beyond_the_family(p, q, tmp_path, capsys):
+    path = tmp_path / f"b{p}_{q}.txt"
+    path.write_text(two_bridge_text(p, q), encoding="utf-8")
+    code, out, err = run(capsys, "apoly", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == APOLY_GOLDEN[p, q]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -341,6 +364,25 @@ def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
         recs = json.loads(out)
         assert len(recs) == 20 * 7  # (p - 1) / 2 Riley branches per sample
         assert all(r["verdict"] == "admissible" for r in recs)
+
+
+def test_far_arc_overflow_gives_typed_verdicts_without_warnings(tmp_path,
+                                                                capsys):
+    """At ``|M| = 1e6`` the adjoint Fox blocks of b(11,3) overflow.  With
+    warnings as errors, each record still gets its typed verdict, and
+    stderr holds no more than ``verify``'s verdict line."""
+    path = tmp_path / "b11_3.txt"
+    path.write_text(two_bridge_text(11, 3), encoding="utf-8")
+    arc = ("--arc", "1e6,1e6,0.3,0.3")
+    code, out, err = run(capsys, "scan", str(path), *arc)
+    assert (code, err) == (0, "")
+    recs = records(out)
+    assert any("overflow" in r["error"] for r in recs if r["error"])
+    code, out, err = run(capsys, "verify", str(path), *arc)
+    assert (code, err) == (1, "verify: FAIL\n")
+    samples = json.loads(out)["samples"]
+    assert samples and all(s["ok"] is False and isinstance(s["error"], str)
+                           for s in samples)
 
 
 #: every odd-q two-bridge knot b(p, q) with p <= 13 at seed 0, and seeds 1
