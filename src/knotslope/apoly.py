@@ -24,21 +24,26 @@ polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
 M-content removed and repeated factors collapsed, is the defining
 polynomial of the eigenvalue variety's closure.  ``riley_polynomial``
-takes the entry of least degree as the gcd when it divides every other
-one, and the pseudo-remainder gcd otherwise.
+takes the entry of least degree as the gcd when, divided by a unit
+leading coefficient, its remainder on every other one is zero (on the
+dense arrays of the Riley words), and the pseudo-remainder gcd
+otherwise.
 
 ``phi`` is monic in ``t`` on the two-bridge knots, and ``resultant_t``
-then takes a modular route: reduce ``lam`` modulo ``phi`` to ``r``, and
-evaluate the characteristic polynomial of ``r(C)``, ``C`` the companion
-matrix of ``phi``, modulo word-size primes at ``x = 1, ..., K`` for
-``x = M^d``, ``d`` the gcd of the M-exponents of ``phi`` and ``r`` (at least
-2 on every two-bridge knot tried); then interpolate in ``x`` and rebuild each
-coefficient by the Chinese remainder theorem, on as many points as
-``phi``'s Newton polygon bounds the resultant's span in ``x`` and as
-many primes as a Hadamard bound asks (see ``_resultant_modular``), so the
-result is the exact determinant.  Any other input, such as a ``phi``
-that is not monic, takes the fraction-free (Bareiss) elimination of the
-Sylvester matrix.
+then takes a modular route: reduce ``lam`` modulo ``phi`` to ``r`` on dense
+integer arrays, and evaluate the characteristic polynomial of ``r(C)``,
+``C`` the companion matrix of ``phi``, in ``x = M^d``, ``d`` the gcd of the
+M-exponents of ``phi`` and ``r`` (at least 2 on every two-bridge knot
+tried), at the ``K``-th roots of unity modulo word-size primes ``q ≡ 1
+(mod K)``; then interpolate in ``x`` and rebuild each coefficient by the
+Chinese remainder theorem, on as many points as ``phi``'s Newton polygon
+bounds the resultant's span in ``x`` and as many primes as a Hadamard
+bound asks (see ``_resultant_modular``), so the result is the exact
+determinant.  On those points evaluation and interpolation are one exact
+transform each, a matrix product with a table of powers of a root of
+unity (``_UnitRoots``).  Any other input, such as a ``phi`` that is not
+monic, takes the fraction-free (Bareiss) elimination of the Sylvester
+matrix.
 
 Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
 first tries a certificate that the gcd is trivial: some L-coefficient of
@@ -48,14 +53,14 @@ L-coefficient does not vanish; specialising can only raise the degree of
 the gcd there, so a gcd of degree 0 proves ``A`` squarefree.  When that
 fails and the leading L-coefficient is a unit ``±M^e``, as the
 elimination's always is, ``_squarefree_modular`` takes ``chi / gcd(chi,
-chi')`` of ``chi = A(L, x)`` modulo primes at points ``x = M^d``, skips
-the points and primes where the gcd's degree exceeds the least one seen,
-interpolates and rebuilds by CRT, and proves the result ``S`` exactly:
-``A = S·G``, ``G`` divides ``dA/dL``, and ``S`` passes the certificate
-give ``G = gcd(A, dA/dL)`` up to a unit.  The primitive pseudo-remainder
-sequence over ``Z[M]`` (``bilaurent_gcd``) is the reference of both, and
-the path only for input that is not monic in ``L`` or that the modular
-path cannot prove.
+chi')`` of ``chi = A(L, x)``, ``x = M^d``, modulo primes on a coset of the
+same transform's points, one where no point has a gcd of degree above
+the least one seen, interpolates and rebuilds by CRT, and proves the
+result ``S`` exactly: ``A = S·G``, ``G`` divides ``dA/dL``, and ``S``
+passes the certificate give ``G = gcd(A, dA/dL)`` up to a unit.  The
+primitive pseudo-remainder sequence over ``Z[M]`` (``bilaurent_gcd``) is
+the reference of both, and the path only for input that is not monic in
+``L`` or that the modular path cannot prove.
 
 ``log_gauss_stack`` gives ``verify`` route 2's numbers at a stack of
 points ``(L, M)``.  In log coordinates ``v = log L``, ``u = log M`` the
@@ -737,6 +742,9 @@ class TPoly:
         if self.is_zero:
             return self
         g = self.content()
+        if g == BiLaurent.one():  # exact_div by one lists terms descending
+            return TPoly([BiLaurent._normalised(dict(sorted(
+                c.terms.items(), reverse=True))) for c in self.coeffs])
         return TPoly([c.exact_div(g) for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
@@ -877,13 +885,15 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
     equals ``Res_t(P, L - r)``, exactly; a constant ``r = c`` gives
     ``(L - c)^deg P``.  Otherwise it is ``det(L·I - r(C))`` for the
     companion matrix ``C`` of ``P``, whose eigenvalues are the roots ``a``:
-    the characteristic polynomial of ``r(C)``.
+    the characteristic polynomial of ``r(C)``.  ``r`` is reduced on dense
+    integer arrays, and the determinant is the only polynomial built.
 
     ``d`` is the gcd of the M-exponents of ``P`` and ``r`` (1 when they
     have none but 0).  Both are polynomials in ``x = M^d``, so the
     determinant is too, and the points, the interpolation and the
     exponent range below all run in ``x``; the coefficients, and so the
-    prime count, are those of the same determinant.
+    prime count, are those of the same determinant.  The points are the
+    ``K``-th roots of unity modulo primes ``q ≡ 1 (mod K)`` (``_UnitRoots``).
 
     Bounds, both proven:
 
@@ -898,27 +908,82 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
       exceeds ``2B`` fix it as a symmetric residue (CRT).
     """
     n = P.degree
-    r = tpoly_prem(lam, P) if lam.degree >= n else lam
-    Q = TPoly.constant(BiLaurent.monomial(1, 0)) - r
-    if Q.degree < 1:
-        return Q.coeffs[0] ** n
-    bound_sq = math.prod(
-        sum(sum(map(abs, c.terms.values())) ** 2 for c in T.coeffs) ** e
-        for T, e in ((P, Q.degree), (Q, n)))
-    primes = _word_primes(n, 4 * bound_sq)
-    d = math.gcd(*(j for T in (P, r) for c in T.coeffs for _, j in c.terms)) or 1
-    P, r = (TPoly([_in_x(c, d) for c in T.coeffs]) for T in (P, r))
-    lo, hi = _exponent_range(P, r)
-    x = np.arange(1, hi - lo + 2, dtype=np.int64)
-    values = _charpoly_at(P, r, x, primes) \
-        * _powers(x, -lo, primes)[:, None, :] % np.array(primes)[:, None, None]
-    return _crt(_interpolate(values, primes), primes, lo, d)
+    p_dense, p_lo = _dense(P)
+    r, r_lo = _dense(lam)
+    if lam.degree >= n:
+        r, r_lo = _monic_rem(r, r_lo, p_dense, p_lo)
+    if len(r) < 2:  # r is a constant r_0, possibly zero
+        r_0 = r[0].tolist() if len(r) else []
+        return BiLaurent._normalised(
+            {(1, 0): 1, **{(0, r_lo + j): -v for j, v in enumerate(r_0) if v}}
+        ) ** n
+    norms = [[sum(map(abs, row)) for row in T.tolist()] for T in (p_dense, r)]
+    norms[1][0] += 1  # Q_0 = L - r_0
+    bound_sq = math.prod(sum(v * v for v in row) ** e
+                         for row, e in zip(norms, (len(r) - 1, n)))
+    d = math.gcd(*(lo + j for T, lo in ((p_dense, p_lo), (r, r_lo))
+                   for j in np.flatnonzero((T != 0).any(axis=0)).tolist())) or 1
+    lo, hi = (v // d for v in _exponent_range(P, r, r_lo))
+    K = hi - lo + 1
+    roots = _UnitRoots(K, _word_primes(n, K, 4 * bound_sq))
+    char = _charpoly_at(roots.evaluate(p_dense[:n, ::d], p_lo // d),
+                        roots.evaluate(r[:, ::d], r_lo // d), roots.primes)
+    return _crt(roots.interpolate(char, lo), roots.primes, lo, d)
 
 
-def _in_x(c: BiLaurent, d: int) -> BiLaurent:
-    """``c`` as a Laurent polynomial in ``x = M^d``: each M-exponent, a
-    multiple of ``d``, divided by ``d``."""
-    return BiLaurent._normalised({(i, j // d): v for (i, j), v in c.terms.items()})
+def _dense(T: TPoly) -> tuple[np.ndarray, int]:
+    """The integer coefficients of ``T`` as an array ``C[k, j - lo]`` of
+    ``t^k M^j``, and ``lo``, the least M-exponent: ``int64`` when every
+    coefficient is below ``2^62`` in absolute value, Python ints otherwise."""
+    terms = [(k, j, v) for k, c in enumerate(T.coeffs)
+             for (_, j), v in c.terms.items()]
+    lo = min(j for _, j, _ in terms)
+    big = max(abs(v) for _, _, v in terms) >> 62
+    C = np.zeros((len(T.coeffs), max(j for _, j, _ in terms) - lo + 1),
+                 dtype=object if big else np.int64)
+    for k, j, v in terms:
+        C[k, j - lo] = v
+    return C, lo
+
+
+def _monic_rem(A: np.ndarray, a_lo: int, P: np.ndarray, p_lo: int
+               ) -> tuple[np.ndarray, int]:
+    """``A mod P`` for arrays of ``_dense``, ``P`` monic in t (its last row
+    is ``M^0``): the remainder, its zero rows and columns trimmed, and its
+    least M-exponent.  The rows of ``A`` are cancelled from the top, each by
+    one convolution with ``P``'s other rows laid end to end.  A step adds
+    at most ``max|R|·sum_k |P_k|_1`` to an entry, so the array turns to
+    Python ints before ``int64`` could overflow."""
+    n, width = len(P) - 1, P.shape[1]
+    if not n:  # P = 1
+        return A[:0, :0], 0
+    steps = max(len(A) - n, 0)
+    low = P[:n]
+    grow = 1 + sum(abs(v) for v in low.ravel().tolist())
+    # a step widens the M-range by P's, and p_lo <= 0 <= p_lo + width - 1
+    off = -steps * p_lo
+    R = np.zeros((len(A), A.shape[1] + steps * (width - 1)),
+                 dtype=object if object in (A.dtype, P.dtype) else np.int64)
+    R[:, off:off + A.shape[1]] = A
+    for k in range(len(A) - 1, n - 1, -1):
+        nz = np.flatnonzero(R[k])
+        if not len(nz):
+            continue
+        if R.dtype != object and int(np.abs(R).max()) * grow >> 63:
+            R = R.astype(object)
+        a0, a1 = nz[0], nz[-1] + 1
+        # P's rows, each padded by a1 - a0 - 1 zeros, make one 1-D product
+        stride = width + a1 - a0 - 1
+        padded = np.zeros((n, stride), dtype=R.dtype)
+        padded[:, :width] = low.astype(R.dtype)
+        prod = np.convolve(R[k, a0:a1], padded.ravel())[:n * stride]
+        R[k - n:k, a0 + p_lo:a0 + p_lo + stride] -= prod.reshape(n, stride)
+        R[k] = 0
+    rows = np.flatnonzero((R != 0).any(axis=1))
+    if not len(rows):
+        return R[:0, :0], 0
+    cols = np.flatnonzero((R != 0).any(axis=0))
+    return R[:rows[-1] + 1, cols[0]:cols[-1] + 1], a_lo - off + int(cols[0])
 
 
 def _crt(coeffs: np.ndarray, primes: list[int], lo: int, d: int) -> BiLaurent:
@@ -939,57 +1004,62 @@ def _crt(coeffs: np.ndarray, primes: list[int], lo: int, d: int) -> BiLaurent:
     return BiLaurent._normalised(terms)
 
 
-def _exponent_range(P: TPoly, r: TPoly) -> tuple[int, int]:
+def _exponent_range(P: TPoly, r: np.ndarray, r_lo: int) -> tuple[int, int]:
     """``lo <= 0 <= hi`` bounding the M-exponents of ``Res_t(P, L - r) =
-    prod (L - r(a))`` over the roots ``a`` of a monic ``P``, from the sides
-    of ``P``'s Newton polygon in the (t-exponent, M-exponent) plane.  A
-    side with ``di`` roots and slope ``s = dj/di`` gives them the valuation
-    ``-s``: at ``M = 0`` on a lower side (``di > 0``), at ``M = ∞`` on an
-    upper one, where ``r(a)`` is bounded by its smallest or largest term.
-    ``lo`` sums the negative parts, ``hi`` the positive ones, each an
-    integer ``|di|·(j - k·s)`` for a term ``M^j t^k`` of ``r``; a collinear
-    support's one side bounds both ways."""
+    prod (L - r(a))`` over the roots ``a`` of a monic ``P``, ``r`` given as
+    by ``_dense``, from the sides of ``P``'s Newton polygon in the
+    (t-exponent, M-exponent) plane.  A side with ``di`` roots and slope
+    ``s = dj/di`` gives them the valuation ``-s``: at ``M = 0`` on a lower
+    side (``di > 0``), at ``M = ∞`` on an upper one, where ``r(a)`` is
+    bounded by its smallest or largest term.  ``lo`` sums the negative
+    parts, ``hi`` the positive ones, each an integer ``|di|·(j - k·s)`` for
+    a term ``M^j t^k`` of ``r``; a collinear support's one side bounds both
+    ways."""
     polygon = newton_polygon(_from_L_tpoly(P))  # t-exponents in the L slot
     sides = polygon.sides
     if len(sides) == 1:
         sides += (Side(sides[0].end, sides[0].start),)
-    r_exps = [(k, [j for _, j in c.terms]) for k, c in enumerate(r.coeffs)
-              if not c.is_zero]
+    r_exps = [(k, r_lo + js[0], r_lo + js[-1])
+              for k, js in enumerate(np.flatnonzero(row).tolist() for row in r)
+              if js]
     lo = hi = 0
     for side in sides:
         di, dj = side.di, side.dj
         if di > 0:
-            lo += min(0, *(di * min(js) - k * dj for k, js in r_exps))
+            lo += min(0, *(di * j0 - k * dj for k, j0, _ in r_exps))
         elif di < 0:
-            hi += max(0, *(k * dj - di * max(js) for k, js in r_exps))
-    k, js = r_exps[0]
+            hi += max(0, *(k * dj - di * j1 for k, _, j1 in r_exps))
+    k, j0, j1 = r_exps[0]
     if k == 0:  # the roots a = 0 of P's factor t^z, where r(a) = r_0
         z = polygon.vertices[0][0]
-        lo, hi = lo + z * min(0, *js), hi + z * max(0, *js)
+        lo, hi = lo + z * min(0, j0), hi + z * max(0, j1)
     return lo, hi
 
 
-def _word_primes(n: int, bound_sq: int) -> list[int]:
-    """The first primes of ``_descending_primes(n)``, as many as make their
-    product's square exceed ``bound_sq``."""
+def _word_primes(n: int, K: int, bound_sq: int) -> list[int]:
+    """The first primes of ``_descending_primes(n, K)``, as many as make
+    their product's square exceed ``bound_sq``."""
     primes: list[int] = []
     product = 1
-    for q in _descending_primes(n):
+    for q in _descending_primes(n, K):
         if product * product > bound_sq:
             return primes
         primes.append(q)
         product *= q
+    raise ApolyError(f"too few primes 1 mod {K} for the coefficient bound")
 
 
-def _descending_primes(n: int) -> Iterator[int]:
-    """The primes below ``2^b``, descending, for the largest ``b`` with
-    ``(n + 1)·2^(2b) <= 2^63``: a product of two ``n × n`` matrices of
-    residues, plus a residue, then stays below ``2^63``."""
-    q = (1 << (63 - (n + 1).bit_length()) // 2) - 1
-    while True:
+def _descending_primes(n: int, K: int) -> Iterator[int]:
+    """The primes ``q ≡ 1 (mod K)`` below ``2^b``, descending, for the
+    largest ``b`` with ``(n + 1)·2^(2b) <= 2^63``: a product of two
+    ``n × n`` matrices of residues, plus a residue, then stays below
+    ``2^63``."""
+    step = K if K % 2 == 0 else 2 * K  # q is odd
+    q = ((1 << (63 - (n + 1).bit_length()) // 2) - 2) // step * step + 1
+    while q > 2:
         if _is_prime(q):
             yield q
-        q -= 2
+        q -= step
 
 
 def _is_prime(q: int) -> bool:
@@ -1016,48 +1086,121 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _powers(x: np.ndarray, e: int, primes: list[int]) -> np.ndarray:
-    """``x^e`` modulo each prime, shape ``(#primes, len(x))``; ``e`` may
-    be negative, as every point is a unit."""
-    return np.array([[pow(v, e, q) for v in x.tolist()] for q in primes],
-                    dtype=np.int64)
+def _geometric(first: Iterable[int], ratio: Iterable[int], count: int,
+               primes: list[int]) -> np.ndarray:
+    """``first·ratio^m`` modulo each prime, ``m < count``: shape
+    ``(#primes, count)``."""
+    rows = []
+    for a, r, q in zip(first, ratio, primes):
+        row = [a % q]
+        for _ in range(count - 1):
+            row.append(row[-1] * r % q)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
-def _evaluate_at(polys: Sequence[BiLaurent], x: np.ndarray,
-                 primes: list[int]) -> np.ndarray:
-    """The integer Laurent polynomials ``polys`` in ``M`` at ``M = x``
-    modulo each prime, by Horner's rule: shape ``(#primes, len(polys),
-    len(x))``.  Some polynomial must be nonzero."""
-    emin = min(j for c in polys for _, j in c.terms)
-    emax = max(j for c in polys for _, j in c.terms)
-    dense = np.zeros((len(polys), emax - emin + 1), dtype=object)
-    for row, c in zip(dense, polys):
-        for (_, j), v in c.terms.items():
-            row[j - emin] = v
-    q = np.array(primes, dtype=np.int64)[:, None, None]
-    digits = (dense[None] % np.array(primes, dtype=object)[:, None, None]
-              ).astype(np.int64)
-    vals = np.zeros((len(primes), len(polys), len(x)), dtype=np.int64)
-    for e in range(emax - emin, -1, -1):
-        vals = (vals * x + digits[:, :, e, None]) % q
-    return vals * _powers(x, emin, primes)[:, None, :] % q
+def _limb_split(K: int, bits: int) -> tuple[int, int]:
+    """``(limbs, width)``: the fewest limbs of ``width`` bits each that
+    cover a residue of ``bits`` bits, such that ``K`` products of a limb
+    and a residue sum below ``2^53``: ``K·(2^width - 1)·(2^bits - 1) <
+    2^53``."""
+    for limbs in range(1, bits + 1):
+        width = -(-bits // limbs)
+        if K * ((1 << width) - 1) * ((1 << bits) - 1) < 1 << 53:
+            return limbs, width
+    raise ApolyError(f"{K} points are too many for exact float64 products")
 
 
-def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
-                 primes: list[int]) -> np.ndarray:
+def _mulmod(a: np.ndarray, b: np.ndarray, q: np.ndarray, limbs: int,
+            width: int) -> np.ndarray:
+    """``a @ b`` modulo ``q``, exactly, for ``int64`` residues ``a`` and
+    ``float64`` residues ``b`` in ``[0, q)``, stacked over the primes on
+    the first axis; ``(limbs, width)`` is ``_limb_split(K, bits)`` for the
+    inner dimension ``K`` and ``q < 2^bits``.  ``a`` is split into limbs of
+    ``width`` bits, and each float64 product ``limb @ b`` is a sum of ``K``
+    integer terms below ``(2^width - 1)·(2^bits - 1)``: every partial sum,
+    in whatever order BLAS adds them, is an integer below ``2^53``, so
+    exact.  The limbs are joined modulo ``q`` in ``int64`` below
+    ``2^(bits + width + 1)``."""
+    rows = a.shape[-2]
+    parts = np.concatenate([(a >> width * i) & ((1 << width) - 1)
+                            for i in range(limbs)], axis=-2)
+    prod = (parts.astype(np.float64) @ b).astype(np.int64) % q
+    prod = prod.reshape(*prod.shape[:-2], limbs, rows, b.shape[-1])
+    out = prod[..., -1, :, :]
+    for i in range(limbs - 2, -1, -1):
+        out = ((out << width) + prod[..., i, :, :]) % q
+    return out
+
+
+class _UnitRoots:
+    """The ``K`` points ``x = c·ω^i``, ``i < K``, of a coset of the ``K``-th
+    roots of unity modulo each prime ``q ≡ 1 (mod K)``, ``ω`` a primitive
+    one (Pollard, 1971).  With exponents folded modulo ``K``, a Laurent
+    polynomial ``f = sum_j f_j x^j`` takes the value ``f(c ω^i) = sum_k (
+    sum_(j ≡ k) f_j c^j) ω^(ik)`` there: evaluation is one product with the
+    table ``W[k, i] = ω^(ik mod K)``.  Conversely, for ``f`` with exponents
+    in ``[lo, lo + K)``, ``f_j = K^-1 c^-j sum_i f(c ω^i) ω^(-ij)``:
+    interpolation is the same product, read at ``-j mod K``, and scaled.
+    Both products run in ``_mulmod``.  Any ``c`` gives ``K`` distinct
+    nonzero points; cosets differ exactly when their ``c^K`` differ."""
+
+    def __init__(self, K: int, primes: list[int]):
+        self.K, self.primes = K, primes
+        self.q = np.array(primes, dtype=np.int64)[:, None, None]
+        factors = [f for f in range(2, K + 1) if K % f == 0 and _is_prime(f)]
+        omega = [next(w for w in (pow(g, (q - 1) // K, q) for g in range(2, q))
+                      if all(pow(w, K // f, q) != 1 for f in factors))
+                 for q in primes]
+        i = np.arange(K)
+        self.table = _geometric([1] * len(primes), omega, K, primes
+                                )[:, np.outer(i, i) % K].astype(np.float64)
+        self.split = _limb_split(K, max(primes).bit_length())
+
+    def evaluate(self, coeffs: np.ndarray, lo: int, c: int = 1) -> np.ndarray:
+        """The Laurent polynomials whose coefficient of ``x^(lo + j)`` in row
+        ``k`` is the integer ``coeffs[k, j]`` at the points, modulo each
+        prime: shape ``(#primes, rows, K)``."""
+        rows, span = coeffs.shape
+        res = (coeffs[None] % self.q).astype(np.int64)
+        powers = _geometric([pow(c, lo, q) for q in self.primes],
+                            [c] * len(self.primes), span, self.primes)
+        res = res * powers[:, None, :] % self.q
+        start = lo % self.K
+        folds = -(-(start + span) // self.K)
+        bins = np.zeros((len(self.primes), rows, folds * self.K), np.int64)
+        bins[..., start:start + span] = res
+        bins = bins.reshape(len(self.primes), rows, folds, self.K).sum(axis=2)
+        return _mulmod(bins % self.q, self.table, self.q, *self.split)
+
+    def interpolate(self, values: np.ndarray, lo: int, c: int = 1
+                    ) -> np.ndarray:
+        """The coefficients of ``x^lo, ..., x^(lo + K - 1)``, modulo each
+        prime, of the Laurent polynomials that take ``values[i, k, m]`` at
+        the ``m``-th point modulo ``primes[i]``: the same shape."""
+        K = self.K
+        sums = _mulmod(values, self.table, self.q, *self.split)
+        scale = _geometric(
+            [pow(K, -1, q) * pow(c, -lo, q) for q in self.primes],
+            [pow(c, -1, q) for q in self.primes], K, self.primes)
+        return sums[..., (-lo - np.arange(K)) % K] * scale[:, None, :] % self.q
+
+
+def _charpoly_at(a: np.ndarray, r: np.ndarray, primes: list[int]
+                 ) -> np.ndarray:
     """The coefficients of ``det(L·I - r(C))``, ``C`` the companion matrix
-    of the monic ``P``, at ``M = x`` modulo each prime: shape
-    ``(#primes, deg P + 1, len(x))``, ascending in ``L``."""
-    n = P.degree
+    of the monic ``P``, modulo ``primes[i]``, from the values ``a[i, k, m]``
+    of ``P``'s coefficients below the leading one and ``r[i, k, m]`` of
+    ``r``'s at the same points: shape ``(#primes, deg P + 1, #points)``,
+    ascending in ``L``."""
+    n, points = a.shape[1:]
     q = np.array(primes, dtype=np.int64)[:, None, None]
-    vals = np.moveaxis(_evaluate_at([*P.coeffs[:n], *r.coeffs], x, primes),
-                       1, 2)
+    a, r = np.moveaxis(a, 1, 2), np.moveaxis(r, 1, 2)
 
     # C acts on coefficient vectors as multiplication by t modulo P, so the
     # column j of r(C) is t^j·r mod P
-    a = vals[..., :n]
     col = np.zeros_like(a)
-    col[..., :r.degree + 1] = vals[..., n:]
+    col[..., :r.shape[-1]] = r
     X = np.empty(col.shape + (n,), dtype=np.int64)
     for j in range(n):
         X[..., j] = col
@@ -1067,7 +1210,7 @@ def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
 
     # Faddeev–LeVerrier: c_(n-k) = -tr(X·M_k)/k, M_(k+1) = X·M_k + c_(n-k)·I
     eye = np.eye(n, dtype=np.int64)
-    char = np.zeros((len(primes), n + 1, len(x)), dtype=np.int64)
+    char = np.zeros((len(primes), n + 1, points), dtype=np.int64)
     char[:, n] = 1
     Mk = np.broadcast_to(eye, X.shape)
     for k in range(1, n + 1):
@@ -1077,34 +1220,6 @@ def _charpoly_at(P: TPoly, r: TPoly, x: np.ndarray,
         char[:, n - k] = ck
         Mk = (XM + ck[..., None, None] * eye) % q[..., None]
     return char
-
-
-def _interpolate(values: np.ndarray, primes: list[int],
-                 start: int = 1) -> np.ndarray:
-    """Ascending coefficients of the polynomials of degree ``< K`` that
-    take ``values[..., i]`` at ``x = start + i`` (``K`` points), modulo the
-    prime indexed by the first axis, by Newton's forward differences:
-    ``f(x) = sum_k (Δ^k f)(s) / k! · (x - s)···(x - s - k + 1)``,
-    ``s = start``."""
-    K = values.shape[-1]
-    q = np.array(primes, dtype=np.int64)[:, None, None]
-    d = values.copy()
-    for k in range(1, K):
-        d[..., k:] = (d[..., k:] - d[..., k - 1:-1]) % q
-    inv_fact = np.empty((len(primes), K), dtype=np.int64)
-    for i, p in enumerate(primes):
-        f = 1
-        for k in range(K):
-            f = f * max(k, 1) % p
-            inv_fact[i, k] = pow(f, -1, p)
-    d = d * inv_fact[:, None, :] % q
-    c = np.zeros_like(d)
-    c[..., 0] = d[..., K - 1]
-    for j in range(K - 2, -1, -1):  # c <- c·(x - (j + s)) + d_j
-        c0 = (d[..., j] - (j + start) * c[..., 0]) % q[..., 0]
-        c[..., 1:] = (c[..., :-1] - (j + start) * c[..., 1:]) % q
-        c[..., 0] = c0
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -1255,35 +1370,43 @@ def _squarefree_mod(chi: list[int], q: int) -> tuple[list[int], int]:
     return [c * a[-1] % q for c in quot], len(a) - 1
 
 
-def _squarefree_images(coeffs: list[BiLaurent], e: int, lo: int, K: int,
-                       q: int, least: int
-                       ) -> tuple[int, int, np.ndarray] | None:
-    """``S̃(L, x) x^-lo`` modulo ``q`` at ``K`` consecutive points ``x``, for
-    ``S̃`` the monic squarefree part of ``p̃ = x^-e sum_k coeffs[k] L^k``.
+def _squarefree_images(coeffs: np.ndarray, lo: int, q: int, least: int
+                       ) -> tuple[int, np.ndarray] | None:
+    """The coefficients modulo ``q`` of ``S̃``, the monic squarefree part of
+    ``p̃ = sum_k L^k sum_j coeffs[k, j] x^(lo + j)``, from its values on a
+    coset of the ``K = coeffs.shape[1]`` points of ``_UnitRoots``.
 
-    At ``x = 1, 2, ...`` it takes ``chi = p̃(L, x)`` and ``chi / gcd(chi,
-    chi')``; a gcd of degree above the least one seen, here or in ``least``
-    from earlier primes, marks the point unlucky.  It returns ``(least
-    degree, first point, values)``, with ``values[k, i]`` the coefficient
-    of ``L^k`` at the ``i``-th point, or ``None`` when the first ``2K + 2``
-    points hold no ``K`` consecutive points of degree at most ``least``.
-    ``q`` must exceed ``2K + 2`` and the degree of ``p̃``.
+    At each point of a coset it takes ``chi = p̃(L, x)`` and ``chi /
+    gcd(chi, chi')``; a gcd of degree above the least one seen, here or in
+    ``least`` from earlier primes, marks the point unlucky, and its coset
+    with it.  It tries up to three cosets, none of them the subgroup of
+    the ``K``-th roots of unity itself, which holds ``x = 1`` and every
+    root of unity of order dividing ``K``, where factors of an A-polynomial
+    meet (``x = 1`` is unlucky on b(15,11)).  It returns ``(least degree,
+    coefficients)``, the coefficient of ``L^k x^(lo + j)`` at ``[k, j]``,
+    or ``None`` when every coset tried holds an unlucky point.  ``q`` must
+    exceed the degree of ``p̃``.
     """
-    run: list[list[int]] = []
-    for start in (1, K + 2):
-        x = np.arange(start, start + K + 1, dtype=np.int64)
-        chis = _evaluate_at(coeffs, x, [q])[0] * _powers(x, -e, [q]) % q
-        for xv, chi in zip(x.tolist(), chis.T.tolist()):
+    K = coeffs.shape[1]
+    roots = _UnitRoots(K, [q])
+    seen = {1}  # c^K of the subgroup and of the cosets tried
+    c = 1
+    while len(seen) < min((q - 1) // K, 4):
+        c += 1
+        if pow(c, K, q) in seen:
+            continue
+        seen.add(pow(c, K, q))
+        images = []
+        for chi in roots.evaluate(coeffs, lo, c)[0].T.tolist():
             s, degree = _squarefree_mod(chi, q)
-            if degree < least:
-                least, run = degree, []
-            if degree > least:
-                run = []
-                continue
-            w = pow(xv, -lo, q)
-            run.append([c * w % q for c in s])
-            if len(run) == K:
-                return least, xv - K + 1, np.array(run, dtype=np.int64).T
+            if degree > least or degree < least and images:
+                least = min(least, degree)
+                break
+            least = degree
+            images.append(s)
+        else:
+            values = np.array(images, dtype=np.int64).T
+            return least, roots.interpolate(values[None], lo, c)[0]
     return None
 
 
@@ -1302,10 +1425,10 @@ def _squarefree_modular(p: BiLaurent, dp: BiLaurent
     ``S̃(L, m)``.  ``S̃``'s Newton polygon, plus the point of the monic
     ``G̃ = p̃ / S̃`` at ``(deg_L G, 0)``, lies inside ``p̃``'s (the polygon
     of a product is the Minkowski sum), so ``S̃``'s M-exponents lie in
-    ``p̃``'s span ``[lo, hi]``, and ``K = hi - lo + 1`` points fix each
-    L-coefficient.  The residues are rebuilt by CRT, starting from as many
-    primes as ``p``'s largest coefficient would ask of ``S`` and adding one
-    at a time.
+    ``p̃``'s span ``[lo, hi]``, and the ``K = hi - lo + 1`` points of a coset
+    fix each L-coefficient (``_squarefree_images``).  The residues are
+    rebuilt by CRT, starting from as many primes as ``p``'s largest
+    coefficient would ask of ``S`` and adding one at a time.
 
     Whatever the images, the result ``S`` is proven by three exact checks:
     ``p = S·G``; ``G`` divides ``dp/dL``; ``S`` passes
@@ -1323,29 +1446,30 @@ def _squarefree_modular(p: BiLaurent, dp: BiLaurent
     the images; the primes tried, unlucky ones included, stop at its
     square.
     """
-    coeffs = _as_L_tpoly(p).coeffs
-    n = len(coeffs) - 1
+    n = max(i for i, _ in p.terms)
     d = math.gcd(*(j for _, j in p.terms)) or 1
-    coeffs = [_in_x(c, d) for c in coeffs]
-    ((_, e),) = coeffs[-1].terms
     span = max(j for _, j in p.terms) // d
-    lo, K = -e, span + 1
+    coeffs = np.zeros((n + 1, span + 1), dtype=object)
+    for (i, j), v in p.terms.items():
+        coeffs[i, j // d] = v
+    (e,) = np.flatnonzero(coeffs[n]).tolist()
+    lo = -e
     start_bits = max(map(abs, p.terms.values())).bit_length() + 2
     cap_bits = (n * (span + 1) + span
                 + sum(c * c for c in p.terms.values()).bit_length() // 2 + 3)
     least, images, primes, tried = n, [], [], 1
-    for q in _descending_primes(n):
+    for q in _descending_primes(n, span + 1):
         if (math.prod(primes).bit_length() > cap_bits
                 or tried.bit_length() > 2 * cap_bits):
             return None
         tried *= q
-        found = _squarefree_images(coeffs, e, lo, K, q, least)
+        found = _squarefree_images(coeffs, lo, q, least)
         if found is None:
             continue
-        degree, start, values = found
+        degree, image = found
         if degree < least:
             least, images, primes = degree, [], []
-        images.append(_interpolate(values[None], [q], start)[0])
+        images.append(image)
         primes.append(q)
         if math.prod(primes).bit_length() < start_bits:
             continue
@@ -1463,15 +1587,22 @@ def _riley_entry(entry: np.ndarray) -> TPoly:
                   for row in entry.tolist()])
 
 
-def _divides_all(g: TPoly, entries: list[TPoly]) -> bool:
-    """Whether ``g`` divides every entry in the Laurent ring."""
-    view = _from_L_tpoly(g)
-    try:
-        for e in entries:
-            _from_L_tpoly(e).exact_div(view)
-    except ApolyError:
-        return False
-    return True
+def _divides_all(g: TPoly, entries: list[np.ndarray]) -> bool:
+    """Whether the monic ``g`` divides every ``_riley_word`` entry in the
+    Laurent ring: whether each remainder by ``_monic_rem`` is zero."""
+    G, g_lo = _dense(g)
+    return not any(_monic_rem(e, -(e.shape[1] // 2), G, g_lo)[0].size
+                   for e in entries)
+
+
+def _unit_divided(g: TPoly) -> TPoly:
+    """``g`` divided by its leading coefficient when that is a unit
+    ``±M^k``, and ``g`` itself otherwise."""
+    (((i, k), c), *rest) = g.leading.terms.items()
+    if rest or abs(c) != 1:
+        return g
+    return TPoly([x.shift(-i, -k) if c == 1 else -x.shift(-i, -k)
+                  for x in g.coeffs])
 
 
 def riley_polynomial(pres: KnotPresentation,
@@ -1484,32 +1615,30 @@ def riley_polynomial(pres: KnotPresentation,
     irreducible Riley locus) unless ``allow_constant``.
     """
     generators = _riley_generators(pres)
-    entries: list[TPoly] = []
+    entries: list[np.ndarray] = []
     for lhs, rhs in pres.relators:
         n = max(len(lhs.letters), len(rhs.letters))
         D = _riley_word(lhs, generators, n) - _riley_word(rhs, generators, n)
-        entries += [d for d in map(_riley_entry, D.reshape(4, n + 1, -1))
-                    if not d.is_zero]
+        entries += [d for d in D.reshape(4, n + 1, -1) if d.any()]
     if not entries:
         raise ApolyError("relators are identically satisfied; "
                          "no Riley polynomial")
-    # an entry whose primitive part, with a unit leading coefficient and
-    # no factor t, divides every other entry is their gcd
-    g = min(entries, key=lambda e: e.degree).primitive_part()
-    if not (len(g.leading.terms) == 1 and not g.coeffs[0].is_zero
+    # the entry of least t-degree, divided by a unit leading coefficient,
+    # is the gcd when it has no factor t and divides every other entry; the
+    # gcd is defined up to a Laurent unit, and a monic one lets resultant_t
+    # take its modular path
+    g = _unit_divided(_riley_entry(min(
+        entries, key=lambda e: np.flatnonzero(e.any(axis=1))[-1])
+    ).primitive_part())
+    if not (g.leading == BiLaurent.one() and not g.coeffs[0].is_zero
             and _divides_all(g, entries)):
-        g = entries[0]
-        for e in entries[1:]:
+        polys = [_riley_entry(e) for e in entries]
+        g = polys[0]
+        for e in polys[1:]:
             g = tpoly_gcd(g, e)
             if g.degree == 0:
                 break
-        g = g.primitive_part()
-    # the gcd is defined up to a Laurent unit; a leading ±M^k is divided
-    # out, so that resultant_t can take its modular path
-    (((i, k), c), *rest) = g.leading.terms.items()
-    if not rest and abs(c) == 1:
-        g = TPoly([x.shift(-i, -k) if c == 1 else -x.shift(-i, -k)
-                   for x in g.coeffs])
+        g = _unit_divided(g.primitive_part())
     if g.degree < 1 and not allow_constant:
         raise ApolyError("Riley polynomial is constant: the presentation "
                          "has no irreducible Riley locus")

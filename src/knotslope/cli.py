@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -394,7 +395,10 @@ def _cmd_presentation_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call shares it, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="knotslope",
         description="Boundary slopes of SL(2,C) knot group representations.")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -309,8 +310,15 @@ class KnotPresentation:
 
     def abelianization(self) -> dict[str, int]:
         """Integer weights ``phi(g)`` with relator balance and
-        ``phi(meridian) = 1``.  Raises ``PresentationError`` when the weights
-        are inconsistent, underdetermined, or non-integral."""
+        ``phi(meridian) = 1``, a fresh dict on each call.  Raises
+        ``PresentationError`` when the weights are inconsistent,
+        underdetermined, or non-integral, on every call."""
+        return dict(self._weights)
+
+    @cached_property
+    def _weights(self) -> dict[str, int]:
+        """``abelianization``'s weights, solved on first use; an error is not
+        cached, so it is raised again."""
         gens = self.generators
         rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []

@@ -347,6 +347,28 @@ def random_elimination_pair(rng: Random, n: int, m: int) -> tuple[TPoly, TPoly]:
     return TPoly([coeff() for _ in range(n)] + [BiLaurent.one()]), TPoly(lam)
 
 
+def test_dense_remainder_is_the_pseudo_remainder():
+    """``_monic_rem`` is ``tpoly_prem`` by a monic divisor: with small
+    coefficients, ones that outgrow ``int64`` on the way, ones beyond it
+    from the start, and a zero remainder."""
+    rng = Random(61)
+    dtypes = set()
+    for scale in (1, 2**57, 2**70):
+        for n, m in ((1, 3), (2, 5), (3, 7), (2, 2)):
+            P, lam = random_elimination_pair(rng, n, m)
+            lam = lam.scale(BiLaurent.constant(scale))
+            for A in (lam, lam * P):
+                got, lo = apoly._monic_rem(*apoly._dense(A), *apoly._dense(P))
+                want = apoly.tpoly_prem(A, P)
+                if want.is_zero:
+                    assert got.size == 0
+                    continue
+                dtypes.add((apoly._dense(A)[0].dtype, got.dtype))
+                want, want_lo = apoly._dense(want)
+                assert lo == want_lo and np.array_equal(got, want)
+    assert (np.dtype(np.int64), np.dtype(object)) in dtypes
+
+
 def l_minus(lam: TPoly) -> TPoly:
     """``L - lam(t)``."""
     return TPoly.constant(LM(1, 0)) - lam
@@ -453,7 +475,11 @@ def assert_in_exponent_range(phi: TPoly, lam: TPoly, resultant: BiLaurent):
     r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
     if lam.degree >= phi.degree:
         assert_pseudo_remainder(lam, phi)
-    lo, hi = apoly._exponent_range(phi, r)
+        # the dense remainder of the modular path is the reference's
+        R, r_lo = apoly._monic_rem(*apoly._dense(lam), *apoly._dense(phi))
+        want, want_lo = apoly._dense(r)
+        assert r_lo == want_lo and np.array_equal(R, want)
+    lo, hi = apoly._exponent_range(phi, *apoly._dense(r))
     js = [j for _, j in resultant.terms]
     assert lo <= min(js) and max(js) <= hi
 
@@ -525,11 +551,16 @@ def test_segment_polygon_resultant_equals_bareiss(monkeypatch, phi, lam):
 
 
 #: monic ``phi`` and ``lam``, both ascending in t, and ``d``, the gcd of
-#: the M-exponents of ``phi`` and ``r = lam mod phi``
+#: the M-exponents of ``phi`` and ``r = lam mod phi``; the point count ``K``
+#: is prime, 12, a power of two and 1
 X_CASES = {
-    "odd-exponent": (["-1", "M", "1"], ["M^2", "M^-1"], 1),
-    # lam of degree 4 is reduced modulo phi first
+    "odd-exponent": (["-1", "M", "1"], ["M^2", "M^-1"], 1),  # K = 7
+    # lam of degree 4 is reduced modulo phi first; K = 12
     "M^3": (["M^-3", "-M^3", "0", "1"], ["M^6", "0", "M^-3 + 2", "0", "1"], 3),
+    # the resultant spans x^-2 .. x^5, all K = 8 points
+    "K=8": (["M^2", "1", "1"], ["M^-2", "M^4"], 2),
+    # no M at all: one point, x = 1
+    "K=1": (["-2", "0", "1"], ["1", "1"], 1),
 }
 
 
@@ -542,15 +573,62 @@ def test_resultant_in_x_equals_bareiss(monkeypatch, phi, lam, d):
     expected = apoly._resultant_bareiss(phi, l_minus(lam))
     points = []
     charpoly = apoly._charpoly_at
-    monkeypatch.setattr(apoly, "_charpoly_at", lambda P, r, x, primes:
-                        points.append(len(x)) or charpoly(P, r, x, primes))
+    monkeypatch.setattr(apoly, "_charpoly_at", lambda a, r, primes:
+                        points.append(a.shape[-1]) or charpoly(a, r, primes))
     monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
     assert resultant_t(phi, l_minus(lam)) == expected
     monkeypatch.undo()
     assert_in_exponent_range(phi, lam, expected)
     r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
-    lo, hi = apoly._exponent_range(phi, r)
+    lo, hi = apoly._exponent_range(phi, *apoly._dense(r))
     assert points == [(hi - lo) // d + 1]
+
+
+def test_modular_product_is_exact_at_its_bound():
+    """``_mulmod`` against Python ints at the widest primes (``n = 1``) and
+    the largest ``K`` that two limbs allow, on all-``(q - 1)`` residues and
+    on random ones; one point more takes a third limb."""
+    bits = next(apoly._descending_primes(1, 1)).bit_length()
+    K = max(k for k in range(1, 1024) if apoly._limb_split(k, bits)[0] == 2)
+    assert K == 256 and apoly._limb_split(K + 1, bits)[0] == 3
+    primes = list(itertools.islice(apoly._descending_primes(1, K), 2))
+    assert all(q.bit_length() == bits and q % K == 1 for q in primes)
+    rng = np.random.default_rng(0)
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    top = q - 1 + np.zeros((2, K, K), dtype=np.int64)
+    for a, b in [(top[:, :3], top), (rng.integers(0, q, (2, 3, K)),
+                                     rng.integers(0, q, (2, K, K)))]:
+        got = apoly._mulmod(a, b.astype(np.float64), q,
+                            *apoly._limb_split(K, bits))
+        want = [np.array(x.tolist(), dtype=object)
+                @ np.array(y.tolist(), dtype=object) % p
+                for x, y, p in zip(a, b, primes)]
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+def test_unit_roots_evaluate_and_interpolate():
+    """Evaluation on a coset ``c·ω^i`` agrees with Python ints at every
+    point, for Laurent exponents folded modulo ``K``, and interpolation
+    undoes it, for ``K`` prime, a power of two and 1."""
+    rng = np.random.default_rng(1)
+    for K in (1, 8, 61):
+        primes = list(itertools.islice(apoly._descending_primes(4, K), 3))
+        roots = apoly._UnitRoots(K, primes)
+        coeffs = rng.integers(-10**6, 10**6, (2, K))
+        for lo, c in [(0, 1), (-(K // 2), 5), (3, 2)]:
+            values = roots.evaluate(coeffs, lo, c)
+            for i, q in enumerate(primes):
+                omega = int(roots.table[i, 1 % K, 1 % K])
+                assert pow(omega, K, q) == 1
+                assert len({pow(omega, m, q) for m in range(K)}) == K
+                for m in range(K):
+                    x = c * pow(omega, m, q) % q
+                    want = [sum(int(v) * pow(x, lo + j, q)
+                                for j, v in enumerate(row)) % q
+                            for row in coeffs]
+                    assert values[i, :, m].tolist() == want
+            back = roots.interpolate(values, lo, c)
+            assert (back == coeffs[None] % roots.q).all()
 
 
 def two_bridge_resultant(name: str) -> BiLaurent:
@@ -614,38 +692,80 @@ UNLUCKY_X_1 = {
 }
 
 
+def spy_on_cosets(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Record ``(q, K, c, ω)`` of every coset ``_UnitRoots.interpolate``
+    reads images from."""
+    cosets = []
+    interpolate = apoly._UnitRoots.interpolate
+
+    def spy(roots, values, lo, c=1):
+        ((q,), K) = roots.primes, roots.K
+        cosets.append((q, K, c, int(roots.table[0, 1 % K, 1 % K])))
+        return interpolate(roots, values, lo, c)
+
+    monkeypatch.setattr(apoly._UnitRoots, "interpolate", spy)
+    return cosets
+
+
 @pytest.mark.parametrize("make", UNLUCKY_X_1.values(), ids=UNLUCKY_X_1)
 def test_modular_squarefree_skips_the_unlucky_point_x_1(monkeypatch, make):
-    p = make()
-    starts = []
-    interpolate = apoly._interpolate
-    monkeypatch.setattr(apoly, "_interpolate", lambda values, primes, start=1:
-                        starts.append(start) or interpolate(values, primes,
-                                                            start))
-    monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
-    got = squarefree_part(p)
-    monkeypatch.undo()
-    assert starts == [2]
-    assert got == prs_squarefree_part(p)
-
-
-#: primes above the 2K + 2 = 34 points b(15,11) may take
-SMALL_PRIMES = [q for q in range(150, 36, -1)
-                if all(q % k for k in range(2, q))]
-
-
-@pytest.mark.parametrize("make", UNLUCKY_X_1.values(), ids=UNLUCKY_X_1)
-def test_modular_squarefree_with_small_primes(monkeypatch, make):
-    """Modulo primes this small some primes and points are unlucky, and the
-    CRT needs several primes; the exact checks still give the PRS's
-    answer."""
-    p = make()
-    monkeypatch.setattr(apoly, "_descending_primes",
-                        lambda n: iter(SMALL_PRIMES))
+    """Every point of the coset the images come from has the true gcd
+    degree, and the coset does not hold ``x = 1``, where the degree is
+    higher; the PRS does not run."""
+    p = make().canonical()
+    cosets = spy_on_cosets(monkeypatch)
     monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
     got = squarefree_part(p)
     monkeypatch.undo()
     assert got == prs_squarefree_part(p)
+    d = math.gcd(*(j for _, j in p.terms))
+    n = max(i for i, _ in p.terms)
+
+    def gcd_degree(x: int, q: int) -> int:
+        chi = [sum(c * pow(x, j // d, q) for (i, j), c in p.terms.items()
+                   if i == k) % q for k in range(n + 1)]
+        inv = pow(chi[-1], -1, q)
+        return apoly._squarefree_mod([c * inv % q for c in chi], q)[1]
+
+    assert cosets
+    for q, K, c, omega in cosets:
+        assert pow(c, K, q) != 1
+        assert gcd_degree(1, q) > got[1]
+        assert [gcd_degree(c * pow(omega, m, q) % q, q) for m in range(K)] \
+            == [got[1]] * K
+
+
+#: primes ascending from 5; each case takes those 1 mod its ``K``
+SMALL_PRIMES = [q for q in range(5, 256) if all(q % k for k in range(2, q))]
+
+
+@pytest.mark.parametrize("make, skips", [
+    # K = 16: 17 holds no coset but the subgroup, and 113 none of three
+    # tried without an unlucky point
+    (UNLUCKY_X_1["b15_11"], True),
+    (UNLUCKY_X_1["(L-M^2)^2(L-1)"], False),
+], ids=UNLUCKY_X_1)
+def test_modular_squarefree_with_small_primes(monkeypatch, make, skips):
+    """Modulo primes this small the CRT needs several primes, and some
+    primes are skipped; the exact checks still give the PRS's answer."""
+    p = make()
+    offered = []
+
+    def small_primes(n, K):
+        for q in SMALL_PRIMES:
+            if q % K == 1:
+                offered.append(q)
+                yield q
+
+    monkeypatch.setattr(apoly, "_descending_primes", small_primes)
+    cosets = spy_on_cosets(monkeypatch)
+    monkeypatch.setattr(apoly, "bilaurent_gcd", fail)
+    got = squarefree_part(p)
+    monkeypatch.undo()
+    assert got == prs_squarefree_part(p)
+    used = {q for q, *_ in cosets}
+    assert len(used) >= 2
+    assert bool(set(offered) - used) == skips
 
 
 FAMILY_AND_B17_5 = [*ODD_Q_FAMILY, (17, 5)]

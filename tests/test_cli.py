@@ -672,6 +672,36 @@ def test_presentation_check_reports_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process; a sequence of calls
+    with a usage error among them prints what fresh parsers print."""
+    from knotslope import cli
+    path = two_bridge_file(tmp_path, "b9_7")
+    sequence = [["scan", "trefoil", "--samples", "3"],
+                ["scan", "trefoil", "--no-such-option"],
+                ["apoly", path],
+                ["verify", "figure8", "--samples", "2"],
+                ["presentation", "check", path],
+                ["scan", "trefoil", "--samples", "3"]]
+
+    def outputs():
+        got = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    shared = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0]
+    assert "usage:" in shared[1][2] and shared[0] == shared[-1]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -319,6 +319,34 @@ def test_abelianization_inconsistent():
     assert "inconsistent" in str(info.value)
 
 
+def test_abelianization_is_solved_once_and_copied(monkeypatch):
+    """The weights are solved on the first call only, and each call
+    returns its own dict."""
+    import knotslope.presentation as presentation
+    parsed = parse_presentation(TREFOIL)
+    pres = KnotPresentation(parsed.generators, parsed.relators,
+                            parsed.meridian, parsed.longitude)
+    sums = []
+    monkeypatch.setattr(presentation, "exponent_sum",
+                        lambda w, g: sums.append(w) or exponent_sum(w, g))
+    first = pres.abelianization()
+    assert sums
+    first["u"] = 7
+    sums.clear()
+    assert pres.abelianization() == {"u": 1, "v": 1}
+    assert pres.abelianization() is not pres.abelianization()
+    assert pres.validate() == {"u": 1, "v": 1}
+    assert sums == [pres.longitude] * 2  # validate's longitude weight only
+
+
+def test_invalid_abelianization_raises_on_every_call():
+    pres = KnotPresentation(("a", "b"), (), parse_word("a", ("a", "b")),
+                            parse_word("a b a^-1 b^-1", ("a", "b")))
+    for _ in range(2):
+        with pytest.raises(PresentationError, match="underdetermined"):
+            pres.abelianization()
+
+
 def test_trivial_meridian_rejected():
     text = "gens: a ;\nmeridian: 1 ;\nlongitude: a"
     with pytest.raises(PresentationError) as info:
