@@ -6,6 +6,14 @@ augmented knot group presentation, and from the logarithmic Gauss map of the
 A-polynomial — and provides the symbolic machinery (free group words, Fox
 calculus, Riley families, bivariate Laurent resultants, Newton polygons)
 needed for both routes.
+
+Route 1 takes stacks and returns results: ``Route1Plan`` evaluates the
+Riley representations at many meridians, or any stack of generator
+images, into ``Route1Result`` records, and ``log_gauss_stack`` reads
+route 2 at many points.  ``Representation`` with ``riley_family``,
+``compute_slope``, ``boundary_data``, ``parabolic_modulus``,
+``is_boundary_parabolic`` and ``is_unitarizable`` is the one-representation
+view of the same code that the demos read.
 """
 
 from __future__ import annotations
@@ -24,19 +32,14 @@ from .presentation import (GroupRingElement, KnotPresentation, ParseError,
                            PresentationError, Word, exponent_sum,
                            format_presentation, format_word, fox_derivative,
                            free_reduce, parse_presentation, parse_word)
-from .representations import (BoundaryData, InvariantVector, NonFiniteError,
-                              Representation, RepresentationError,
-                              abelian_representation, boundary_data,
-                              commutation_residual, conjugate_representation,
-                              invariant_vector, is_boundary_parabolic,
-                              is_unitarizable, parabolic_modulus,
-                              reducibility_defect, representation_from_dict,
-                              representation_to_dict, riley_family)
+from .representations import (BoundaryData, NonFiniteError, Representation,
+                              RepresentationError, abelian_representation,
+                              boundary_data, is_boundary_parabolic,
+                              is_unitarizable, parabolic_modulus, riley_family)
 from .slope import (AugmentedPresentation, DegenerateIntersectionError,
                     NotAdmissibleError, Route1Plan, Route1Result, SlopeError,
                     SlopeValue, TwistedAlexanderMatrix, augment,
-                    build_twisted_alexander, compute_slope,
-                    slope_of_character)
+                    build_twisted_alexander, compute_slope)
 
 __version__ = "0.1.0"
 
@@ -50,17 +53,13 @@ __all__ = [
     "SL2_BASIS", "KILLING_GRAM", "adjoint_of", "sl2_coordinates", "nullspace",
     # representations
     "Representation", "RepresentationError", "NonFiniteError", "riley_family",
-    "abelian_representation", "conjugate_representation", "boundary_data",
-    "BoundaryData", "is_boundary_parabolic", "parabolic_modulus",
-    "invariant_vector", "InvariantVector", "commutation_residual",
-    "reducibility_defect", "is_unitarizable", "representation_to_dict",
-    "representation_from_dict",
+    "abelian_representation", "boundary_data", "BoundaryData",
+    "is_boundary_parabolic", "parabolic_modulus", "is_unitarizable",
     # slope
     "SlopeError", "NotAdmissibleError", "DegenerateIntersectionError",
     "SlopeValue", "AugmentedPresentation", "TwistedAlexanderMatrix",
     "Route1Plan", "Route1Result",
     "augment", "build_twisted_alexander", "compute_slope",
-    "slope_of_character",
     # apoly
     "ApolyError", "ApolyResult", "BiLaurent", "NewtonPolygon",
     "IdealSlopeReport", "parse_bilaurent", "format_bilaurent",

@@ -24,12 +24,10 @@ same ``L`` and held to the same scale, and one error per representation,
 from the first check that fails; a parabolic representation gets a
 modulus or an error, never both.  The eigenvectors of ``m`` give the
 meridian frame ``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read
-off the diagonal.  ``boundary_data``,
-``parabolic_modulus``, ``is_boundary_parabolic`` and
-``commutation_residual`` read that stack for one representation.
-``invariant_vector``, the adjoint-invariant direction in sl(2) fixed by
-both peripheral images, is ``coords(m - tr(m)/2 I)`` for a non-central
-``m``.
+off the diagonal.  ``boundary_data``, ``parabolic_modulus`` and
+``is_boundary_parabolic`` read that stack for one representation; the
+demos use them, and route 1 reads the stack through ``slope.Route1Plan``.
+``is_unitarizable`` is the one check here that is not route 1's.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from numpy.polynomial import polynomial as npp
 
 from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_coordinates, sl2_inverse
-from .presentation import (KnotPresentation, Word, format_presentation,
-                           parse_presentation)
+from .presentation import KnotPresentation, Word
 
 
 class RepresentationError(ValueError):
@@ -343,19 +340,6 @@ def riley_family(pres: KnotPresentation, M: complex,
             for t0, img, red in zip(ts, images, reducible)]
 
 
-def conjugate_representation(rep: Representation, P) -> Representation:
-    """The representation ``g -> P rho(g) P^-1`` (P normalized to det 1)."""
-    P = np.asarray(P, dtype=complex)
-    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
-    if abs(det) < 1e-300:
-        raise RepresentationError("conjugating matrix is singular")
-    P = P / np.sqrt(det)
-    Pi = sl2_inverse(P)
-    images = {g: P @ m @ Pi for g, m in rep.images.items()}
-    return Representation(rep.presentation, images,
-                          riley_t=rep.riley_t, reducible=rep.reducible)
-
-
 # ---------------------------------------------------------------------------
 # peripheral structure
 
@@ -446,21 +430,6 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, s: np.ndarray,
     return P, Mval, L, e, np.abs(le - L[:, None] * e).max(axis=1)
 
 
-def _invariant_failure(both_central: bool, comm: float,
-                       tol: float) -> RepresentationError | None:
-    """Why the peripheral images have no unique common adjoint-fixed
-    vector, or ``None``: ``Ad`` of a non-central image fixes one line,
-    which the other image fixes when they commute."""
-    if both_central:
-        return RepresentationError(
-            "peripheral invariant subspace has dimension 3, expected 1")
-    if comm > tol:
-        return RepresentationError(
-            f"peripheral images do not commute; no common invariant "
-            f"vector (commutation residual {comm:.2e})")
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class PeripheralStack:
     """Peripheral data of ``N`` representations, read from their meridian
@@ -477,10 +446,11 @@ class PeripheralStack:
     ``frame`` holds the meridian frames (``_boundary_stack``).  ``error``
     is the ``RepresentationError`` of the first check that fails, or
     ``None``.  The checks run in this order: overflow (a
-    ``NonFiniteError``); commutation, off the parabolic locus with the
-    invariant vector (``_invariant_failure``) and a non-central meridian;
-    the ``L`` read, that the longitude preserves the meridian's
-    eigenvector; last, on the parabolic locus, the modulus.
+    ``NonFiniteError``); commutation, off the parabolic locus after the
+    invariant vector, which is unique unless both images are central, and
+    before a non-central meridian; the ``L`` read, that the longitude
+    preserves the meridian's eigenvector; last, on the parabolic locus,
+    the modulus.
     """
 
     finite: np.ndarray
@@ -531,16 +501,21 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
     error: list[RepresentationError | None] = [NonFiniteError(
         "values overflow floating point in the peripheral images")] * N
     for k, i in enumerate(ok):
+        err = None
         if parabolic[k]:
-            err = None
             if comm[k] > tol:
                 err = RepresentationError(
                     "peripheral images do not commute; modulus undefined")
-        else:
-            err = _invariant_failure(both_central[k], comm[k], tol)
-            if err is None and central[k]:
-                err = RepresentationError("meridian image is ±identity; "
-                                          "eigenvector is not determined")
+        elif both_central[k]:
+            err = RepresentationError(
+                "peripheral invariant subspace has dimension 3, expected 1")
+        elif comm[k] > tol:
+            err = RepresentationError(
+                f"peripheral images do not commute; no common invariant "
+                f"vector (commutation residual {comm[k]:.2e})")
+        elif central[k]:
+            err = RepresentationError("meridian image is ±identity; "
+                                      "eigenvector is not determined")
         if err is None and off[k]:
             err = RepresentationError(
                 f"longitude image does not preserve the meridian eigenvector "
@@ -566,12 +541,6 @@ def _peripheral(rep: Representation, tol: float) -> PeripheralStack:
     """``peripheral_stack`` of one representation."""
     m, l = rep.meridian_image(), rep.longitude_image()
     return peripheral_stack(m[None], l[None], tol)
-
-
-def commutation_residual(rep: Representation) -> float:
-    """Relative commutator residual of the meridian and longitude images;
-    NaN where they overflow."""
-    return float(_peripheral(rep, 1e-8).commutation[0])
 
 
 def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
@@ -615,54 +584,6 @@ def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
     return complex(per.modulus[0])
 
 
-@dataclass(frozen=True)
-class InvariantVector:
-    """The common adjoint-fixed row vector of the peripheral images,
-    normalized so its largest-modulus coordinate is 1."""
-
-    vector: np.ndarray
-    residual_meridian: float
-    residual_longitude: float
-
-
-def invariant_vector(rep: Representation, tol: float = 1e-8) -> InvariantVector:
-    """The unique row vector fixed by both peripheral adjoint images: the
-    coordinates of ``X - tr(X)/2 I`` for ``X`` the meridian image or, when
-    that is central, the longitude image.
-
-    Raises ``RepresentationError`` when the common fixed space does not
-    have dimension exactly 1.
-    """
-    m, l = rep.meridian_image(), rep.longitude_image()
-    with np.errstate(all="ignore"):
-        adj = adjoint_of(np.stack([m, l]))
-    if not np.isfinite(adj).all():
-        raise NonFiniteError("values overflow floating point in the "
-                             "peripheral images")
-    central_m = _central(m[None], tol)[0]
-    err = _invariant_failure(central_m and _central(l[None], tol)[0],
-                             commutation_residuals(m[None], l[None])[0], tol)
-    if err is not None:
-        raise err
-    v = sl2_coordinates(l if central_m else m)
-    v = v / v[np.argmax(np.abs(v))]
-    resid = np.abs(v @ (adj - np.eye(3))).max(axis=1) / (1.0 + _max_abs(adj))
-    return InvariantVector(vector=v, residual_meridian=float(resid[0]),
-                           residual_longitude=float(resid[1]))
-
-
-def reducibility_defect(rep: Representation) -> float:
-    """Max over generator pairs of ``|tr rho([g, h]) - 2|``; zero exactly
-    on representations with a global fixed line."""
-    gens = rep.presentation.generators
-    worst = 0.0
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            comm = rep.image(Word([(g, 1), (h, 1), (g, -1), (h, -1)]))
-            worst = max(worst, abs(complex(np.trace(comm)) - 2.0))
-    return worst
-
-
 _HERMITIAN_BASIS = (
     np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
     np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
@@ -697,33 +618,3 @@ def is_unitarizable(rep: Representation, tol: float = 1e-8) -> bool:
             return True
     return False
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def representation_to_dict(rep: Representation) -> dict:
-    """JSON-ready form: presentation text, images as [re, im] entry pairs."""
-    return {
-        "presentation": format_presentation(rep.presentation),
-        "images": {g: [[_complex_pair(m[i, j]) for j in range(2)]
-                       for i in range(2)]
-                   for g, m in rep.images.items()},
-        "riley_t": None if rep.riley_t is None else _complex_pair(rep.riley_t),
-        "reducible": rep.reducible,
-    }
-
-
-def representation_from_dict(data: dict) -> Representation:
-    pres = parse_presentation(data["presentation"])
-    images = {}
-    for g, rows in data["images"].items():
-        images[g] = np.array([[complex(re, im) for re, im in row] for row in rows])
-    t = data.get("riley_t")
-    return Representation(pres, images,
-                          riley_t=None if t is None else complex(t[0], t[1]),
-                          reducible=data.get("reducible"))

@@ -41,9 +41,9 @@ then conjugated into the meridian frame, where ``rho(m)`` is diagonal and
 ``v = H``, and the words are evaluated there (``_framed_images``).  One
 SVD stack gives the kernels, one more the pairing solutions.  Each
 representation is classified once, by the first check that fails, into a
-``Route1Result`` with its verdict, error, ``L`` and slope;
-``compute_slope`` and ``slope_of_character`` read that result for one
-representation.
+``Route1Result`` with its verdict, error, ``L`` and slope, the pairing
+slope or, on the parabolic locus, the cusp modulus.  ``compute_slope``
+reads that result for one ``Representation``; the demos use it.
 """
 
 from __future__ import annotations
@@ -155,28 +155,22 @@ def _fox_coefficients(relators: Sequence[Word],
 
 
 def build_twisted_alexander(aug: AugmentedPresentation,
-                            rep: Representation | np.ndarray
-                            ) -> TwistedAlexanderMatrix:
+                            images: np.ndarray) -> TwistedAlexanderMatrix:
     """Evaluate all Fox derivative blocks in the adjoint representation,
     one pass of prefix products per relator.
 
-    ``rep`` is a representation of ``aug.base``, or the images of the
-    augmented generators of ``N`` representations, stacked ``(N,
-    #generators, 2, 2)`` in ``aug.generators`` order (the longitude image
-    first); the matrices are then stacked ``(N, rows, columns)``.
+    ``images`` are the images of the augmented generators of ``N``
+    representations, stacked ``(N, #generators, 2, 2)`` in
+    ``aug.generators`` order (the longitude image first); the matrices are
+    stacked ``(N, rows, columns)``.
     """
-    if isinstance(rep, Representation):
-        images = {**rep.images, aug.longitude_name: rep.longitude_image()}
-        stack = np.array([[images[g] for g in aug.generators]], dtype=complex)
-        return TwistedAlexanderMatrix(
-            build_twisted_alexander(aug, stack).matrix[0], aug)
-    N, G = rep.shape[:2]
+    N, G = images.shape[:2]
     rows = []
     # entries beyond floating point become inf or NaN; the caller tests the
     # matrix for finiteness
     with np.errstate(all="ignore"):
         for letters, C in zip(aug.letters, aug.fox):
-            Ad = adjoint_of(prefix_images(rep, letters)).reshape(N, -1, 9)
+            Ad = adjoint_of(prefix_images(images, letters)).reshape(N, -1, 9)
             # block (k, j, l) of the row block is sum_i C[i, j] Ad[i, k, l]
             rows.append((C.T @ Ad).reshape(N, G, 3, 3).transpose(0, 2, 1, 3)
                         .reshape(N, 3, 3 * G))
@@ -430,29 +424,14 @@ class Route1Plan:
             for i, (verdict, error, slope) in enumerate(outcome)]
 
 
-def _route1(rep: Representation, tol: float) -> Route1Result:
-    plan = Route1Plan(rep.presentation)
-    return plan.evaluate(plan.words.stack([rep]), tol)[0]
-
-
 def compute_slope(rep: Representation, tol: float = 1e-8) -> SlopeValue:
     """The boundary slope of a non-parabolic admissible representation;
     raises ``Route1Result.error`` otherwise."""
-    res = _route1(rep, tol)
+    plan = Route1Plan(rep.presentation)
+    res = plan.evaluate(plan.words.stack([rep]), tol)[0]
     if res.parabolic:
-        raise SlopeError(
-            "representation is boundary-parabolic; use parabolic_modulus "
-            "or slope_of_character")
+        raise SlopeError("representation is boundary-parabolic; use "
+                         "parabolic_modulus or Route1Result.slope")
     if res.slope is None:
         raise res.error
     return res.slope
-
-
-def slope_of_character(rep: Representation, tol: float = 1e-8) -> complex | float:
-    """Slope as a number: the pairing slope away from the parabolic locus,
-    the cusp translation ratio on it.  Returns ``math.inf`` for a vertical
-    pairing line."""
-    res = _route1(rep, tol)
-    if res.slope is None:
-        raise res.error
-    return res.slope if res.parabolic else res.slope.reading

@@ -18,7 +18,7 @@ from knotslope.representations import (NonFiniteError, Representation,
                                        riley_family)
 from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
                              SlopeValue, augment, build_twisted_alexander,
-                             compute_slope, slope_of_character)
+                             compute_slope)
 
 from helpers import TWO_BRIDGE, route1_results, two_bridge_text
 
@@ -57,25 +57,31 @@ def test_augment_requires_single_letter_meridian():
 # ---------------------------------------------------------------------------
 # the block matrix
 
+def _augmented_stack(aug, reps) -> np.ndarray:
+    """The images of ``aug.generators`` under each representation,
+    stacked ``(N, #generators, 2, 2)``, the longitude image first."""
+    return np.array([[{**rep.images, aug.longitude_name: rep.longitude_image()}[g]
+                      for g in aug.generators] for rep in reps])
+
+
 def test_twisted_matrix_shape_and_identity_block():
     pres = load_builtin("trefoil")
-    (rep,) = riley_family(pres, 2.0)
     aug = augment(pres)
-    tam = build_twisted_alexander(aug, rep)
-    assert tam.matrix.shape == (9, 9)
+    tam = build_twisted_alexander(aug, _augmented_stack(aug, riley_family(pres, 2.0)))
+    assert tam.matrix.shape == (1, 9, 9)
     # derivative of ell * longitude^-1 with respect to ell is 1, so that
     # block is exactly the 3x3 identity
-    assert np.array_equal(tam.block(1, "ell"), np.eye(3, dtype=complex))
+    assert np.array_equal(tam.block(1, "ell")[0], np.eye(3, dtype=complex))
 
 
 def test_twisted_matrix_commutator_block():
     pres = load_builtin("trefoil")
     (rep,) = riley_family(pres, 2.0)
     aug = augment(pres)
-    tam = build_twisted_alexander(aug, rep)
+    tam = build_twisted_alexander(aug, _augmented_stack(aug, [rep]))
     # d(m ell m^-1 ell^-1)/d ell evaluates to Ad(rho(m)) - I on the relation
     expected = adjoint_of(rep.meridian_image()) - np.eye(3)
-    assert np.allclose(tam.block(2, "ell"), expected, atol=1e-12)
+    assert np.allclose(tam.block(2, "ell")[0], expected, atol=1e-12)
 
 
 def _fox_reference_matrix(aug, rep) -> np.ndarray:
@@ -98,16 +104,12 @@ def test_prefix_pass_matches_fox_derivative_reference(name):
     reps = [rep for M in (1.3, 1.6 * np.exp(0.4j), 1.9 * np.exp(0.9j), 0.8 - 0.5j)
             for rep in riley_family(pres, M)]
     # every branch at every meridian as one stack of augmented images
-    stack = np.array([[{**rep.images,
-                        aug.longitude_name: rep.longitude_image()}[g]
-                       for g in aug.generators] for rep in reps])
-    stacked = build_twisted_alexander(aug, stack).matrix
+    stacked = build_twisted_alexander(aug, _augmented_stack(aug, reps)).matrix
     assert stacked.shape[0] == len(reps)
-    for rep, from_stack in zip(reps, stacked):
+    for rep, built in zip(reps, stacked):
         ref = _fox_reference_matrix(aug, rep)
-        for built in (build_twisted_alexander(aug, rep).matrix, from_stack):
-            assert built.shape == ref.shape
-            assert np.abs(built - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert built.shape == ref.shape
+        assert np.abs(built - ref).max() <= 1e-12 * np.abs(ref).max()
     assert len(reps) == 4 * len(riley_family(pres, 1.3))
 
 
@@ -189,13 +191,15 @@ def test_parabolic_point_directs_to_modulus():
 
 
 def test_slope_of_character_dispatch():
-    trefoil = load_builtin("trefoil")
-    (rep,) = riley_family(trefoil, 2.0)
-    assert abs(slope_of_character(rep) - (-6.0)) < 1e-8
-    fig8 = load_builtin("figure8")
-    for rep in riley_family(fig8, 1.0):
-        tau = slope_of_character(rep)
-        assert abs(abs(tau.imag) - 2.0 * 3.0 ** 0.5) < 1e-8
+    # Route1Result.slope is the pairing slope off the parabolic locus and
+    # the cusp modulus on it
+    ((_, res),), = Route1Plan(load_builtin("trefoil")).evaluate_meridians([2.0])
+    assert abs(res.slope.reading - (-6.0)) < 1e-8
+    (family,) = Route1Plan(load_builtin("figure8")).evaluate_meridians([1.0])
+    assert len(family) == 2
+    for _, res in family:
+        assert res.verdict == "parabolic"
+        assert abs(abs(res.slope.imag) - 2.0 * 3.0 ** 0.5) < 1e-8
 
 
 # ---------------------------------------------------------------------------
