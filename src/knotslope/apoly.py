@@ -29,10 +29,11 @@ leading coefficient, its remainder on every other one is zero (on the
 dense arrays of the Riley words), and the pseudo-remainder gcd
 otherwise.
 
-``phi`` is monic in ``t`` on the two-bridge knots, and ``resultant_t``
-then takes a modular route: reduce ``lam`` modulo ``phi`` to ``r`` on dense
-integer arrays, and evaluate the characteristic polynomial of ``r(C)``,
-``C`` the companion matrix of ``phi``, in ``x = M^d``, ``d`` the gcd of the
+``phi`` is monic in ``t`` on the two-bridge knots, and the elimination
+then takes a modular route (``_resultant_modular``): reduce ``lam``, the
+dense integer array of the longitude's Riley word, modulo ``phi`` to
+``r``, and evaluate the characteristic polynomial of ``r(C)``, ``C`` the
+companion matrix of ``phi``, in ``x = M^d``, ``d`` the gcd of the
 M-exponents of ``phi`` and ``r`` (at least 2 on every two-bridge knot
 tried), at the ``K``-th roots of unity modulo word-size primes ``q ≡ 1
 (mod K)``; then interpolate in ``x`` and rebuild each coefficient by the
@@ -41,9 +42,9 @@ bounds the resultant's span in ``x`` and as many primes as a Hadamard
 bound asks (see ``_resultant_modular``), so the result is the exact
 determinant.  On those points evaluation and interpolation are one exact
 transform each, a matrix product with a table of powers of a root of
-unity (``_UnitRoots``).  Any other input, such as a ``phi`` that is not
-monic, takes the fraction-free (Bareiss) elimination of the Sylvester
-matrix.
+unity (``_UnitRoots``).  A ``phi`` that is not monic takes ``resultant_t``,
+the fraction-free (Bareiss) elimination of the Sylvester matrix and the
+reference of the modular route.
 
 Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
 first tries a certificate that the gcd is trivial: some L-coefficient of
@@ -801,45 +802,24 @@ def tpoly_gcd(A: TPoly, B: TPoly) -> TPoly:
 
 def resultant_t(P: TPoly, Q: TPoly) -> BiLaurent:
     """The resultant in t: the determinant of the Sylvester matrix of
-    ``P`` and ``Q``.  Requires both degrees >= 1.  The raw determinant is
-    returned, so ``resultant_t(P1*P2, Q) = resultant_t(P1, Q) *
-    resultant_t(P2, Q)`` holds exactly.
-
-    The elimination's inputs have a shape that admits a faster method:
-    when ``P`` is monic in t and ``Q = L - lam(t)``, with every coefficient
-    of ``P`` and ``lam`` an integer Laurent polynomial free of ``L``,
-    ``_resultant_modular`` computes the same determinant by evaluation and
-    interpolation in ``M`` modulo word-size primes.  Every other input
-    takes the fraction-free (Bareiss) elimination of ``_resultant_bareiss``.
-    """
+    ``P`` and ``Q``, by fraction-free (Bareiss) elimination.  Requires both
+    degrees >= 1.  The raw determinant is returned, so ``resultant_t(P1*P2,
+    Q) = resultant_t(P1, Q) * resultant_t(P2, Q)`` holds exactly.  It is the
+    reference of ``_resultant_modular``, which ``compute_apoly_twobridge``
+    takes whenever the Riley polynomial is monic."""
     if P.is_zero or Q.is_zero:
         raise ApolyError("resultant of the zero polynomial")
     if P.degree < 1 or Q.degree < 1:
         raise ApolyError("resultant requires degree >= 1 in t for both inputs")
-    lam = _eigenvalue_of_elimination(P, Q)
-    if lam is None:
-        return _resultant_bareiss(P, Q)
-    return _resultant_modular(P, lam)
-
-
-def _sylvester(P: TPoly, Q: TPoly) -> list[list[BiLaurent]]:
-    """The Sylvester matrix: ``deg Q`` rows of ``P``'s coefficients, then
-    ``deg P`` rows of ``Q``'s, each shifted one column right of the last."""
+    # deg Q rows of P's coefficients, then deg P rows of Q's, each shifted
+    # one column right of the last
     n, m = P.degree, Q.degree
-    S = [[BiLaurent.zero()] * (n + m) for _ in range(n + m)]
+    N, zero = n + m, BiLaurent.zero()
+    S = [[zero] * N for _ in range(N)]
     for k in range(m):
         S[k][k:k + n + 1] = P.coeffs[::-1]
     for k in range(n):
         S[m + k][k:k + m + 1] = Q.coeffs[::-1]
-    return S
-
-
-def _resultant_bareiss(P: TPoly, Q: TPoly) -> BiLaurent:
-    """The Sylvester determinant by fraction-free (Bareiss) elimination,
-    for any inputs of degree >= 1; the reference of the modular method."""
-    S = _sylvester(P, Q)
-    N = len(S)
-    zero = BiLaurent.zero()
     sign = 1
     prev = BiLaurent.one()
     for k in range(N - 1):
@@ -858,35 +838,21 @@ def _resultant_bareiss(P: TPoly, Q: TPoly) -> BiLaurent:
     return det if sign == 1 else -det
 
 
-def _eigenvalue_of_elimination(P: TPoly, Q: TPoly) -> TPoly | None:
-    """``lam`` with ``Q = L - lam(t)`` when the pair has the shape of the
-    elimination: ``P`` monic in t, and every coefficient of ``P`` and of
-    ``lam`` an integer Laurent polynomial in ``M`` alone.  ``None``
-    otherwise."""
-    if P.leading != BiLaurent.one():
-        return None
-    head = dict(Q.coeffs[0].terms)
-    if head.pop((1, 0), None) != 1:
-        return None
-    lam = TPoly([BiLaurent._normalised({e: -c for e, c in head.items()}),
-                 *(-c for c in Q.coeffs[1:])])
-    for c in (*P.coeffs, *lam.coeffs):
-        if any(i or type(v) is not int for (i, _), v in c.terms.items()):
-            return None
-    return lam
-
-
-def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
-    """``Res_t(P, L - lam)`` for a monic ``P``, by evaluation and
-    interpolation in ``x = M^d`` modulo word-size primes.
+def _resultant_modular(P: np.ndarray, p_lo: int, lam: np.ndarray,
+                       lam_lo: int) -> BiLaurent:
+    """``Res_t(P, L - lam)`` for a monic ``P``, both laid out as by
+    ``_dense`` (``lam`` may keep zero rows and columns, as a ``_riley_word``
+    entry does), by evaluation and interpolation in ``x = M^d`` modulo
+    word-size primes; equal to ``resultant_t``'s Sylvester determinant.
 
     Reduction: the resultant is ``prod (L - lam(a))`` over the roots ``a``
     of the monic ``P``, and ``lam(a) = r(a)`` for ``r = lam mod P``, so it
     equals ``Res_t(P, L - r)``, exactly; a constant ``r = c`` gives
     ``(L - c)^deg P``.  Otherwise it is ``det(L·I - r(C))`` for the
     companion matrix ``C`` of ``P``, whose eigenvalues are the roots ``a``:
-    the characteristic polynomial of ``r(C)``.  ``r`` is reduced on dense
-    integer arrays, and the determinant is the only polynomial built.
+    the characteristic polynomial of ``r(C)``.  ``r`` is reduced on the
+    arrays by ``_monic_rem``, and the determinant is the only polynomial
+    built.
 
     ``d`` is the gcd of the M-exponents of ``P`` and ``r`` (1 when they
     have none but 0).  Both are polynomials in ``x = M^d``, so the
@@ -907,26 +873,23 @@ def _resultant_modular(P: TPoly, lam: TPoly) -> BiLaurent:
       it is at most ``B`` in absolute value.  Primes whose product
       exceeds ``2B`` fix it as a symmetric residue (CRT).
     """
-    n = P.degree
-    p_dense, p_lo = _dense(P)
-    r, r_lo = _dense(lam)
-    if lam.degree >= n:
-        r, r_lo = _monic_rem(r, r_lo, p_dense, p_lo)
+    n = len(P) - 1
+    r, r_lo = _monic_rem(lam, lam_lo, P, p_lo)
     if len(r) < 2:  # r is a constant r_0, possibly zero
         r_0 = r[0].tolist() if len(r) else []
         return BiLaurent._normalised(
             {(1, 0): 1, **{(0, r_lo + j): -v for j, v in enumerate(r_0) if v}}
         ) ** n
-    norms = [[sum(map(abs, row)) for row in T.tolist()] for T in (p_dense, r)]
+    norms = [[sum(map(abs, row)) for row in T.tolist()] for T in (P, r)]
     norms[1][0] += 1  # Q_0 = L - r_0
     bound_sq = math.prod(sum(v * v for v in row) ** e
                          for row, e in zip(norms, (len(r) - 1, n)))
-    d = math.gcd(*(lo + j for T, lo in ((p_dense, p_lo), (r, r_lo))
+    d = math.gcd(*(lo + j for T, lo in ((P, p_lo), (r, r_lo))
                    for j in np.flatnonzero((T != 0).any(axis=0)).tolist())) or 1
-    lo, hi = (v // d for v in _exponent_range(P, r, r_lo))
+    lo, hi = (v // d for v in _exponent_range(P, p_lo, r, r_lo))
     K = hi - lo + 1
     roots = _UnitRoots(K, _word_primes(n, K, 4 * bound_sq))
-    char = _charpoly_at(roots.evaluate(p_dense[:n, ::d], p_lo // d),
+    char = _charpoly_at(roots.evaluate(P[:n, ::d], p_lo // d),
                         roots.evaluate(r[:, ::d], r_lo // d), roots.primes)
     return _crt(roots.interpolate(char, lo), roots.primes, lo, d)
 
@@ -1004,9 +967,10 @@ def _crt(coeffs: np.ndarray, primes: list[int], lo: int, d: int) -> BiLaurent:
     return BiLaurent._normalised(terms)
 
 
-def _exponent_range(P: TPoly, r: np.ndarray, r_lo: int) -> tuple[int, int]:
+def _exponent_range(P: np.ndarray, p_lo: int, r: np.ndarray, r_lo: int
+                    ) -> tuple[int, int]:
     """``lo <= 0 <= hi`` bounding the M-exponents of ``Res_t(P, L - r) =
-    prod (L - r(a))`` over the roots ``a`` of a monic ``P``, ``r`` given as
+    prod (L - r(a))`` over the roots ``a`` of a monic ``P``, both given as
     by ``_dense``, from the sides of ``P``'s Newton polygon in the
     (t-exponent, M-exponent) plane.  A side with ``di`` roots and slope
     ``s = dj/di`` gives them the valuation ``-s``: at ``M = 0`` on a lower
@@ -1015,7 +979,8 @@ def _exponent_range(P: TPoly, r: np.ndarray, r_lo: int) -> tuple[int, int]:
     parts, ``hi`` the positive ones, each an integer ``|di|·(j - k·s)`` for
     a term ``M^j t^k`` of ``r``; a collinear support's one side bounds both
     ways."""
-    polygon = newton_polygon(_from_L_tpoly(P))  # t-exponents in the L slot
+    polygon = newton_polygon(BiLaurent._normalised(  # t-exponents in L's slot
+        {(k, p_lo + j): 1 for k, j in np.argwhere(P).tolist()}))
     sides = polygon.sides
     if len(sides) == 1:
         sides += (Side(sides[0].end, sides[0].start),)
@@ -1625,8 +1590,8 @@ def riley_polynomial(pres: KnotPresentation,
                          "no Riley polynomial")
     # the entry of least t-degree, divided by a unit leading coefficient,
     # is the gcd when it has no factor t and divides every other entry; the
-    # gcd is defined up to a Laurent unit, and a monic one lets resultant_t
-    # take its modular path
+    # gcd is defined up to a Laurent unit, and a monic one lets the
+    # elimination take the modular resultant
     g = _unit_divided(_riley_entry(min(
         entries, key=lambda e: np.flatnonzero(e.any(axis=1))[-1])
     ).primitive_part())
@@ -1651,17 +1616,17 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
     eigenvalue; see the module docstring for the pipeline."""
     generators = _riley_generators(pres)
     phi = riley_polynomial(pres)
-    lam = _riley_entry(_riley_word(pres.longitude, generators)[0, 0])
+    entry = _riley_word(pres.longitude, generators)[0, 0]
+    lam = _riley_entry(entry)
     if lam.is_zero:
         raise ApolyError("longitude eigenvalue polynomial is zero")
 
-    G = TPoly.constant(BiLaurent.monomial(1, 0)) - lam
-
-    if G.degree < 1:
-        # eigenvalue independent of t: the resultant degenerates to a power
-        raw = G.coeffs[0] ** phi.degree
+    if phi.leading == BiLaurent.one():  # every two-bridge knot
+        raw = _resultant_modular(*_dense(phi), entry, -(entry.shape[1] // 2))
     else:
-        raw = resultant_t(phi, G)
+        G = TPoly.constant(BiLaurent.monomial(1, 0)) - lam
+        # an eigenvalue independent of t degenerates to a power
+        raw = G.coeffs[0] ** phi.degree if G.degree < 1 else resultant_t(phi, G)
     if raw.is_zero:
         raise ApolyError("resultant vanishes identically")
 

@@ -15,9 +15,9 @@ Subcommands::
 ``PRES`` is a bundled name (``trefoil``, ``figure8``) or a file path.
 Results are JSON on stdout (``--format csv`` for tabular records).  Exit
 codes: 0 success / verification PASS, 1 verification FAIL, 2 bad usage,
-unreadable input (a missing file, or one that is not UTF-8), or
-computation errors.  A record's ``L`` is the longitude eigenvalue paired
-with its own sampled ``M``.
+unreadable input (a missing file, a directory, or a file that is not
+UTF-8), or computation errors.  A record's ``L`` is the longitude
+eigenvalue paired with its own sampled ``M``.
 
 Route 1 runs on one ``Route1Plan`` per command, given route 2's Riley
 polynomial where the command has computed it, ``CHUNK_SAMPLES`` meridians
@@ -79,8 +79,13 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _read_text(path: Path) -> str:
-    """The text of a UTF-8 file; ``CLIError`` naming it otherwise."""
+def _read_text(path: Path, missing: str) -> str:
+    """The text of the UTF-8 file at ``path``; a ``CLIError`` otherwise, with
+    the message ``missing`` when there is nothing at ``path``."""
+    if not path.exists():
+        raise CLIError(missing)
+    if path.is_dir():
+        raise CLIError(f"{str(path)!r} is a directory, not a file")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -92,11 +97,9 @@ def _read_text(path: Path) -> str:
 def _load_presentation(name_or_path: str) -> KnotPresentation:
     if data_mod.resolve_builtin(name_or_path) is not None:
         return data_mod.load_builtin(name_or_path)
-    path = Path(name_or_path)
-    if not path.exists():
-        raise CLIError(f"{name_or_path!r} is neither a bundled presentation "
-                       f"({', '.join(data_mod.builtin_names())}) nor a file")
-    return parse_presentation(_read_text(path))
+    return parse_presentation(_read_text(
+        Path(name_or_path), f"{name_or_path!r} is neither a bundled "
+        f"presentation ({', '.join(data_mod.builtin_names())}) nor a file"))
 
 
 def _check_presentation_file(name_or_path: str, plan: Route1Plan) -> None:
@@ -293,9 +296,7 @@ def _cmd_apoly(args) -> int:
 def _read_apoly_arg(text: str):
     if text.startswith("@"):
         path = Path(text[1:])
-        if not path.exists():
-            raise CLIError(f"A-polynomial file {str(path)!r} not found")
-        text = _read_text(path)
+        text = _read_text(path, f"A-polynomial file {str(path)!r} not found")
     return parse_bilaurent(text)
 
 
@@ -377,9 +378,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_presentation_check(args) -> int:
     path = Path(args.path)
-    if not path.exists():
-        raise CLIError(f"file {str(path)!r} not found")
-    pres = parse_presentation(_read_text(path))
+    pres = parse_presentation(_read_text(path, f"file {str(path)!r} not found"))
     weights = pres.validate()
     data_mod.check_presentation(Route1Plan(pres), str(path))
     payload = {

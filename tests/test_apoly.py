@@ -374,42 +374,35 @@ def l_minus(lam: TPoly) -> TPoly:
     return TPoly.constant(LM(1, 0)) - lam
 
 
-def test_resultant_matches_sympy(monkeypatch):
+def test_resultant_matches_sympy():
     L, M, t = sympy.symbols("L M t")
     rng = Random(53)
-    # (P, Q, whether Bareiss must run; None where either may)
+    # (P, Q, lam where Q = L - lam has the elimination's shape, else None)
     cases = [(random_tpoly(rng), random_tpoly(rng), None) for _ in range(10)]
-    # the elimination's shape, P monic and Q = L - lam, takes the modular
-    # method: deg lam >= deg P and < deg P, negative M-exponents
+    # the elimination's shape, P monic, where the modular method applies:
+    # deg lam >= deg P and < deg P, negative M-exponents
     for n, m in ((2, 1), (2, 4), (3, 2), (3, 5), (1, 2)):
         P, lam = random_elimination_pair(rng, n, m)
-        cases.append((P, l_minus(lam), False))
+        cases.append((P, l_minus(lam), lam))
     # lam = P*S + 5/M reduces to a constant modulo P
     P, S = random_elimination_pair(rng, 3, 2)
-    cases.append((P, l_minus(P * S + TPoly.constant(LM(0, -1, 5))), False))
+    lam = P * S + TPoly.constant(LM(0, -1, 5))
+    cases.append((P, l_minus(lam), lam))
     # a coefficient -3 (2^50 + 1)^2, near -2^101: several primes and a
     # negative symmetric residue
     P = TPoly([LM(0, 2, -3), BiLaurent.zero(), BiLaurent.one()])
-    cases.append((P, l_minus(TPoly([LM(0, -1), BiLaurent.constant(2**50 + 1)])),
-                  False))
-    # a leading coefficient that is not 1 takes Bareiss
+    lam = TPoly([LM(0, -1), BiLaurent.constant(2**50 + 1)])
+    cases.append((P, l_minus(lam), lam))
+    # a leading coefficient that is not 1, which only Bareiss takes
     for lead in (BiLaurent.constant(2), parse_bilaurent("M + 1")):
         P, lam = random_elimination_pair(rng, 2, 3)
-        cases.append((TPoly([*P.coeffs[:-1], lead]), l_minus(lam), True))
+        cases.append((TPoly([*P.coeffs[:-1], lead]), l_minus(lam), None))
 
-    bareiss_calls = []
-    bareiss = apoly._resultant_bareiss
-
-    def counting_bareiss(P, Q):
-        bareiss_calls.append(1)
-        return bareiss(P, Q)
-
-    monkeypatch.setattr(apoly, "_resultant_bareiss", counting_bareiss)
-    for P, Q, by_bareiss in cases:
-        bareiss_calls.clear()
+    for P, Q, lam in cases:
         got = resultant_t(P, Q)
-        if by_bareiss is not None:
-            assert len(bareiss_calls) == by_bareiss
+        if lam is not None:
+            assert apoly._resultant_modular(*apoly._dense(P),
+                                            *apoly._dense(lam)) == got
         sp = sum(to_sympy(c) * t ** k for k, c in enumerate(P.coeffs))
         sq = sum(to_sympy(c) * t ** k for k, c in enumerate(Q.coeffs))
         # sympy.resultant is the Sylvester determinant of (f, g) only when
@@ -479,7 +472,7 @@ def assert_in_exponent_range(phi: TPoly, lam: TPoly, resultant: BiLaurent):
         R, r_lo = apoly._monic_rem(*apoly._dense(lam), *apoly._dense(phi))
         want, want_lo = apoly._dense(r)
         assert r_lo == want_lo and np.array_equal(R, want)
-    lo, hi = apoly._exponent_range(phi, *apoly._dense(r))
+    lo, hi = apoly._exponent_range(*apoly._dense(phi), *apoly._dense(r))
     js = [j for _, j in resultant.terms]
     assert lo <= min(js) and max(js) <= hi
 
@@ -515,18 +508,15 @@ def test_log_gauss_stack_is_the_derivative_quotient_at_route1_points(p, q):
 
 @pytest.mark.parametrize("p, q", ODD_Q_FAMILY,
                          ids=[f"b{p}_{q}" for p, q in ODD_Q_FAMILY])
-def test_family_resultant_equals_bareiss(monkeypatch, p, q):
+def test_family_resultant_equals_bareiss(p, q):
     """The elimination's resultant, by the modular method, is the raw
     Bareiss determinant of the same Sylvester matrix, and its M-exponents
     lie in the range read off phi's Newton polygon."""
     res = compute_apoly_twobridge_detailed(parse_presentation(two_bridge_text(p, q)))
-    phi, G = res.riley_polynomial, l_minus(res.longitude_eigenvalue)
-    bareiss = apoly._resultant_bareiss
-    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
-    got = resultant_t(phi, G)
-    monkeypatch.undo()
-    assert got == bareiss(phi, G)
-    assert_in_exponent_range(phi, res.longitude_eigenvalue, got)
+    phi, lam = res.riley_polynomial, res.longitude_eigenvalue
+    got = apoly._resultant_modular(*apoly._dense(phi), *apoly._dense(lam))
+    assert got == resultant_t(phi, l_minus(lam))
+    assert_in_exponent_range(phi, lam, got)
 
 
 #: monic ``phi`` whose Newton polygon is one segment, and ``lam``, both
@@ -541,12 +531,12 @@ SEGMENT_CASES = {
 
 
 @pytest.mark.parametrize("phi, lam", SEGMENT_CASES.values(), ids=SEGMENT_CASES)
-def test_segment_polygon_resultant_equals_bareiss(monkeypatch, phi, lam):
+def test_segment_polygon_resultant_equals_bareiss(phi, lam):
     phi = TPoly([parse_bilaurent(c) for c in phi])
     lam = TPoly([parse_bilaurent(c) for c in lam])
-    expected = apoly._resultant_bareiss(phi, l_minus(lam))
-    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
-    assert resultant_t(phi, l_minus(lam)) == expected
+    expected = resultant_t(phi, l_minus(lam))
+    assert apoly._resultant_modular(*apoly._dense(phi),
+                                    *apoly._dense(lam)) == expected
     assert_in_exponent_range(phi, lam, expected)
 
 
@@ -570,17 +560,17 @@ def test_resultant_in_x_equals_bareiss(monkeypatch, phi, lam, d):
     exponent of ``x``, and equal to the Bareiss determinant."""
     phi = TPoly([parse_bilaurent(c) for c in phi])
     lam = TPoly([parse_bilaurent(c) for c in lam])
-    expected = apoly._resultant_bareiss(phi, l_minus(lam))
+    expected = resultant_t(phi, l_minus(lam))
     points = []
     charpoly = apoly._charpoly_at
     monkeypatch.setattr(apoly, "_charpoly_at", lambda a, r, primes:
                         points.append(a.shape[-1]) or charpoly(a, r, primes))
-    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
-    assert resultant_t(phi, l_minus(lam)) == expected
+    assert apoly._resultant_modular(*apoly._dense(phi),
+                                    *apoly._dense(lam)) == expected
     monkeypatch.undo()
     assert_in_exponent_range(phi, lam, expected)
     r = apoly.tpoly_prem(lam, phi) if lam.degree >= phi.degree else lam
-    lo, hi = apoly._exponent_range(phi, *apoly._dense(r))
+    lo, hi = apoly._exponent_range(*apoly._dense(phi), *apoly._dense(r))
     assert points == [(hi - lo) // d + 1]
 
 
@@ -789,6 +779,24 @@ def test_elimination_takes_no_prs_gcd(monkeypatch, p, q):
         [list(c.terms.items()) for c in reference.coeffs]
 
 
+@pytest.mark.parametrize("p, q", FAMILY_AND_B17_5,
+                         ids=[f"b{p}_{q}" for p, q in FAMILY_AND_B17_5])
+def test_elimination_lists_its_terms_in_a_fixed_order(p, q):
+    """``log_gauss_stack`` sums ``A``'s terms in dict order, so the order
+    is part of ``verify``'s last bits: the resultant lists them by (L
+    ascending, M descending), and so does ``A`` when nothing was removed;
+    a part with a factor removed lists them by (L, M) descending."""
+    res = compute_apoly_twobridge_detailed(
+        parse_presentation(two_bridge_text(p, q)))
+    keys = list(res.resultant.terms)
+    assert keys == sorted(keys, key=lambda e: (e[0], -e[1]))
+    keys = list(res.apoly.terms)
+    if res.multiplicity_removed:
+        assert keys == sorted(keys, reverse=True)
+    else:
+        assert keys == sorted(keys, key=lambda e: (e[0], -e[1]))
+
+
 SQUAREFREE_KNOTS = [*ODD_Q_FAMILY, (17, 1), (19, 1)]
 
 
@@ -805,16 +813,18 @@ def test_squarefree_part_equals_prs_on_the_family(p, q):
         assert list(got[0].terms.items()) == list(want[0].terms.items())
 
 
-def test_elimination_stores_integer_coefficients():
-    """A numpy integer leaking out of the Riley words would compare equal
-    to its ``int``, but it would send ``resultant_t`` to Bareiss."""
+def test_elimination_stores_integer_coefficients(monkeypatch):
+    """A numpy integer leaking out of the Riley words or the modular
+    resultant would compare equal to its ``int``, but it would wrap around
+    in ``BiLaurent`` arithmetic; the resultant is the modular one."""
+    monkeypatch.setattr(apoly, "resultant_t", None)  # must not run
     for p, q in ODD_Q_FAMILY:
         res = compute_apoly_twobridge_detailed(
             parse_presentation(two_bridge_text(p, q)))
         phi, lam = res.riley_polynomial, res.longitude_eigenvalue
         polys = [*phi.coeffs, *lam.coeffs, res.resultant, res.apoly]
         assert all(type(c) is int for f in polys for c in f.terms.values())
-        assert apoly._eigenvalue_of_elimination(phi, l_minus(lam)) is not None
+        assert all(type(e) is int for f in polys for k in f.terms for e in k)
 
 
 #: relators of b(p, q) not written ``a w = w b``, from ``a``, ``b`` and ``w``
@@ -841,10 +851,39 @@ def test_rewritten_relator_gives_the_monic_riley_polynomial(monkeypatch, p, q,
     ((aw, _),) = pres.relators
     w = Word(aw.letters[1:])
     relator = REWRITES[rewrite](Word([("a", 1)]), Word([("b", 1)]), w)
-    monkeypatch.setattr(apoly, "_resultant_bareiss", None)  # must not run
+    monkeypatch.setattr(apoly, "resultant_t", None)  # must not run
     res = compute_apoly_twobridge_detailed(replace(pres, relators=(relator,)))
     assert res.riley_polynomial == ref.riley_polynomial
     assert res.apoly == ref.apoly
+
+
+#: a presentation whose Riley polynomial has the leading coefficient
+#: ``-M^2 - 1 - M^-2``, with the longitude to fill in
+NON_MONIC = ("gens: a b ; rel: b^-1 a^-1 b a^2 = b^2 a b^-1 a^-1 ; "
+             "meridian: a ; longitude: {}")
+
+
+@pytest.mark.parametrize("longitude, A", [
+    ("b a b^-1 a^-1", "L*M^6 + L*M^4 + L*M^2 - M^8 - 1"),
+    ("b a^-1", "L - 1"),  # lam = 1: the resultant is a power of L - 1
+], ids=["commutator", "constant-lam"])
+def test_non_monic_riley_polynomial_takes_bareiss(monkeypatch, longitude, A):
+    """Without a monic ``phi`` the elimination takes the Sylvester
+    determinant, and the modular resultant does not run; the resultant is
+    sympy's up to a unit."""
+    monkeypatch.setattr(apoly, "_resultant_modular", None)  # must not run
+    res = compute_apoly_twobridge_detailed(
+        parse_presentation(NON_MONIC.format(longitude)))
+    phi, lam = res.riley_polynomial, res.longitude_eigenvalue
+    assert phi.leading == parse_bilaurent("-M^2 - 1 - M^-2")
+    assert res.apoly == parse_bilaurent(A)
+    L, M, t = sympy.symbols("L M t")
+    expected = sympy.resultant(
+        sum(to_sympy(c) * t ** k for k, c in enumerate(phi.coeffs)),
+        L - sum(to_sympy(c) * t ** k for k, c in enumerate(lam.coeffs)), t)
+    # M^16 clears the negative powers of M
+    poly = sympy.Poly(sympy.expand(expected * M ** 16), L, M)
+    assert BiLaurent(poly.terms()).canonical() == res.resultant
 
 
 def test_b17_5_apoly_meets_the_theorems():

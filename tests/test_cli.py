@@ -778,6 +778,21 @@ def test_non_utf8_file_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert str(path) in err and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["scan", "{dir}"], "{dir}"),
+    (["apoly", "{dir}"], "{dir}"),
+    (["presentation", "check", "{dir}"], "{dir}"),
+    (["verify", "trefoil", "--apoly", "@{dir}"], "{dir}"),
+    (["verify", "trefoil", "--apoly", "@"], "."),
+], ids=["scan", "apoly", "presentation-check", "verify-apoly", "verify-apoly-@"])
+def test_directory_argument_exits_2_naming_it(argv, named, tmp_path, capsys):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named.format(dir=tmp_path)!r} is a directory, " \
+                  "not a file\n"
+
+
 def test_missing_apoly_file(capsys):
     code, _, err = run(capsys, "verify", "trefoil", "--apoly", "@/does/not/exist")
     assert code == 2
