@@ -16,7 +16,8 @@ from knotslope.representations import (NonFiniteError, Representation,
                                        RepresentationError,
                                        abelian_representation, evaluate_word,
                                        riley_family)
-from knotslope.slope import (NotAdmissibleError, Route1Plan, SlopeError,
+from knotslope.slope import (DegenerateIntersectionError,
+                             NotAdmissibleError, Route1Plan, SlopeError,
                              SlopeValue, augment, build_twisted_alexander,
                              compute_slope)
 
@@ -243,9 +244,59 @@ def test_mixed_stack_is_classified_once():
              Representation(pair, {"u": parabolic, "v": diagonal}),
              Representation(pair, {
                  "u": np.array([[1.0, 1e-6], [0.0, 1.0]]),
-                 "v": np.array([[1.0, 2.0], [1e-3, 1.0]]) / np.sqrt(0.998)})]
+                 "v": np.array([[1.0, 2.0], [1e-3, 1.0]]) / np.sqrt(0.998)}),
+             # the rows no other test reaches by message: a central
+             # meridian; a parabolic meridian near I and a diagonal
+             # longitude that commutes with it to 1e-9; entries of 1e160
+             # in the adjoint images, past floating point in T; a
+             # diagonal meridian, 1e-3 from I, and a longitude that
+             # commutes with it to 5e-9 but moves its eigenvector by 5e-6
+             Representation(pair, {"u": np.eye(2),
+                                   "v": np.array([[2.0, 1.0], [0.0, 0.5]])}),
+             Representation(pair, {
+                 "u": np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                 "v": np.diag([1.001, 1 / 1.001])}),
+             Representation(pair, {"u": np.diag([1e80, 1e-80]),
+                                   "v": np.diag([1e80, 1e-80])}),
+             Representation(pair, {"u": np.diag([1.001, 1 / 1.001]),
+                                   "v": np.array([[1.0, 0.0], [5e-6, 1.0]])})]
     reps += pairs
     results += route1_results(pair, pairs)
+    # a relator u^400 = u^400 that overflows where the peripheral images
+    # do not
+    power = Word.from_syllables([("u", 400)])
+    big = KnotPresentation(("u", "v"), ((power, power),), Word([("u", 1)]),
+                           Word([("v", 1)]))
+    # a meridian word that is not one generator, which augment rejects
+    conj = KnotPresentation(("u", "v"), (), Word([("u", 1), ("v", 1), ("u", -1)]),
+                            Word([("v", 1)]))
+    # the trefoil at diagonal images that break its relator: T has rank 6,
+    # not 5
+    trefoil = load_builtin("trefoil")
+    # figure8's relator with the meridian as longitude, at the branch point
+    # M = exp(i pi/3), t = 2 of its Riley polynomial: no cocycle moves M
+    # there, nor the longitude
+    mer = KnotPresentation(fig8.generators, fig8.relators, fig8.meridian,
+                           Word([("u", 1)]))
+    M = np.exp(1j * np.pi / 3)
+    # w u w^-1 = u^-1 and a longitude v that no relator ties to the
+    # meridian: the kernel moves the two independently, so no line of the
+    # peripheral plane lies in the row space
+    swap = KnotPresentation(
+        ("u", "v", "w"),
+        ((Word([("w", 1), ("u", 1), ("w", -1)]), Word([("u", -1)])),),
+        Word([("u", 1)]), Word([("v", 1)]))
+    for pres, images in [
+            (big, {"u": np.diag([10.0, 0.1]), "v": np.diag([3.0, 1 / 3])}),
+            (conj, {"u": diagonal, "v": np.diag([3.0, 1 / 3])}),
+            (trefoil, {"u": diagonal, "v": np.diag([3.0, 1 / 3])}),
+            (mer, {"u": np.array([[M, 1.0], [0.0, 1 / M]]),
+                   "v": np.array([[M, 0.0], [2.0, 1 / M]])}),
+            (swap, {"u": diagonal, "v": diagonal,
+                    "w": np.array([[0.0, 1.0], [-1.0, 0.0]])})]:
+        rep = Representation(pres, images)
+        reps.append(rep)
+        results += route1_results(pres, [rep])
     expected = [
         ("admissible", None, ""),
         ("parabolic", None, ""),
@@ -261,6 +312,28 @@ def test_mixed_stack_is_classified_once():
         ("error", RepresentationError,
          "longitude image does not preserve the meridian eigenvector "
          "(residual 1.00e-03)"),
+        ("not-admissible", NotAdmissibleError,
+         "meridian image is ±identity; eigenvector is not determined"),
+        ("error", RepresentationError,
+         "longitude image is not parabolic on the meridian's fixed line"),
+        ("error", NonFiniteError,
+         "values overflow floating point in the twisted-Alexander matrix"),
+        ("not-admissible", NotAdmissibleError,
+         "longitude image does not preserve the meridian eigenvector "
+         "(residual 5.00e-06)"),
+        ("error", NonFiniteError,
+         "values overflow floating point in the relators"),
+        ("error", SlopeError,
+         "meridian must be a single generator; rewrite the presentation "
+         "accordingly"),
+        ("degenerate", DegenerateIntersectionError,
+         "matrix rank is not the structural rank 6 (rank gap "),
+        ("degenerate", DegenerateIntersectionError,
+         "peripheral intersection has dimension 2, expected 1 (largest "
+         "pairing singular value "),
+        ("not-admissible", NotAdmissibleError,
+         "matrix row space does not meet the peripheral space (pairing "
+         "margin "),
     ]
     assert len(results) == len(expected)
     for rep, res, (verdict, error, text) in zip(reps, results, expected):
@@ -275,8 +348,10 @@ def test_mixed_stack_is_classified_once():
         assert rec["error"] == (None if error is None else str(res.error))
         assert rec["slope"] is None or rec["error"] is None
     assert [r.finite for r in results] == [True, True, False, True, True,
-                                           True, True, True]
-    assert results[-1].slope is None and results[-1].L is None
+                                           True, True, True, True, True,
+                                           True, True, False, True, True,
+                                           True, True]
+    assert results[7].slope is None and results[7].L is None
     assert abs(results[4].slope.reading) <= 1e-10
     assert abs(abs(results[1].slope.imag) - 2.0 * 3.0 ** 0.5) < 1e-8
 
