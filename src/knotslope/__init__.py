@@ -32,14 +32,14 @@ from .presentation import (GroupRingElement, KnotPresentation, ParseError,
                            PresentationError, Word, exponent_sum,
                            format_presentation, format_word, fox_derivative,
                            free_reduce, parse_presentation, parse_word)
-from .representations import (BoundaryData, NonFiniteError, Representation,
+from .representations import (NonFiniteError, Representation,
                               RepresentationError, abelian_representation,
-                              boundary_data, is_boundary_parabolic,
-                              is_unitarizable, parabolic_modulus, riley_family)
+                              is_unitarizable, riley_family)
 from .slope import (AugmentedPresentation, DegenerateIntersectionError,
                     NotAdmissibleError, Route1Plan, Route1Result, SlopeError,
                     SlopeValue, TwistedAlexanderMatrix, augment,
-                    build_twisted_alexander, compute_slope)
+                    boundary_data, build_twisted_alexander, compute_slope,
+                    is_boundary_parabolic, parabolic_modulus)
 
 __version__ = "0.1.0"
 
@@ -53,13 +53,13 @@ __all__ = [
     "SL2_BASIS", "KILLING_GRAM", "adjoint_of", "sl2_coordinates", "nullspace",
     # representations
     "Representation", "RepresentationError", "NonFiniteError", "riley_family",
-    "abelian_representation", "boundary_data", "BoundaryData",
-    "is_boundary_parabolic", "parabolic_modulus", "is_unitarizable",
+    "abelian_representation", "is_unitarizable",
     # slope
     "SlopeError", "NotAdmissibleError", "DegenerateIntersectionError",
     "SlopeValue", "AugmentedPresentation", "TwistedAlexanderMatrix",
     "Route1Plan", "Route1Result",
-    "augment", "build_twisted_alexander", "compute_slope",
+    "augment", "build_twisted_alexander", "compute_slope", "boundary_data",
+    "is_boundary_parabolic", "parabolic_modulus",
     # apoly
     "ApolyError", "ApolyResult", "BiLaurent", "NewtonPolygon",
     "IdealSlopeReport", "parse_bilaurent", "format_bilaurent",

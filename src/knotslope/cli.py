@@ -245,7 +245,9 @@ def _cmd_slope(args) -> int:
     M = _parse_complex(args.M)
     if M == 0:
         raise CLIError("meridian eigenvalue must be nonzero")
-    (family,) = Route1Plan(pres).evaluate_meridians([M], args.tol)
+    plan = Route1Plan(pres)
+    _check_presentation_file(args.pres, plan)
+    (family,) = plan.evaluate_meridians([M], args.tol)
     # no record can be computed where the words overflow: at the one
     # meridian asked for, that is an error
     if isinstance(family, NonFiniteError):

@@ -18,16 +18,16 @@ are its ``N = 1`` case.
 
 ``peripheral_stack`` reads, in closed form, everything route 1 needs
 from ``(N, 2, 2)`` stacks of meridian and longitude images ``m`` and
-``l``: the peripheral eigenvalue pair ``(M, L)`` on a common eigenvector,
-the cusp modulus at boundary-parabolic representations, read from the
-same ``L`` and held to the same scale, and one error per representation,
-from the first check that fails; a parabolic representation gets a
-modulus or an error, never both.  The eigenvectors of ``m`` give the
-meridian frame ``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read
-off the diagonal.  ``boundary_data``, ``parabolic_modulus`` and
-``is_boundary_parabolic`` read that stack for one representation; the
-demos use them, and route 1 reads the stack through ``slope.Route1Plan``.
-``is_unitarizable`` is the one check here that is not route 1's.
+``l``, as arrays: the commutation residual, the parabolic and central
+flags, the peripheral eigenvalue pair ``(M, L)`` on a common eigenvector
+with the residual of the ``L`` read and its scale, and the cusp modulus
+at boundary-parabolic representations, read from the same ``L`` and held
+to the same scale.  The eigenvectors of ``m`` give the meridian frame
+``P`` with ``P^-1 m P`` diagonal, in which ``L`` is read off the
+diagonal.  It decides no verdict: ``slope.Route1Plan.evaluate`` reads the
+arrays in its check table, and ``slope.boundary_data`` and the other
+one-representation views read its result.  ``is_unitarizable`` is the
+one check here that is not route 1's.
 """
 
 from __future__ import annotations
@@ -343,21 +343,6 @@ def riley_family(pres: KnotPresentation, M: complex,
 # ---------------------------------------------------------------------------
 # peripheral structure
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Peripheral eigenvalue data on a common eigenvector.
-
-    ``M`` and ``L`` are the meridian and longitude eigenvalues on
-    ``eigenvector``; ``parabolic`` marks the case ``tr rho(meridian) = ±2``
-    (where ``M`` is that ±1 and the eigenvector is the unique fixed line).
-    """
-
-    M: complex
-    L: complex
-    eigenvector: np.ndarray
-    parabolic: bool
-
-
 def _max_abs(A: np.ndarray) -> np.ndarray:
     """``max |entry|`` of each matrix of a ``(..., m, n)`` stack."""
     return np.abs(A).max(axis=(-2, -1))
@@ -398,8 +383,8 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, s: np.ndarray,
     signs ``s`` (``_parabolic_signs``), parabolic and central flags: the
     meridian frames, determinant-1 ``P`` with ``P^-1 m P = diag(M, 1/M)``
     from closed-form eigenvectors (the identity on parabolic and central
-    slices), ``M`` (the ``|M| >= 1`` branch), ``L``, M's eigenvector ``e``
-    and the residual ``max|l e - L e|``."""
+    slices), ``M`` (the ``|M| >= 1`` branch), ``L`` and the residual
+    ``max|l e - L e|`` on M's eigenvector ``e``."""
     rows = np.arange(len(m))
     half = (m[:, 0, 0] + m[:, 1, 1]) / 2
     root = np.sqrt(half * half - 1.0)
@@ -427,49 +412,45 @@ def _boundary_stack(m: np.ndarray, l: np.ndarray, s: np.ndarray,
     le = (l @ e[:, :, None])[:, :, 0]
     L = np.where(parabolic, le[rows, k],
                  np.where(np.abs(d0) >= np.abs(d1), d0, 1.0 / d1))
-    return P, Mval, L, e, np.abs(le - L[:, None] * e).max(axis=1)
+    return P, Mval, L, np.abs(le - L[:, None] * e).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class PeripheralStack:
     """Peripheral data of ``N`` representations, read from their meridian
-    and longitude images ``(N, 2, 2)``: arrays over the stack, and one
-    ``error`` per representation.
+    and longitude images ``(N, 2, 2)``: arrays over the stack, NaN or
+    false where ``finite`` is false, where the adjoint images overflow.
 
-    ``finite`` is false where the adjoint peripheral images overflow.
-    ``commutation`` holds the relative commutator residuals, ``parabolic``
-    the boundary-parabolic flags and ``invariant_dimension`` the dimension
-    of the common adjoint-fixed space, 1, or 3 where both images are
-    central.  ``M``, ``L`` and ``eigenvector`` are what ``boundary_data``
-    returns, ``L`` NaN where it cannot be read; ``modulus`` is the cusp
-    modulus, NaN off the parabolic locus and wherever ``error`` is set;
-    ``frame`` holds the meridian frames (``_boundary_stack``).  ``error``
-    is the ``RepresentationError`` of the first check that fails, or
-    ``None``.  The checks run in this order: overflow (a
-    ``NonFiniteError``); commutation, off the parabolic locus after the
-    invariant vector, which is unique unless both images are central, and
-    before a non-central meridian; the ``L`` read, that the longitude
-    preserves the meridian's eigenvector; last, on the parabolic locus,
-    the modulus.
+    ``commutation`` holds the relative commutator residuals,
+    ``parabolic`` the boundary-parabolic flags, ``central`` whether the
+    meridian is ``±I`` and ``invariant_dimension`` the dimension of the
+    common adjoint-fixed space, 1, or 3 where both images are central.
+    ``M`` is the meridian eigenvalue of modulus >= 1 and ``L`` the
+    longitude's eigenvalue on M's eigenvector ``e``, NaN where the images
+    do not commute, the meridian is central or ``residual``, ``max|l e -
+    L e|``, passes ``scale``.  ``modulus`` is the cusp modulus, NaN off
+    the parabolic locus, where ``L`` is and where ``l/L - I`` does not fit
+    ``m/s - I``; ``frame`` holds the meridian frames (``_boundary_stack``).
     """
 
     finite: np.ndarray
     commutation: np.ndarray
     parabolic: np.ndarray
+    central: np.ndarray
     invariant_dimension: np.ndarray
     M: np.ndarray
     L: np.ndarray
-    eigenvector: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
     modulus: np.ndarray
     frame: np.ndarray
-    error: list
 
 
 def peripheral_stack(m: np.ndarray, l: np.ndarray,
                      tol: float = 1e-8) -> PeripheralStack:
-    """Every peripheral check and value of route 1 on stacks of meridian
-    and longitude images.  The cusp modulus comes from the ``L`` read and
-    is held to its scale ``tol·(1 + max|l|)``: commuting parabolics satisfy
+    """Every peripheral value of route 1 on stacks of meridian and
+    longitude images.  The cusp modulus comes from the ``L`` read and is
+    held to its scale ``tol·(1 + max|l|)``: commuting parabolics satisfy
     ``l/L - I = tau (m/s - I)``, ``s = ±1`` the meridian's sign, and
     ``tau`` is their ratio at the largest entry of ``m/s - I``."""
     N = len(m)
@@ -482,11 +463,9 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
         s, tr = _parabolic_signs(m)
         central = _central(m, tol)
         parabolic = (np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))) & ~central
-        both_central = central & _central(l, tol)
-        P, M, L, e, resid = _boundary_stack(m, l, s, parabolic, central, tol)
+        P, M, L, resid = _boundary_stack(m, l, s, parabolic, central, tol)
         scale = tol * (1.0 + _max_abs(l))
-        off = resid > scale
-        L[(comm > tol) | central | off] = np.nan
+        L[(comm > tol) | central | (resid > scale)] = np.nan
         # tau on the parabolic subset, NaN where L is or where it misfits
         p = np.flatnonzero(parabolic)
         A = (m[p] / s[p, None, None] - np.eye(2)).reshape(-1, 4)
@@ -498,32 +477,6 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
         # + 0.0: a part that is exactly zero reads +0, whatever sign the
         # rounding of the divisions left on it
         modulus[p] = np.where(fits, tau[:, 0], np.nan) + 0.0
-    error: list[RepresentationError | None] = [NonFiniteError(
-        "values overflow floating point in the peripheral images")] * N
-    for k, i in enumerate(ok):
-        err = None
-        if parabolic[k]:
-            if comm[k] > tol:
-                err = RepresentationError(
-                    "peripheral images do not commute; modulus undefined")
-        elif both_central[k]:
-            err = RepresentationError(
-                "peripheral invariant subspace has dimension 3, expected 1")
-        elif comm[k] > tol:
-            err = RepresentationError(
-                f"peripheral images do not commute; no common invariant "
-                f"vector (commutation residual {comm[k]:.2e})")
-        elif central[k]:
-            err = RepresentationError("meridian image is ±identity; "
-                                      "eigenvector is not determined")
-        if err is None and off[k]:
-            err = RepresentationError(
-                f"longitude image does not preserve the meridian eigenvector "
-                f"(residual {resid[k]:.2e})")
-        if err is None and parabolic[k] and np.isnan(modulus[k]):
-            err = RepresentationError(
-                "longitude image is not parabolic on the meridian's fixed line")
-        error[i] = err
 
     def scatter(values, fill):
         out = np.full((N,) + values.shape[1:], fill, dtype=values.dtype)
@@ -532,56 +485,11 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
 
     return PeripheralStack(
         finite, scatter(comm, np.nan), scatter(parabolic, False),
-        scatter(np.where(both_central, 3, 1), 0), scatter(M, np.nan),
-        scatter(L, np.nan), scatter(e, np.nan), scatter(modulus, np.nan),
-        scatter(P, np.eye(2)), error)
-
-
-def _peripheral(rep: Representation, tol: float) -> PeripheralStack:
-    """``peripheral_stack`` of one representation."""
-    m, l = rep.meridian_image(), rep.longitude_image()
-    return peripheral_stack(m[None], l[None], tol)
-
-
-def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
-    """True when the meridian image has trace ±2 but is not ±identity."""
-    return bool(_peripheral(rep, tol).parabolic[0])
-
-
-def boundary_data(rep: Representation, tol: float = 1e-8) -> BoundaryData:
-    """Eigenvalues of the peripheral images on a shared eigenvector.
-
-    For a diagonalizable meridian image the ``|M| >= 1`` eigenvalue branch
-    is selected; on the unit circle ties break toward nonnegative imaginary
-    part.  ``L`` is the longitude eigenvalue on that ``M``'s eigenvector:
-    for a Riley representation at a meridian ``M0`` inside the unit circle
-    (or on it below the real axis) ``M`` is ``1/M0``, and the longitude
-    eigenvalue paired with ``M0`` is ``1/L``.  The eigenvector is
-    normalized so its largest-modulus coordinate is 1.  Where ``L`` cannot
-    be read, raises ``PeripheralStack.error``.
-    """
-    per = _peripheral(rep, tol)
-    if np.isnan(per.L[0]):
-        raise per.error[0]
-    return BoundaryData(M=complex(per.M[0]), L=complex(per.L[0]),
-                        eigenvector=per.eigenvector[0],
-                        parabolic=bool(per.parabolic[0]))
-
-
-def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
-    """The cusp translation ratio at a boundary-parabolic representation.
-
-    In a basis where the meridian image is ``[[s, 1], [0, s]]`` (s = ±1),
-    the longitude image becomes ``[[eps, beta], [0, eps]]`` with eps = ±1.
-    As Möbius maps these translate by ``1/s`` and ``beta/eps``; the modulus
-    is the ratio ``(beta/eps)/(1/s)``, invariant under conjugation.
-    """
-    per = _peripheral(rep, tol)
-    if per.finite[0] and not per.parabolic[0]:
-        raise RepresentationError("representation is not boundary-parabolic")
-    if np.isnan(per.modulus[0]):
-        raise per.error[0]
-    return complex(per.modulus[0])
+        scatter(central, False),
+        scatter(np.where(central & _central(l, tol), 3, 1), 0),
+        scatter(M, np.nan), scatter(L, np.nan), scatter(resid, np.nan),
+        scatter(scale, np.nan), scatter(modulus, np.nan),
+        scatter(P, np.eye(2)))
 
 
 _HERMITIAN_BASIS = (

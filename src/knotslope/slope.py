@@ -36,14 +36,17 @@ once, and its generator-image stack goes straight into
 ``Route1Plan.evaluate``, which runs route 1 on ``N`` representations
 together, as ``(N, ...)`` stacks.  The
 meridian and longitude images feed ``peripheral_stack``: the
-commutation residual, the parabolic test and ``L``; the generator images are
-then conjugated into the meridian frame, where ``rho(m)`` is diagonal and
-``v = H``, and the words are evaluated there (``_framed_images``).  One
-SVD stack gives the kernels, one more the pairing solutions.  Each
-representation is classified once, by the first check that fails, into a
-``Route1Result`` with its verdict, error, ``L`` and slope, the pairing
-slope or, on the parabolic locus, the cusp modulus.  ``compute_slope``
-reads that result for one ``Representation``; the demos use it.
+commutation residual, the parabolic test, ``L`` and the residual of its
+read; the generator images are then conjugated into the meridian frame,
+where ``rho(m)`` is diagonal and ``v = H``, and the words are evaluated
+there (``_framed_images``).  One SVD stack gives the kernels, one more
+the pairing solutions; ``_pairing`` returns their margins.  Each
+representation is classified once, by the first row of one ordered check
+table in ``Route1Plan.evaluate`` that holds, into a ``Route1Result`` with
+its verdict, error, ``L`` and slope, the pairing slope or, on the
+parabolic locus, the cusp modulus.  ``compute_slope``, ``boundary_data``,
+``parabolic_modulus`` and ``is_boundary_parabolic`` each read that result
+for one ``Representation``; the demos use them.
 """
 
 from __future__ import annotations
@@ -208,11 +211,13 @@ class SlopeValue:
         return [r.real, r.imag]
 
 
-def _slopes(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
-            tol: float) -> list[tuple[str, SlopeError | None, SlopeValue | None]]:
-    """Per representation, ``(verdict, error, slope)`` of the pairing for
-    augmented generator images ``(N, #generators, 2, 2)`` and invariant
-    vectors ``(N, 3)``."""
+def _pairing(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
+             tol: float) -> tuple[np.ndarray, ...]:
+    """The pairing's margins for augmented generator images ``(N,
+    #generators, 2, 2)`` and invariant vectors ``(N, 3)``: per
+    representation, whether ``T`` is finite, its structural rank, the rank
+    gap, the largest pairing singular value, the pairing margin and ``(a,
+    b)`` ``(N, 2)``, normalized so ``max(|a|, |b|) = 1``."""
     T = build_twisted_alexander(aug, images).matrix
     N, _, n = T.shape
     rows = np.arange(N)
@@ -234,33 +239,10 @@ def _slopes(aug: AugmentedPresentation, images: np.ndarray, v: np.ndarray,
         # the pairing system, from the ell and m column blocks of K
         A = np.einsum("kipj,kj->kip", K[:, :, :6].reshape(N, 4, 2, 3), v)
         s2, vh2 = svd_stack(A)
-        pairing = s2[:, 1] / s2[:, 0]
         ab = vh2[:, 1].conj()
         ab = ab / ab[rows, np.argmax(np.abs(ab), axis=1)][:, None]
-    finite = np.isfinite(T).all(axis=(1, 2))
-    out = []
-    for i in range(N):
-        if not finite[i]:
-            out.append(("error", NonFiniteError(
-                "values overflow floating point in the twisted-Alexander "
-                "matrix"), None))
-        elif not gap[i] <= math.sqrt(tol):
-            out.append(("degenerate", DegenerateIntersectionError(
-                f"matrix rank is not the structural rank {rank[i]} "
-                f"(rank gap {gap[i]:.2e})"), None))
-        elif not s2[i, 0] > tol:
-            out.append(("degenerate", DegenerateIntersectionError(
-                f"peripheral intersection has dimension 2, expected 1 "
-                f"(largest pairing singular value {s2[i, 0]:.2e})"), None))
-        elif not pairing[i] <= tol:
-            out.append(("not-admissible", NotAdmissibleError(
-                f"matrix row space does not meet the peripheral space "
-                f"(pairing margin {pairing[i]:.2e})"), None))
-        else:
-            out.append(("admissible", None, SlopeValue(
-                a=complex(ab[i, 0]), b=complex(ab[i, 1]),
-                residual=float(pairing[i]), tol=tol)))
-    return out
+        return (np.isfinite(T).all(axis=(1, 2)), rank, gap, s2[:, 0],
+                s2[:, 1] / s2[:, 0], ab)
 
 
 def _framed_images(images: np.ndarray, P: np.ndarray, tol: float) -> np.ndarray:
@@ -289,10 +271,10 @@ class Route1Result:
 
     ``verdict`` is ``admissible``, ``parabolic``, ``not-admissible``,
     ``degenerate`` or ``error``.  ``error`` is the exception of the first
-    check that failed (``PeripheralStack.error``, then the pairing), or
-    ``None``.  ``L`` is the longitude eigenvalue on the eigenvector of
-    ``M``, the meridian eigenvalue of modulus >= 1 (``boundary_data``),
-    ``None`` where it cannot be read.  ``slope`` is the
+    check that failed (``Route1Plan.evaluate``), or ``None``.  ``L`` is
+    the longitude eigenvalue on the eigenvector of ``M``, the meridian
+    eigenvalue of modulus >= 1 (``boundary_data``), ``None`` where it
+    cannot be read.  ``slope`` is the
     ``SlopeValue`` of an admissible representation, the cusp modulus of a
     parabolic one, ``None`` otherwise: a representation has a slope or an
     error, never both.  ``finite`` is false when the peripheral images or
@@ -370,37 +352,65 @@ class Route1Plan:
                  tol: float = 1e-8) -> list[Route1Result]:
         """Route 1 on representations of the presentation, from their
         generator images stacked ``(N, #generators, 2, 2)`` in its
-        generator order (``words.stack``)."""
+        generator order (``words.stack``).  Each representation takes the
+        verdict of the first row of the check table that holds there: the
+        peripheral rows, then, on the ones still undecided, the pairing
+        rows.  A row's value is the error, or the slope of a parabolic or
+        admissible representation."""
         N = len(images)
         m, l = self.words.peripheral(images)
         relator = self.words.relator_residuals(images)
         per = peripheral_stack(m, l, tol)
         finite = per.finite & np.isfinite(relator)
-        # per representation (verdict, error, slope), from the first check
-        # that fails; the pairing decides the ones left in ready
         outcome: list = [None] * N
-        ready = []
-        for i in range(N):
-            error = per.error[i]
-            if not per.finite[i]:
-                outcome[i] = ("error", error, None)
-            elif not finite[i]:
-                outcome[i] = ("error", NonFiniteError(
-                    "values overflow floating point in the relators"), None)
-            elif per.parabolic[i]:
-                outcome[i] = (("parabolic", None, complex(per.modulus[i]))
-                              if error is None else ("error", error, None))
-            elif error is not None:
-                outcome[i] = ("not-admissible", NotAdmissibleError(str(error)),
-                              None)
-            else:
-                ready.append(i)
-        if ready:
+
+        def decide(at, rows):
+            """Classify the representations ``at`` by the first of ``rows``,
+            ``(holds, verdict, value)`` with ``holds`` an array over ``at``;
+            returns the ones no row decides."""
+            left = np.ones(len(at), dtype=bool)
+            for holds, verdict, value in rows:
+                for k in np.flatnonzero(holds & left):
+                    outcome[at[k]] = (verdict, value(k))
+                left &= ~holds
+            return at[left]
+
+        moved = ("longitude image does not preserve the meridian "
+                 "eigenvector (residual {:.2e})").format
+        off = per.residual > per.scale
+        # on the parabolic locus a failed peripheral check is an error; off
+        # it the representation is not admissible
+        ready = decide(np.arange(N), [
+            (~per.finite, "error", lambda i: NonFiniteError(
+                "values overflow floating point in the peripheral images")),
+            (~np.isfinite(relator), "error", lambda i: NonFiniteError(
+                "values overflow floating point in the relators")),
+            (per.parabolic & (per.commutation > tol), "error",
+             lambda i: RepresentationError(
+                 "peripheral images do not commute; modulus undefined")),
+            (per.invariant_dimension == 3, "not-admissible",
+             lambda i: NotAdmissibleError(
+                 "peripheral invariant subspace has dimension 3, expected 1")),
+            (per.commutation > tol, "not-admissible",
+             lambda i: NotAdmissibleError(
+                 f"peripheral images do not commute; no common invariant "
+                 f"vector (commutation residual {per.commutation[i]:.2e})")),
+            (per.central, "not-admissible", lambda i: NotAdmissibleError(
+                "meridian image is ±identity; eigenvector is not determined")),
+            (per.parabolic & off, "error",
+             lambda i: RepresentationError(moved(per.residual[i]))),
+            (off, "not-admissible",
+             lambda i: NotAdmissibleError(moved(per.residual[i]))),
+            (per.parabolic & np.isnan(per.modulus), "error",
+             lambda i: RepresentationError("longitude image is not parabolic "
+                                           "on the meridian's fixed line")),
+            (per.parabolic, "parabolic", lambda i: complex(per.modulus[i]))])
+        if len(ready):
+            every = np.ones(len(ready), dtype=bool)
             try:
                 aug = self.augmented
             except SlopeError as exc:
-                for i in ready:
-                    outcome[i] = ("error", exc, None)
+                decide(ready, [(every, "error", lambda k: exc)])
             else:
                 framed = _framed_images(images[ready], per.frame[ready], tol)
                 # the longitude word again, on the framed images: conjugating
@@ -409,29 +419,95 @@ class Route1Plan:
                 stack = self._augmented_images(framed, prefix_images(
                     framed, self.words.longitude)[:, -1])
                 # the meridian generator's image, second in the stack
-                v = sl2_coordinates(stack[:, 1])
-                for i, out in zip(ready, _slopes(aug, stack, v, tol)):
-                    outcome[i] = out
+                T_finite, rank, gap, top, margin, ab = _pairing(
+                    aug, stack, sl2_coordinates(stack[:, 1]), tol)
+                decide(ready, [
+                    (~T_finite, "error", lambda k: NonFiniteError(
+                        "values overflow floating point in the "
+                        "twisted-Alexander matrix")),
+                    (~(gap <= math.sqrt(tol)), "degenerate",
+                     lambda k: DegenerateIntersectionError(
+                         f"matrix rank is not the structural rank {rank[k]} "
+                         f"(rank gap {gap[k]:.2e})")),
+                    (~(top > tol), "degenerate",
+                     lambda k: DegenerateIntersectionError(
+                         f"peripheral intersection has dimension 2, expected "
+                         f"1 (largest pairing singular value {top[k]:.2e})")),
+                    (~(margin <= tol), "not-admissible",
+                     lambda k: NotAdmissibleError(
+                         f"matrix row space does not meet the peripheral "
+                         f"space (pairing margin {margin[k]:.2e})")),
+                    (every, "admissible", lambda k: SlopeValue(
+                        a=complex(ab[k, 0]), b=complex(ab[k, 1]),
+                        residual=float(margin[k]), tol=tol))])
         return [Route1Result(
-            verdict=verdict, error=error,
+            verdict=verdict,
+            error=value if isinstance(value, Exception) else None,
             M=complex(per.M[i]) if finite[i] else None,
             L=None if not finite[i] or np.isnan(per.L[i]) else complex(per.L[i]),
-            slope=slope, relator_residual=float(relator[i]),
+            slope=None if isinstance(value, Exception) else value,
+            relator_residual=float(relator[i]),
             commutation_residual=float(per.commutation[i]),
             parabolic=bool(finite[i] and per.parabolic[i]),
             invariant_dimension=int(per.invariant_dimension[i]),
             finite=bool(finite[i]))
-            for i, (verdict, error, slope) in enumerate(outcome)]
+            for i, (verdict, value) in enumerate(outcome)]
+
+
+def _route1(rep: Representation, tol: float) -> Route1Result:
+    """``Route1Plan.evaluate`` on one representation."""
+    plan = Route1Plan(rep.presentation)
+    return plan.evaluate(plan.words.stack([rep]), tol)[0]
 
 
 def compute_slope(rep: Representation, tol: float = 1e-8) -> SlopeValue:
     """The boundary slope of a non-parabolic admissible representation;
     raises ``Route1Result.error`` otherwise."""
-    plan = Route1Plan(rep.presentation)
-    res = plan.evaluate(plan.words.stack([rep]), tol)[0]
+    res = _route1(rep, tol)
     if res.parabolic:
         raise SlopeError("representation is boundary-parabolic; use "
                          "parabolic_modulus or Route1Result.slope")
     if res.slope is None:
+        raise res.error
+    return res.slope
+
+
+def is_boundary_parabolic(rep: Representation, tol: float = 1e-8) -> bool:
+    """True when the meridian image has trace ±2 but is not ±identity
+    (``Route1Result.parabolic``)."""
+    return _route1(rep, tol).parabolic
+
+
+def boundary_data(rep: Representation, tol: float = 1e-8) -> Route1Result:
+    """Route 1 on one representation, for its peripheral eigenvalues on a
+    shared eigenvector: ``M``, ``L`` and ``parabolic``.
+
+    For a diagonalizable meridian image the ``|M| >= 1`` eigenvalue branch
+    is selected; on the unit circle ties break toward nonnegative imaginary
+    part.  ``L`` is the longitude eigenvalue on that ``M``'s eigenvector:
+    for a Riley representation at a meridian ``M0`` inside the unit circle
+    (or on it below the real axis) ``M`` is ``1/M0``, and the longitude
+    eigenvalue paired with ``M0`` is ``1/L``.  Where ``L`` cannot be read,
+    raises the error as a ``RepresentationError``.
+    """
+    res = _route1(rep, tol)
+    if res.L is None:
+        raise (res.error if isinstance(res.error, RepresentationError)
+               else RepresentationError(str(res.error)))
+    return res
+
+
+def parabolic_modulus(rep: Representation, tol: float = 1e-8) -> complex:
+    """The cusp translation ratio at a boundary-parabolic representation.
+
+    In a basis where the meridian image is ``[[s, 1], [0, s]]`` (s = ±1),
+    the longitude image becomes ``[[eps, beta], [0, eps]]`` with eps = ±1.
+    As Möbius maps these translate by ``1/s`` and ``beta/eps``; the modulus
+    is the ratio ``(beta/eps)/(1/s)``, invariant under conjugation.
+    """
+    res = _route1(rep, tol)
+    if res.finite and not res.parabolic:
+        raise RepresentationError("representation is not boundary-parabolic")
+    if res.verdict != "parabolic":
         raise res.error
     return res.slope

@@ -23,9 +23,8 @@ from knotslope.data import load_builtin
 from knotslope.linalg import KILLING_GRAM, adjoint_of
 from knotslope.presentation import (GroupRingElement, Word, fox_derivative)
 from knotslope.representations import (Representation,
-                                       abelian_representation,
-                                       parabolic_modulus, riley_family)
-from knotslope.slope import compute_slope
+                                       abelian_representation, riley_family)
+from knotslope.slope import compute_slope, parabolic_modulus
 
 from helpers import random_sl2, random_word
 from test_apoly import random_tpoly

@@ -24,9 +24,9 @@ from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              riley_polynomial, side_slopes, squarefree_part)
 from knotslope.data import load_builtin
 from knotslope.presentation import Word, parse_presentation, parse_word
-from knotslope.representations import (boundary_data, prefix_images,
-                                       riley_family, word_letters)
-from knotslope.slope import Route1Plan
+from knotslope.representations import (prefix_images, riley_family,
+                                       word_letters)
+from knotslope.slope import Route1Plan, boundary_data
 
 sympy = pytest.importorskip("sympy")
 

@@ -655,6 +655,7 @@ def test_presentation_check_rejects_conjugated_longitude(tmp_path, capsys):
                     "meridian: u ;\n"
                     "longitude: v v u^-1 v^-1 u^2 v^-1 u^-1 v v^-1\n")
     for argv in (["presentation", "check", str(path)],
+                 ["slope", str(path), "--M", "1.3"],
                  ["scan", str(path), "--samples", "2"],
                  ["verify", str(path), "--samples", "2"],
                  ["apoly", str(path)]):
