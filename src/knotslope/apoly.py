@@ -73,10 +73,10 @@ one pass over ``A``'s terms, with no derivative polynomial and without
 This module is the only place that builds the Riley matrices as
 polynomials in ``(t, M)``.  ``_riley_word`` holds a word's image as a dense
 integer array over (row, column, t-exponent, M-exponent) and applies each
-letter as a column operation, a slice shift and an add.  A coefficient at
-most doubles per letter, so it is at most ``2^n`` after ``n`` letters and
-the difference of two relator sides at most ``2^(n+1)``: the array is
-``int64`` up to 61 letters and Python ints beyond.  Both routes share
+letter as a column operation, a slice shift and an add, which adds one
+column to the other: so the word bounds each column's coefficients, and
+the array is ``int64`` while that bound leaves room for the sums that
+callers form, Python ints beyond.  Both routes share
 ``riley_polynomial``: ``representations.riley_stack`` roots the same
 ``phi`` with its coefficients evaluated at each meridian eigenvalue.
 """
@@ -762,15 +762,14 @@ class TPoly:
 
 
 def tpoly_prem(P: TPoly, Q: TPoly) -> TPoly:
-    """Pseudo-remainder of P by Q (deg P >= deg Q >= 0, Q nonzero):
-    the remainder of ``lc(Q)^(deg P - deg Q + 1) * P`` under exact division."""
+    """Pseudo-remainder of P by Q (Q nonzero): the remainder of
+    ``lc(Q)^(deg P - deg Q + 1) * P`` under exact division, and ``P``
+    itself when ``deg P < deg Q``."""
     if Q.is_zero:
         raise ApolyError("pseudo-remainder by the zero polynomial")
-    if P.is_zero:
-        return P
     d = P.degree - Q.degree
-    if d < 0:
-        raise ApolyError("pseudo-remainder requires deg P >= deg Q")
+    if d < 0:  # P = 0 too, of degree -1
+        return P
     # a factor lc(Q) per step and the rest at the end keeps R small
     R, lcq, e = P, Q.leading, d + 1
     monic = lcq == BiLaurent.one()
@@ -1523,9 +1522,16 @@ def _riley_word(word: Word, generators: tuple[str, str],
     [t, 1/M]]``, ``(u, v) = generators``: ``X[r, c, i, j + n]`` is the
     coefficient of ``t^i M^j`` in entry ``(r, c)``, ``n`` the letter count or
     a larger one given.  After ``k < n`` letters the t-degree is at most
-    ``k`` and the M-exponents lie in ``[-k, k]``: no shift loses a term."""
+    ``k`` and the M-exponents lie in ``[-k, k]``: no shift loses a term.
+    ``bound`` bounds each column's coefficients in absolute value; below
+    ``2^61`` a sum of four entries, as in ``longitude_commutes``, fits
+    ``int64``."""
     n = len(word.letters) if n is None else n
-    X = np.zeros((2, 2, n + 1, 2 * n + 1), dtype=np.int64 if n <= 61 else object)
+    bound = [1, 1]  # a u-letter adds column 0 to column 1, a v-letter 1 to 0
+    for g, _ in word.letters:
+        bound[g == generators[0]] += bound[g != generators[0]]
+    X = np.zeros((2, 2, n + 1, 2 * n + 1),
+                 dtype=object if max(bound) >> 61 else np.int64)
     X[0, 0, 0, n] = X[1, 1, 0, n] = 1
     c0, c1 = X[:, 0], X[:, 1]
     # c[up] = c[down] multiplies c by M, and c[down] = c[up] by M^-1
@@ -1558,6 +1564,20 @@ def _divides_all(g: TPoly, entries: list[np.ndarray]) -> bool:
     G, g_lo = _dense(g)
     return not any(_monic_rem(e, -(e.shape[1] // 2), G, g_lo)[0].size
                    for e in entries)
+
+
+def longitude_commutes(pres: KnotPresentation, phi: TPoly) -> bool:
+    """Whether the longitude commutes with the meridian on every Riley
+    representation, exactly: ``[[a, b], [c, d]]`` commutes with ``[[M, 1],
+    [0, 1/M]]`` when ``c = 0`` and ``e = (M - 1/M)·b - a + d = 0``, so when
+    the Riley polynomial ``phi`` (of degree >= 1) divides both over
+    ``Q(M)[t]``: by ``_divides_all`` if monic, else by ``tpoly_prem``."""
+    n = len(pres.longitude.letters) + 1  # spare column: np.roll wraps zeros
+    (a, b), (c, d) = _riley_word(pres.longitude, _riley_generators(pres), n)
+    e = np.roll(b, 1, axis=1) - np.roll(b, -1, axis=1) - a + d
+    if phi.leading == BiLaurent.one():
+        return _divides_all(phi, [c, e])
+    return all(tpoly_prem(_riley_entry(f), phi).is_zero for f in (c, e))
 
 
 def _unit_divided(g: TPoly) -> TPoly:

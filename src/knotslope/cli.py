@@ -10,7 +10,6 @@ Subcommands::
                                             against the log-Gauss map
     knotslope presentation check FILE       parse and validate a presentation,
                                             then check its Riley representations
-                                            at M = 1.3 numerically
 
 ``PRES`` is a bundled name (``trefoil``, ``figure8``) or a file path.
 Results are JSON on stdout (``--format csv`` for tabular records).  Exit
@@ -103,15 +102,15 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
 
 
 def _check_presentation_file(name_or_path: str, plan: Route1Plan) -> None:
-    """``data.check_presentation`` with the command's plan, on a file in
-    Riley form: bundled presentations are checked when loaded, and outside
-    Riley form route 1 reports the error at every sample."""
+    """``data.check_presentation`` with the plan's Riley polynomial, on a
+    file in Riley form: bundled presentations are checked when loaded, and
+    outside Riley form route 1 reports the error at every sample."""
     try:
-        plan.riley
+        _, phi = plan.riley
     except RepresentationError:
         return
     if data_mod.resolve_builtin(name_or_path) is None:
-        data_mod.check_presentation(plan, name_or_path)
+        data_mod.check_presentation(plan.words.presentation, name_or_path, phi)
 
 
 def _check_tol(tol: float) -> None:
@@ -279,8 +278,8 @@ def _cmd_apoly(args) -> int:
     pres = _load_presentation(args.pres)
     result = compute_apoly_twobridge_detailed(
         pres, with_reducible=args.with_reducible)
-    _check_presentation_file(args.pres,
-                             Route1Plan(pres, result.riley_polynomial))
+    if data_mod.resolve_builtin(args.pres) is None:  # bundled: checked on load
+        data_mod.check_presentation(pres, args.pres, result.riley_polynomial)
     polygon = newton_polygon(result.apoly)
     report = ideal_point_slopes(polygon)
     payload = {
@@ -382,7 +381,7 @@ def _cmd_presentation_check(args) -> int:
     path = Path(args.path)
     pres = parse_presentation(_read_text(path, f"file {str(path)!r} not found"))
     weights = pres.validate()
-    data_mod.check_presentation(Route1Plan(pres), str(path))
+    data_mod.check_presentation(pres, str(path))
     payload = {
         "ok": True,
         "generators": list(pres.generators),
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     pres_sub = p_pres.add_subparsers(dest="presentation_command", required=True)
     p_check = pres_sub.add_parser(
         "check", help="parse and validate a file, then check its Riley "
-                      "representations numerically at M = 1.3")
+                      "representations")
     p_check.add_argument("path", help="presentation file")
     p_check.set_defaults(func=_cmd_presentation_check)
 

@@ -1,13 +1,12 @@
-"""Bundled reference presentations with load-time sanity checks."""
+"""Bundled reference presentations with an exact check on load."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
 
+from .apoly import ApolyError, TPoly, longitude_commutes, riley_polynomial
 from .presentation import KnotPresentation, parse_presentation
-from .representations import RepresentationError, commutation_residuals
-from .slope import Route1Plan
 
 _BUILTIN_FILES = {
     "trefoil": "trefoil.txt",
@@ -18,10 +17,6 @@ _ALIASES = {
     "3_1": "trefoil",
     "4_1": "figure8",
 }
-
-#: meridian eigenvalue used for the numeric cross-check on load
-_CHECK_M = 1.3
-_CHECK_TOL = 1e-8
 
 
 class DataError(ValueError):
@@ -40,30 +35,26 @@ def resolve_builtin(name: str) -> str | None:
     return _ALIASES.get(name)
 
 
-def check_presentation(plan: Route1Plan, label: str) -> None:
-    """Numeric consistency check of a presentation, through its route-1
-    plan, at a reference meridian eigenvalue: every Riley representation
-    satisfies the relators and has commuting meridian and longitude
-    images.  Raises ``DataError`` prefixed by ``label``."""
+def check_presentation(pres: KnotPresentation, label: str,
+                       phi: TPoly | None = None) -> None:
+    """Exact consistency check of a presentation in Riley form, with its
+    Riley polynomial ``phi`` (computed here when not given): it has Riley
+    representations, and on each the longitude commutes with the meridian
+    (``apoly.longitude_commutes``).  The relators hold there by
+    construction, as ``phi`` divides every relator entry.  Raises
+    ``DataError`` prefixed by ``label``, also outside Riley form."""
     try:
-        (ts,), images = plan.riley_images([_CHECK_M])
-        if isinstance(ts, RepresentationError):  # the meridian's error
-            raise ts
-    except RepresentationError as exc:
+        if phi is None:
+            phi = riley_polynomial(pres, allow_constant=True)
+        if phi.degree < 1:
+            raise ApolyError("no Riley representations: the Riley "
+                             "polynomial is constant")
+        commutes = longitude_commutes(pres, phi)
+    except ApolyError as exc:
         raise DataError(f"{label}: {exc}") from exc
-    if not ts:
-        raise DataError(f"{label}: no Riley representations at M = {_CHECK_M}")
-    relator = plan.words.relator_residuals(images)
-    commutation = commutation_residuals(*plan.words.peripheral(images))
-    for t, resid, comm in zip(ts, relator, commutation):
-        if resid > _CHECK_TOL * 10:
-            raise DataError(f"{label}: relator residual {resid:.2e} "
-                            f"at t = {t}")
-        if comm > _CHECK_TOL * 10:
-            raise DataError(f"{label}: longitude does not commute with the "
-                            f"meridian (relative residual {comm:.2e} at "
-                            f"t = {t}); is it only conjugate to a "
-                            f"peripheral element?")
+    if not commutes:
+        raise DataError(f"{label}: longitude does not commute with the meridian; "
+                        f"is it only conjugate to a peripheral element?")
 
 
 @lru_cache(maxsize=None)
@@ -76,5 +67,5 @@ def load_builtin(name: str) -> KnotPresentation:
     text = (resources.files("knotslope") / "_data" / _BUILTIN_FILES[canonical]) \
         .read_text(encoding="utf-8")
     pres = parse_presentation(text)
-    check_presentation(Route1Plan(pres), f"builtin {canonical!r}")
+    check_presentation(pres, f"builtin {canonical!r}")
     return pres

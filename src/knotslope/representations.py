@@ -184,8 +184,9 @@ class WordPlan:
         """Max over relators of ``max|rho(lhs) - rho(rhs)|``, ``(N,)``."""
         worst = np.zeros(len(images))
         for lhs, rhs in self.relators:
-            diff = (prefix_images(images, lhs)[:, -1]
-                    - prefix_images(images, rhs)[:, -1])
+            with np.errstate(all="ignore"):  # words may overflow to inf
+                diff = (prefix_images(images, lhs)[:, -1]
+                        - prefix_images(images, rhs)[:, -1])
             worst = np.maximum(worst, _max_abs(diff))
         return worst
 
@@ -348,13 +349,6 @@ def _max_abs(A: np.ndarray) -> np.ndarray:
     return np.abs(A).max(axis=(-2, -1))
 
 
-def commutation_residuals(m: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Relative commutator residuals ``max|ml - lm| / (1 + max|m| max|l|)``
-    of stacks of meridian and longitude images ``(N, 2, 2)``."""
-    scale = 1.0 + _max_abs(m) * _max_abs(l)
-    return _max_abs(m @ l - l @ m) / scale
-
-
 def _parabolic_signs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sign ``s = ±1`` nearer to ``tr/2``, and the trace, per matrix."""
     tr = m[:, 0, 0] + m[:, 1, 1]
@@ -459,7 +453,7 @@ def peripheral_stack(m: np.ndarray, l: np.ndarray,
         finite = np.isfinite(adj).all(axis=(1, 2, 3))
         ok = np.flatnonzero(finite)
         m, l = m[ok], l[ok]
-        comm = commutation_residuals(m, l)
+        comm = _max_abs(m @ l - l @ m) / (1.0 + _max_abs(m) * _max_abs(l))
         s, tr = _parabolic_signs(m)
         central = _central(m, tol)
         parabolic = (np.abs(tr - 2.0 * s) <= tol * (1.0 + np.abs(tr))) & ~central

@@ -320,13 +320,6 @@ class Route1Plan:
         generators, phi = _riley_locus(pres, self._phi)
         return [generators.index(g) for g in pres.generators], phi
 
-    def riley_images(self, meridians: Sequence[complex]
-                     ) -> tuple[list, np.ndarray]:
-        """``riley_stack`` at the meridians, images in generator order."""
-        order, phi = self.riley
-        roots, images, _ = riley_stack(phi, meridians)
-        return roots, images[:, order]
-
     def _augmented_images(self, images: np.ndarray,
                           longitude: np.ndarray) -> np.ndarray:
         """Images of the augmented generators: the longitude image, then
@@ -341,10 +334,11 @@ class Route1Plan:
         stacked pass: per meridian, ``riley_family``'s branches as ``(t,
         Route1Result)`` pairs, or the error it raises there."""
         try:
-            roots, images = self.riley_images(meridians)
+            order, phi = self.riley
+            roots, images, _ = riley_stack(phi, meridians)
         except RepresentationError as exc:
             return [exc] * len(meridians)
-        results = iter(self.evaluate(images, tol))
+        results = iter(self.evaluate(images[:, order], tol))
         return [ts if isinstance(ts, RepresentationError)
                 else [(t, next(results)) for t in ts] for ts in roots]
 

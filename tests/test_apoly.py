@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -22,6 +23,7 @@ from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              ideal_point_slopes, log_gauss, log_gauss_stack,
                              newton_polygon, parse_bilaurent, resultant_t,
                              riley_polynomial, side_slopes, squarefree_part)
+from knotslope.cli import main
 from knotslope.data import load_builtin
 from knotslope.presentation import Word, parse_presentation, parse_word
 from knotslope.representations import (prefix_images, riley_family,
@@ -867,10 +869,27 @@ NON_MONIC = ("gens: a b ; rel: b^-1 a^-1 b a^2 = b^2 a b^-1 a^-1 ; "
     ("b a b^-1 a^-1", "L*M^6 + L*M^4 + L*M^2 - M^8 - 1"),
     ("b a^-1", "L - 1"),  # lam = 1: the resultant is a power of L - 1
 ], ids=["commutator", "constant-lam"])
-def test_non_monic_riley_polynomial_takes_bareiss(monkeypatch, longitude, A):
+def test_non_monic_riley_polynomial_takes_bareiss(monkeypatch, tmp_path,
+                                                  capsys, longitude, A):
     """Without a monic ``phi`` the elimination takes the Sylvester
     determinant, and the modular resultant does not run; the resultant is
-    sympy's up to a unit."""
+    sympy's up to a unit.  The file check takes pseudo-remainders modulo
+    ``phi``: it refuses this longitude, and accepts the relator's two
+    sides, the identity on the Riley locus but not in ``(t, M)``."""
+    divisors = []
+    prem = apoly.tpoly_prem
+    monkeypatch.setattr(apoly, "tpoly_prem",
+                        lambda P, Q: divisors.append(Q) or prem(P, Q))
+    monkeypatch.setattr(apoly, "_divides_all", None)  # needs a monic phi
+    path = tmp_path / "non_monic.txt"
+    for lon, code in ((longitude, 2), ("b^-1 a^-1 b a^2 a b a^-1 b^-2", 0)):
+        phi = riley_polynomial(parse_presentation(NON_MONIC.format(lon)))
+        path.write_text(NON_MONIC.format(lon), encoding="utf-8")
+        divisors.clear()
+        assert main(["presentation", "check", str(path)]) == code
+        err = capsys.readouterr().err
+        assert ("longitude does not commute" in err) == (code == 2)
+        assert divisors[-1] == phi  # the check's last step
     monkeypatch.setattr(apoly, "_resultant_modular", None)  # must not run
     res = compute_apoly_twobridge_detailed(
         parse_presentation(NON_MONIC.format(longitude)))
@@ -886,11 +905,22 @@ def test_non_monic_riley_polynomial_takes_bareiss(monkeypatch, longitude, A):
     assert BiLaurent(poly.terms()).canonical() == res.resultant
 
 
-def test_b17_5_apoly_meets_the_theorems():
-    """Oracles that do not reuse the elimination code."""
-    res = compute_apoly_twobridge_detailed(parse_presentation(TWO_BRIDGE["b17_5"]))
-    A = res.apoly
-    assert res.multiplicity_removed == 0
+#: b(17,5), and the knots past it whose file check once failed in floats
+THEOREM_KNOTS = [(17, 5), (23, 1), (25, 1), (25, 3), (27, 1), (27, 5)]
+
+
+@pytest.mark.parametrize("p, q", THEOREM_KNOTS,
+                         ids=[f"b{p}_{q}" for p, q in THEOREM_KNOTS])
+def test_apoly_meets_the_theorems(p, q, tmp_path, capsys):
+    """Oracles that do not reuse the elimination code, on ``apoly``'s
+    output for a file."""
+    path = tmp_path / f"b{p}_{q}.txt"
+    path.write_text(two_bridge_text(p, q), encoding="utf-8")
+    assert main(["apoly", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    A = parse_bilaurent(report["polynomial"])
+    # b(p,1)'s resultant is A^((p-1)/2), the torus knot's one factor
+    assert report["multiplicity_removed"] == (0 if q > 1 else (p - 3) // 2)
     assert all(j % 2 == 0 for _, j in A.terms)
     # A(1/L, 1/M) is a unit multiple of A (Cooper-Culler-Gillet-Long-Shalen)
     assert BiLaurent({(-i, -j): c for (i, j), c in A.terms.items()}).canonical() == A
@@ -898,6 +928,8 @@ def test_b17_5_apoly_meets_the_theorems():
     slopes = ideal_point_slopes(newton_polygon(A)).values()
     assert slopes
     assert all(s != math.inf and s.denominator == 1 and s % 2 == 0 for s in slopes)
+    if q == 1:  # the torus knot T(2, p) has the one boundary slope 2p
+        assert slopes == [-2 * p]
 
 
 # ---------------------------------------------------------------------------
@@ -953,16 +985,23 @@ def test_riley_word_edge_cases():
     # an unreduced word has the image of its reduced form
     assert (check_riley_word(parse_word("u u^-1 v", uv), uv, rng)
             == check_riley_word(parse_word("v", uv), uv, rng))
-    # past 61 letters the array holds Python ints; the image of the word is
-    # the product of the images of its halves, multiplied as polynomials
-    half = parse_presentation(two_bridge_text(5, 3)).longitude ** 4
+    # the array holds Python ints once the word's column bound reaches
+    # 2^61, as on b(5,3)'s longitude^12 (96 letters), and int64 below it,
+    # as on b(27,1)'s longitude (104 letters); either way the image of a
+    # word is the product of the images of its halves, multiplied as
+    # polynomials (exactly: evaluated in floats, these words lose digits)
     ab = ("a", "b")
-    assert len((half * half).letters) > 61 >= len(half.letters)
-    assert apoly._riley_word(half * half, ab).dtype == object
-    A = check_riley_word(half, ab, rng)
-    AA = check_riley_word(half * half, ab, rng)
-    assert AA == [[A[r][0] * A[0][c] + A[r][1] * A[1][c] for c in range(2)]
-                  for r in range(2)]
+    long_words = [(parse_presentation(two_bridge_text(5, 3)).longitude ** 12,
+                   object),
+                  (parse_presentation(two_bridge_text(27, 1)).longitude,
+                   np.int64)]
+    for word, dtype in long_words:
+        assert apoly._riley_word(word, ab).dtype == dtype
+        k = len(word.letters) // 2
+        A, B, AB = (check_riley_word(w, ab, rng, points=0) for w in
+                    (Word(word.letters[:k]), Word(word.letters[k:]), word))
+        assert AB == [[A[r][0] * B[0][c] + A[r][1] * B[1][c]
+                       for c in range(2)] for r in range(2)]
 
 
 def test_riley_polynomial_matches_numeric_roots():

@@ -368,9 +368,10 @@ def test_scan_long_relator_knot_gives_every_record_a_verdict(tmp_path, capsys):
 
 def test_far_arc_overflow_gives_typed_verdicts_without_warnings(tmp_path,
                                                                 capsys):
-    """At ``|M| = 1e6`` the adjoint Fox blocks of b(11,3) overflow.  With
-    warnings as errors, each record still gets its typed verdict, and
-    stderr holds no more than ``verify``'s verdict line."""
+    """At ``|M| = 1e6`` the adjoint Fox blocks of b(11,3) overflow, and at
+    ``1e77`` figure8's relators.  With warnings as errors, each record
+    still gets its typed verdict, and stderr holds no more than
+    ``verify``'s verdict line."""
     path = tmp_path / "b11_3.txt"
     path.write_text(two_bridge_text(11, 3), encoding="utf-8")
     arc = ("--arc", "1e6,1e6,0.3,0.3")
@@ -383,6 +384,9 @@ def test_far_arc_overflow_gives_typed_verdicts_without_warnings(tmp_path,
     samples = json.loads(out)["samples"]
     assert samples and all(s["ok"] is False and isinstance(s["error"], str)
                            for s in samples)
+    code, out, err = run(capsys, "scan", "figure8", "--arc", "1e77,1e77,0,1")
+    assert (code, err) == (0, "")
+    assert any("overflow" in r["error"] for r in records(out) if r["error"])
 
 
 #: every odd-q two-bridge knot b(p, q) with p <= 13 at seed 0, and seeds 1
@@ -671,6 +675,12 @@ def test_presentation_check_reports_errors(tmp_path, capsys):
     code, _, err = run(capsys, "presentation", "check", str(path))
     assert code == 2
     assert "error:" in err
+    # a constant Riley polynomial: no Riley representation to check
+    path.write_text("gens: u v ;\nrel: u = v ;\nmeridian: u ;\n"
+                    "longitude: u v^-1\n")
+    code, _, err = run(capsys, "presentation", "check", str(path))
+    assert code == 2
+    assert "no Riley representations" in err
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys, monkeypatch):
