@@ -928,7 +928,7 @@ def test_apoly_meets_the_theorems(p, q, tmp_path, capsys):
     slopes = ideal_point_slopes(newton_polygon(A)).values()
     assert slopes
     assert all(s != math.inf and s.denominator == 1 and s % 2 == 0 for s in slopes)
-    if q == 1:  # the torus knot T(2, p) has the one boundary slope 2p
+    if q == 1:  # the torus knot T(2, p): one side, of slope 2p up to sign
         assert slopes == [-2 * p]
 
 
