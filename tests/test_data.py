@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from knotslope.data import (DataError, builtin_names, load_builtin,
-                            resolve_builtin)
+from knotslope.apoly import BiLaurent, TPoly, parse_bilaurent
+from knotslope.data import (DataError, builtin_names, check_presentation,
+                            load_builtin, resolve_builtin)
+from knotslope.presentation import parse_presentation
 
 
 def test_builtin_names():
@@ -33,3 +35,14 @@ def test_load_builtin_validates_and_caches():
 def test_load_builtin_unknown():
     with pytest.raises(DataError):
         load_builtin("granny")
+
+
+def test_check_presentation_needs_both_commutation_conditions():
+    """The longitude ``u v^-1`` has ``c = -t/M`` and ``e = (M - 1/M)·b - a +
+    d = t + M^2 - 1``: modulo ``phi = t + M^2 - 1`` the second vanishes and
+    the first does not, so the images do not commute."""
+    pres = parse_presentation("gens: u v ; rel: u = v ; meridian: u ; "
+                              "longitude: u v^-1")
+    phi = TPoly([parse_bilaurent("M^2 - 1"), BiLaurent.one()])
+    with pytest.raises(DataError, match="longitude does not commute"):
+        check_presentation(pres, "u v^-1", phi)
