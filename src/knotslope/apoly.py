@@ -29,22 +29,22 @@ leading coefficient, its remainder on every other one is zero (on the
 dense arrays of the Riley words), and the pseudo-remainder gcd
 otherwise.
 
-``phi`` is monic in ``t`` on the two-bridge knots, and the elimination
-then takes a modular route (``_resultant_modular``): reduce ``lam``, the
-dense integer array of the longitude's Riley word, modulo ``phi`` to
-``r``, and evaluate the characteristic polynomial of ``r(C)``, ``C`` the
-companion matrix of ``phi``, in ``x = M^d``, ``d`` the gcd of the
-M-exponents of ``phi`` and ``r`` (at least 2 on every two-bridge knot
-tried), at the ``K``-th roots of unity modulo word-size primes ``q ≡ 1
-(mod K)``; then interpolate in ``x`` and rebuild each coefficient by the
-Chinese remainder theorem, on as many points as ``phi``'s Newton polygon
-bounds the resultant's span in ``x`` and as many primes as a Hadamard
-bound asks (see ``_resultant_modular``), so the result is the exact
-determinant.  On those points evaluation and interpolation are one exact
-transform each, a matrix product with a table of powers of a root of
-unity (``_UnitRoots``).  A ``phi`` that is not monic takes ``resultant_t``,
-the fraction-free (Bareiss) elimination of the Sylvester matrix and the
-reference of the modular route.
+``phi`` is monic in ``t`` up to a unit ``±M^k`` on a two-bridge knot
+(Riley, 1984), and a knot group generated by two meridians is a
+two-bridge knot group (Boileau–Zimmermann, 1989): ``riley_polynomial``
+divides out the unit and refuses any other leading coefficient with an
+``ApolyError`` that names it.  The elimination (``_resultant_modular``)
+reduces ``lam``, the dense integer array of the longitude's Riley word,
+modulo ``phi`` to ``r``, and evaluates the characteristic polynomial of
+``r(C)``, ``C`` the companion matrix of ``phi``, in ``x = M^d``, ``d``
+the gcd of the M-exponents of ``phi`` and ``r`` (at least 2 on every
+two-bridge knot tried), at the ``K``-th roots of unity modulo word-size
+primes ``q ≡ 1 (mod K)`` (``_UnitRoots``); then it interpolates in ``x``
+and rebuilds each coefficient by the Chinese remainder theorem, on as
+many points as ``phi``'s Newton polygon bounds the resultant's span in
+``x`` and as many primes as a Hadamard bound asks, so the result is the
+exact determinant.  ``resultant_t``, the fraction-free (Bareiss)
+elimination of the Sylvester matrix, is its reference.
 
 Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
 first tries a certificate that the gcd is trivial: some L-coefficient of
@@ -60,8 +60,8 @@ the least one seen, interpolates and rebuilds by CRT, and proves the
 result ``S`` exactly: ``A = S·G``, ``G`` divides ``dA/dL``, and ``S``
 passes the certificate give ``G = gcd(A, dA/dL)`` up to a unit.  The
 primitive pseudo-remainder sequence over ``Z[M]`` (``bilaurent_gcd``) is
-the reference of both, and the path only for input that is not monic in
-``L`` or that the modular path cannot prove.
+the reference of both, and the path only for a caller's input that is not
+monic in ``L`` or that the modular path cannot prove.
 
 ``log_gauss_stack`` gives ``verify`` route 2's numbers at a stack of
 points ``(L, M)``.  In log coordinates ``v = log L``, ``u = log M`` the
@@ -803,9 +803,9 @@ def resultant_t(P: TPoly, Q: TPoly) -> BiLaurent:
     """The resultant in t: the determinant of the Sylvester matrix of
     ``P`` and ``Q``, by fraction-free (Bareiss) elimination.  Requires both
     degrees >= 1.  The raw determinant is returned, so ``resultant_t(P1*P2,
-    Q) = resultant_t(P1, Q) * resultant_t(P2, Q)`` holds exactly.  It is the
-    reference of ``_resultant_modular``, which ``compute_apoly_twobridge``
-    takes whenever the Riley polynomial is monic."""
+    Q) = resultant_t(P1, Q) * resultant_t(P2, Q)`` holds exactly.  It takes
+    a ``P`` that is not monic, and is the reference of
+    ``_resultant_modular``, the elimination's one route."""
     if P.is_zero or Q.is_zero:
         raise ApolyError("resultant of the zero polynomial")
     if P.degree < 1 or Q.degree < 1:
@@ -919,6 +919,7 @@ def _monic_rem(A: np.ndarray, a_lo: int, P: np.ndarray, p_lo: int
     n, width = len(P) - 1, P.shape[1]
     if not n:  # P = 1
         return A[:0, :0], 0
+    A = A[:max(np.flatnonzero((A != 0).any(axis=1)), default=-1) + 1]
     steps = max(len(A) - n, 0)
     low = P[:n]
     grow = 1 + sum(abs(v) for v in low.ravel().tolist())
@@ -1570,14 +1571,14 @@ def longitude_commutes(pres: KnotPresentation, phi: TPoly) -> bool:
     """Whether the longitude commutes with the meridian on every Riley
     representation, exactly: ``[[a, b], [c, d]]`` commutes with ``[[M, 1],
     [0, 1/M]]`` when ``c = 0`` and ``e = (M - 1/M)·b - a + d = 0``, so when
-    the Riley polynomial ``phi`` (of degree >= 1) divides both over
-    ``Q(M)[t]``: by ``_divides_all`` if monic, else by ``tpoly_prem``."""
+    the monic Riley polynomial ``phi`` (of degree >= 1) divides both
+    (``_divides_all``).  A ``phi`` that is not monic raises
+    ``riley_polynomial``'s ``ApolyError``."""
+    _check_monic(phi)
     n = len(pres.longitude.letters) + 1  # spare column: np.roll wraps zeros
     (a, b), (c, d) = _riley_word(pres.longitude, _riley_generators(pres), n)
     e = np.roll(b, 1, axis=1) - np.roll(b, -1, axis=1) - a + d
-    if phi.leading == BiLaurent.one():
-        return _divides_all(phi, [c, e])
-    return all(tpoly_prem(_riley_entry(f), phi).is_zero for f in (c, e))
+    return _divides_all(phi, [c, e])
 
 
 def _unit_divided(g: TPoly) -> TPoly:
@@ -1590,14 +1591,23 @@ def _unit_divided(g: TPoly) -> TPoly:
                   for x in g.coeffs])
 
 
+def _check_monic(phi: TPoly) -> None:
+    """Raise ``ApolyError``, naming the leading coefficient, unless monic."""
+    if phi.leading != BiLaurent.one():
+        raise ApolyError(f"Riley polynomial is not monic: its leading "
+                         f"coefficient in t is {format_bilaurent(phi.leading)}"
+                         f", not M^k up to sign as on a two-bridge knot")
+
+
 def riley_polynomial(pres: KnotPresentation,
                      allow_constant: bool = False) -> TPoly:
     """The gcd of all relator entry polynomials in t (primitive in M),
-    monic when its leading coefficient is a unit ``±M^k``.
+    monic: divided by its leading coefficient, a unit ``±M^k``.
 
     Raises ``ApolyError`` when the presentation is not in Riley form, when the
-    relators impose no polynomial condition, or when the gcd is constant (no
-    irreducible Riley locus) unless ``allow_constant``.
+    relators impose no polynomial condition, when the gcd is constant (no
+    irreducible Riley locus) unless ``allow_constant``, or when it is not
+    monic up to a unit (``_check_monic``).
     """
     generators = _riley_generators(pres)
     entries: list[np.ndarray] = []
@@ -1610,8 +1620,7 @@ def riley_polynomial(pres: KnotPresentation,
                          "no Riley polynomial")
     # the entry of least t-degree, divided by a unit leading coefficient,
     # is the gcd when it has no factor t and divides every other entry; the
-    # gcd is defined up to a Laurent unit, and a monic one lets the
-    # elimination take the modular resultant
+    # gcd is defined up to a Laurent unit
     g = _unit_divided(_riley_entry(min(
         entries, key=lambda e: np.flatnonzero(e.any(axis=1))[-1])
     ).primitive_part())
@@ -1624,7 +1633,9 @@ def riley_polynomial(pres: KnotPresentation,
             if g.degree == 0:
                 break
         g = _unit_divided(g.primitive_part())
-    if g.degree < 1 and not allow_constant:
+    if g.degree >= 1:
+        _check_monic(g)
+    elif not allow_constant:
         raise ApolyError("Riley polynomial is constant: the presentation "
                          "has no irreducible Riley locus")
     return g
@@ -1632,29 +1643,19 @@ def riley_polynomial(pres: KnotPresentation,
 
 def compute_apoly_twobridge_detailed(pres: KnotPresentation,
                                      with_reducible: bool = False) -> ApolyResult:
-    """Eliminate t between the Riley polynomial and the longitude
-    eigenvalue; see the module docstring for the pipeline."""
+    """Eliminate t between the monic Riley polynomial and the longitude
+    eigenvalue by ``_resultant_modular``; see the module docstring."""
     generators = _riley_generators(pres)
     phi = riley_polynomial(pres)
     entry = _riley_word(pres.longitude, generators)[0, 0]
-    lam = _riley_entry(entry)
-    if lam.is_zero:
-        raise ApolyError("longitude eigenvalue polynomial is zero")
-
-    if phi.leading == BiLaurent.one():  # every two-bridge knot
-        raw = _resultant_modular(*_dense(phi), entry, -(entry.shape[1] // 2))
-    else:
-        G = TPoly.constant(BiLaurent.monomial(1, 0)) - lam
-        # an eigenvalue independent of t degenerates to a power
-        raw = G.coeffs[0] ** phi.degree if G.degree < 1 else resultant_t(phi, G)
-    if raw.is_zero:
-        raise ApolyError("resultant vanishes identically")
+    # prod (L - r(a)) over phi's roots: monic in L, so never zero
+    raw = _resultant_modular(*_dense(phi), entry, -(entry.shape[1] // 2))
 
     # remove M-content (gcd of the L-coefficients)
     as_l = _as_L_tpoly(raw)
     primitive = _from_L_tpoly(as_l.primitive_part()).canonical()
 
-    if primitive.is_zero or _is_univariate(primitive, 0):
+    if _is_univariate(primitive, 0):
         raise ApolyError("eliminated polynomial has no L-dependence")
     apoly, removed = squarefree_part(primitive)
 
@@ -1668,7 +1669,8 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
         includes = True
 
     return ApolyResult(apoly=apoly.canonical(), resultant=primitive,
-                       riley_polynomial=phi, longitude_eigenvalue=lam,
+                       riley_polynomial=phi,
+                       longitude_eigenvalue=_riley_entry(entry),
                        multiplicity_removed=removed,
                        includes_reducible=includes)
 

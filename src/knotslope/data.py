@@ -42,7 +42,8 @@ def check_presentation(pres: KnotPresentation, label: str,
     representations, and on each the longitude commutes with the meridian
     (``apoly.longitude_commutes``).  The relators hold there by
     construction, as ``phi`` divides every relator entry.  Raises
-    ``DataError`` prefixed by ``label``, also outside Riley form."""
+    ``DataError`` prefixed by ``label``, also outside Riley form and for
+    a ``phi`` that is not monic."""
     try:
         if phi is None:
             phi = riley_polynomial(pres, allow_constant=True)

@@ -268,16 +268,16 @@ def _coefficients(phi: TPoly, M: complex) -> list[complex]:
 def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
                 ) -> tuple[list, np.ndarray, np.ndarray]:
     """The Riley representations at every meridian eigenvalue, one stacked
-    pass over the roots ``t`` of ``phi(t, M)``.  ``phi``, the primitive gcd
-    of the relator entry polynomials, is evaluated at every ``M`` by
-    ``_coefficients``, rooted by ``_roots`` and ordered and merged by
-    ``_merged_roots``; a constant ``phi`` (no Riley locus) gives
-    no roots.  Returns ``t``, per meridian its roots or its error: ``M =
-    0``, or a ``NonFiniteError`` where ``phi``, its roots or the
-    commutators overflow.  Then, over the roots of the meridians without
-    one, in order, the images ``(K, 2, 2, 2)`` of the (meridian generator,
-    partner) pair, and whether each commutator trace is within ``tol`` of
-    2.  No meridian's values or error depend on the others."""
+    pass over the roots ``t`` of ``phi(t, M)``.  ``riley_polynomial``'s
+    monic ``phi`` is evaluated at every ``M`` by ``_coefficients``, its
+    leading coefficient to exactly 1, rooted by one ``_roots`` call and
+    ordered and merged by ``_merged_roots``; a constant ``phi`` (no Riley
+    locus) gives no roots.  Returns ``t``, per meridian its roots or its
+    error: ``M = 0``, or a ``NonFiniteError`` where ``phi``, its roots or
+    the commutators overflow.  Then, over the roots of the meridians
+    without one, in order, the images ``(K, 2, 2, 2)`` of the (meridian
+    generator, partner) pair, and whether each commutator trace is within
+    ``tol`` of 2.  No meridian's values or error depend on the others."""
     Ms = [complex(M) for M in meridians]
     overflow = "values overflow floating point at M = {}".format
     # a meridian's error, until its roots are found
@@ -286,15 +286,11 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
     coeffs = np.array([_coefficients(phi, M) for M in Ms],
                       dtype=complex).reshape(len(Ms), phi.degree + 1).T
     with np.errstate(all="ignore"):
-        nonzero = np.array([M != 0 for M in Ms], dtype=bool)
-        ok = np.isfinite(coeffs).all(axis=0) & nonzero
-        # trailing zeros are no degree: roots are taken per degree
-        degree = np.array([max(np.flatnonzero(c), default=0) for c in coeffs.T])
-        for n in set(degree[ok].tolist()):
-            rows = np.flatnonzero(ok & (degree == n))
-            for i, roots in zip(rows, _roots(coeffs[:n + 1, rows])):
-                if np.isfinite(roots).all():
-                    t[i] = _merged_roots(roots)
+        rows = np.flatnonzero(np.isfinite(coeffs).all(axis=0)
+                              & (np.array(Ms) != 0))
+        for i, roots in zip(rows, _roots(coeffs[:, rows])):
+            if np.isfinite(roots).all():
+                t[i] = _merged_roots(roots)
         found = [ts if isinstance(ts, list) else [] for ts in t]
         owner = np.repeat(np.arange(len(Ms)),
                           np.array(list(map(len, found)), dtype=int))

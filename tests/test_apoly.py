@@ -6,6 +6,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -22,10 +23,12 @@ from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
                              compute_apoly_twobridge_detailed, format_bilaurent,
                              ideal_point_slopes, log_gauss, log_gauss_stack,
                              newton_polygon, parse_bilaurent, resultant_t,
-                             riley_polynomial, side_slopes, squarefree_part)
+                             riley_polynomial, side_slopes, squarefree_part,
+                             tpoly_gcd)
 from knotslope.cli import main
-from knotslope.data import load_builtin
-from knotslope.presentation import Word, parse_presentation, parse_word
+from knotslope.data import DataError, check_presentation, load_builtin
+from knotslope.presentation import (KnotPresentation, Word, parse_presentation,
+                                    parse_word)
 from knotslope.representations import (prefix_images, riley_family,
                                        word_letters)
 from knotslope.slope import Route1Plan, boundary_data
@@ -829,6 +832,11 @@ def test_elimination_stores_integer_coefficients(monkeypatch):
         assert all(type(e) is int for f in polys for k in f.terms for e in k)
 
 
+def shifted(word: Word, k: int) -> Word:
+    """``word`` cyclically shifted left by ``k`` letters."""
+    return Word(word.letters[k:] + word.letters[:k])
+
+
 #: relators of b(p, q) not written ``a w = w b``, from ``a``, ``b`` and ``w``
 REWRITES = {
     "a-w-b^-1-w^-1=1": lambda a, b, w: (a * w * b.inverse() * w.inverse(),
@@ -837,6 +845,12 @@ REWRITES = {
     "conjugated-by-a-b": lambda a, b, w: (
         a * b * a * w * b.inverse() * w.inverse() * b.inverse() * a.inverse(),
         Word.identity()),
+    "shifted-by-1": lambda a, b, w: (
+        shifted(a * w * b.inverse() * w.inverse(), 1), Word.identity()),
+    "shifted-by-3": lambda a, b, w: (
+        shifted(a * w * b.inverse() * w.inverse(), 3), Word.identity()),
+    "inverted": lambda a, b, w: ((a * w * b.inverse() * w.inverse()).inverse(),
+                                 Word.identity()),
 }
 
 
@@ -859,50 +873,118 @@ def test_rewritten_relator_gives_the_monic_riley_polynomial(monkeypatch, p, q,
     assert res.apoly == ref.apoly
 
 
-#: a presentation whose Riley polynomial has the leading coefficient
-#: ``-M^2 - 1 - M^-2``, with the longitude to fill in
+def substituted(word: Word, images: dict[str, Word]) -> Word:
+    """``word`` with each generator replaced by its image."""
+    out = Word.identity()
+    for g, e in word.letters:
+        out = out * (images[g] if e > 0 else images[g].inverse())
+    return out
+
+
+def repaired(pres: KnotPresentation, pairing: str) -> KnotPresentation:
+    """b(p, q)'s presentation ``a w = w b`` on another pair of meridians:
+    meridian ``b``, whose longitude is ``w^-1 l w`` as ``b = w^-1 a w``;
+    ``b -> a^-k b a^k``, keeping the meridian ``a``; or ``a -> b^-k a
+    b^k``, whose meridian ``a`` has the longitude ``b^k l b^-k``."""
+    a, b, l = Word([("a", 1)]), Word([("b", 1)]), pres.longitude
+    if pairing == "meridian-b":
+        w = Word(pres.relators[0][0].letters[1:])
+        return replace(pres, meridian=b, longitude=w.inverse() * l * w)
+    gen, k = pairing.split("->")
+    k = int(k)
+    images = ({"a": a, "b": a ** -k * b * a ** k} if gen == "b"
+              else {"a": b ** -k * a * b ** k, "b": b})
+    relators = tuple((substituted(x, images), substituted(y, images))
+                     for x, y in pres.relators)
+    longitude = substituted(l, images)
+    if gen == "a":
+        longitude = b ** k * longitude * b ** -k
+    return replace(pres, relators=relators, longitude=longitude)
+
+
+REPAIRINGS = ["meridian-b", *(f"{g}->{k}" for g in "ba" for k in (1, 2, -1))]
+
+
+@pytest.mark.parametrize("pairing", REPAIRINGS)
+def test_repaired_meridians_give_the_monic_riley_polynomial(pairing):
+    """On another pair of meridian generators every family knot has the
+    Schubert text's ``phi``, and b(7,3), b(11,3) and b(13,5) its ``A``."""
+    for p, q in ODD_Q_FAMILY:
+        pres = parse_presentation(two_bridge_text(p, q))
+        other = repaired(pres, pairing)
+        assert riley_polynomial(other) == riley_polynomial(pres), (p, q)
+        if (p, q) in ((7, 3), (11, 3), (13, 5)):
+            assert (compute_apoly_twobridge(other)
+                    == compute_apoly_twobridge(pres)), (p, q)
+
+
+#: a presentation whose relator entries have a gcd with the leading
+#: coefficient ``NON_MONIC_LEAD``, with the longitude to fill in
 NON_MONIC = ("gens: a b ; rel: b^-1 a^-1 b a^2 = b^2 a b^-1 a^-1 ; "
              "meridian: a ; longitude: {}")
+NON_MONIC_LEAD = "-M^2 - 1 - M^-2"
 
 
-@pytest.mark.parametrize("longitude, A", [
-    ("b a b^-1 a^-1", "L*M^6 + L*M^4 + L*M^2 - M^8 - 1"),
-    ("b a^-1", "L - 1"),  # lam = 1: the resultant is a power of L - 1
-], ids=["commutator", "constant-lam"])
-def test_non_monic_riley_polynomial_takes_bareiss(monkeypatch, tmp_path,
-                                                  capsys, longitude, A):
-    """Without a monic ``phi`` the elimination takes the Sylvester
-    determinant, and the modular resultant does not run; the resultant is
-    sympy's up to a unit.  The file check takes pseudo-remainders modulo
-    ``phi``: it refuses this longitude, and accepts the relator's two
-    sides, the identity on the Riley locus but not in ``(t, M)``."""
-    divisors = []
-    prem = apoly.tpoly_prem
-    monkeypatch.setattr(apoly, "tpoly_prem",
-                        lambda P, Q: divisors.append(Q) or prem(P, Q))
-    monkeypatch.setattr(apoly, "_divides_all", None)  # needs a monic phi
+def relator_gcd(pres: KnotPresentation) -> TPoly:
+    """The gcd of the relator entries by ``tpoly_gcd``, with no unit
+    divided out and no check that it is monic."""
+    generators = apoly._riley_generators(pres)
+    g = TPoly()
+    for lhs, rhs in pres.relators:
+        n = max(len(lhs.letters), len(rhs.letters))
+        D = (apoly._riley_word(lhs, generators, n)
+             - apoly._riley_word(rhs, generators, n))
+        for entry in D.reshape(4, n + 1, -1):
+            g = tpoly_gcd(g, apoly._riley_entry(entry))
+    return g
+
+
+@pytest.mark.parametrize("longitude", ["b a b^-1 a^-1", "b a^-1"],
+                         ids=["commutator", "constant-lam"])
+def test_non_monic_riley_polynomial_is_refused(monkeypatch, tmp_path, capsys,
+                                               longitude):
+    """A ``phi`` whose leading coefficient is not a unit ``±M^k`` is no
+    two-bridge knot's: the library call, ``apoly`` and the file check
+    refuse it with an error that names the coefficient, and ``scan``
+    reports that error at every sample.  ``check_presentation`` refuses
+    such a ``phi`` from a caller before any remainder is taken."""
+    text = NON_MONIC.format(longitude)
+    pres = parse_presentation(text)
+    with pytest.raises(ApolyError, match=re.escape(NON_MONIC_LEAD)):
+        riley_polynomial(pres)
     path = tmp_path / "non_monic.txt"
-    for lon, code in ((longitude, 2), ("b^-1 a^-1 b a^2 a b a^-1 b^-2", 0)):
-        phi = riley_polynomial(parse_presentation(NON_MONIC.format(lon)))
-        path.write_text(NON_MONIC.format(lon), encoding="utf-8")
-        divisors.clear()
-        assert main(["presentation", "check", str(path)]) == code
-        err = capsys.readouterr().err
-        assert ("longitude does not commute" in err) == (code == 2)
-        assert divisors[-1] == phi  # the check's last step
-    monkeypatch.setattr(apoly, "_resultant_modular", None)  # must not run
-    res = compute_apoly_twobridge_detailed(
-        parse_presentation(NON_MONIC.format(longitude)))
-    phi, lam = res.riley_polynomial, res.longitude_eigenvalue
-    assert phi.leading == parse_bilaurent("-M^2 - 1 - M^-2")
-    assert res.apoly == parse_bilaurent(A)
+    path.write_text(text, encoding="utf-8")
+    for argv in (["apoly", str(path)], ["presentation", "check", str(path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and NON_MONIC_LEAD in err
+    assert main(["scan", str(path), "--samples", "3"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in records] == ["error"] * 3
+    assert all(NON_MONIC_LEAD in r["error"] for r in records)
+    phi = relator_gcd(pres)
+    assert phi.leading == parse_bilaurent(NON_MONIC_LEAD)
+    monkeypatch.setattr(apoly, "_monic_rem", None)  # must not run
+    with pytest.raises(DataError, match=re.escape(NON_MONIC_LEAD)):
+        check_presentation(pres, str(path), phi)
+
+
+def test_resultant_t_matches_sympy_on_a_non_monic_phi():
+    """The Sylvester determinant for a ``phi`` that is not monic: the
+    refused presentation's relator gcd and longitude eigenvalue give
+    sympy's resultant exactly."""
+    pres = parse_presentation(NON_MONIC.format("b a b^-1 a^-1"))
+    phi = relator_gcd(pres)
+    lam = apoly._riley_entry(apoly._riley_word(
+        pres.longitude, apoly._riley_generators(pres))[0, 0])
+    assert phi.leading == parse_bilaurent(NON_MONIC_LEAD)
     L, M, t = sympy.symbols("L M t")
     expected = sympy.resultant(
         sum(to_sympy(c) * t ** k for k, c in enumerate(phi.coeffs)),
         L - sum(to_sympy(c) * t ** k for k, c in enumerate(lam.coeffs)), t)
     # M^16 clears the negative powers of M
     poly = sympy.Poly(sympy.expand(expected * M ** 16), L, M)
-    assert BiLaurent(poly.terms()).canonical() == res.resultant
+    assert BiLaurent(poly.terms()) == resultant_t(phi, l_minus(lam)).shift(0, 16)
 
 
 #: b(17,5), and the knots past it whose file check once failed in floats
