@@ -36,15 +36,20 @@ divides out the unit and refuses any other leading coefficient with an
 ``ApolyError`` that names it.  The elimination (``_resultant_modular``)
 reduces ``lam``, the dense integer array of the longitude's Riley word,
 modulo ``phi`` to ``r``, and evaluates the characteristic polynomial of
-``r(C)``, ``C`` the companion matrix of ``phi``, in ``x = M^d``, ``d``
-the gcd of the M-exponents of ``phi`` and ``r`` (at least 2 on every
-two-bridge knot tried), at the ``K``-th roots of unity modulo word-size
-primes ``q ≡ 1 (mod K)`` (``_UnitRoots``); then it interpolates in ``x``
+``r(C)``, ``C`` the companion matrix of ``phi``, from power sums and
+Newton's identities in ``O(n^3)`` for ``n = deg phi`` (``_charpoly_at``).
+It does so in ``x = M^d``, ``d`` the gcd of the M-exponents of ``phi``
+and ``r`` (at least 2 on every two-bridge knot tried), at the ``K``-th
+roots of unity modulo word-size primes ``q ≡ 1 (mod K)``
+(``_UnitRoots``); then it interpolates in ``x``
 and rebuilds each coefficient by the Chinese remainder theorem, on as
 many points as ``phi``'s Newton polygon bounds the resultant's span in
 ``x`` and as many primes as a Hadamard bound asks, so the result is the
 exact determinant.  ``resultant_t``, the fraction-free (Bareiss)
-elimination of the Sylvester matrix, is its reference.
+elimination of the Sylvester matrix, is its reference.  The longitude's
+word is built once per command (``_longitude_word``): the exact
+presentation check (``longitude_commutes``) reads the same array from
+``ApolyResult.longitude_word``.
 
 Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
 first tries a certificate that the gcd is trivial: some L-coefficient of
@@ -83,9 +88,10 @@ callers form, Python ints beyond.  Both routes share
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -1157,33 +1163,47 @@ def _charpoly_at(a: np.ndarray, r: np.ndarray, primes: list[int]
     of the monic ``P``, modulo ``primes[i]``, from the values ``a[i, k, m]``
     of ``P``'s coefficients below the leading one and ``r[i, k, m]`` of
     ``r``'s at the same points: shape ``(#primes, deg P + 1, #points)``,
-    ascending in ``L``."""
-    n, points = a.shape[1:]
-    q = np.array(primes, dtype=np.int64)[:, None, None]
-    a, r = np.moveaxis(a, 1, 2), np.moveaxis(r, 1, 2)
+    ascending in ``L``.
+
+    Power sums, in ``O(n^3)`` for ``n = deg P``: Newton's identities on
+    ``a`` give ``s_j = tr(C^j)``, the power sums of ``P``'s roots; ``p_k =
+    tr(X^k) = s · (X^k e_0)`` for ``X = r(C)`` takes ``n`` matrix–vector
+    products; Newton's identities again give the characteristic polynomial
+    from ``p_1 … p_n``, dividing by ``k <= n`` modulo primes far above
+    ``n``.  Every sum is of at most ``n`` products of two residues plus a
+    residue, below ``2^63`` for the primes of ``_descending_primes``."""
+    count, n, points = a.shape
+    q = np.array(primes, dtype=np.int64)[:, None]
+    dot = functools.partial(np.einsum, "pim,pim->pm")
 
     # C acts on coefficient vectors as multiplication by t modulo P, so the
-    # column j of r(C) is t^j·r mod P
-    col = np.zeros_like(a)
-    col[..., :r.shape[-1]] = r
-    X = np.empty(col.shape + (n,), dtype=np.int64)
-    for j in range(n):
-        X[..., j] = col
-        top = col[..., n - 1:]
-        col = np.concatenate([np.zeros_like(top), col[..., :-1]], axis=-1)
-        col = (col - top * a) % q
+    # column j of X is t^j·r mod P
+    X = np.zeros((count, n, n, points), dtype=np.int64)
+    X[:, :r.shape[1], 0] = r
+    for j in range(1, n):
+        X[:, 1:, j] = X[:, :-1, j - 1]
+        X[:, :, j] = (X[:, :, j] - X[:, n - 1, j - 1, None] * a) % q[:, None]
 
-    # Faddeev–LeVerrier: c_(n-k) = -tr(X·M_k)/k, M_(k+1) = X·M_k + c_(n-k)·I
-    eye = np.eye(n, dtype=np.int64)
-    char = np.zeros((len(primes), n + 1, points), dtype=np.int64)
+    # s_j = -(j·a_(n-j) + sum_(i<j) a_(n-i)·s_(j-i))
+    s = np.empty((count, n, points), dtype=np.int64)
+    s[:, 0] = n
+    for j in range(1, n):
+        s[:, j] = -(j * a[:, n - j] + dot(a[:, n - 1:n - j:-1],
+                                          s[:, j - 1:0:-1])) % q
+    p = np.empty((count, n + 1, points), dtype=np.int64)
+    vec = X[:, :, 0]
+    p[:, 1] = dot(s, vec) % q
+    for k in range(2, n + 1):
+        vec = np.einsum("prcm,pcm->prm", X, vec) % q[:, None]
+        p[:, k] = dot(s, vec) % q
+
+    # c_(n-j) = -(p_j + sum_(i<j) c_(n-i)·p_(j-i)) / j
+    char = np.empty((count, n + 1, points), dtype=np.int64)
     char[:, n] = 1
-    Mk = np.broadcast_to(eye, X.shape)
-    for k in range(1, n + 1):
-        XM = X @ Mk % q[..., None]
-        inv_k = np.array([pow(k, -1, p) for p in primes])[:, None]
-        ck = -np.trace(XM, axis1=2, axis2=3) % q[:, 0] * inv_k % q[:, 0]
-        char[:, n - k] = ck
-        Mk = (XM + ck[..., None, None] * eye) % q[..., None]
+    for j in range(1, n + 1):
+        inv_j = np.array([pow(j, -1, x) for x in primes])[:, None]
+        acc = p[:, j] + dot(char[:, n - 1:n - j:-1], p[:, j - 1:0:-1])
+        char[:, n - j] = -(acc % q) * inv_j % q
     return char
 
 
@@ -1487,16 +1507,23 @@ def squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
 @dataclass(frozen=True)
 class ApolyResult:
     """Full elimination data: the A-polynomial, the primitive resultant it
-    was distilled from, the Riley polynomial ``phi(t)``, the longitude
-    eigenvalue ``lam(t)``, the L-degree removed as repeated factors, and
-    whether the reducible-locus factor ``L - 1`` was adjoined."""
+    was distilled from, the Riley polynomial ``phi(t)``, the longitude's
+    Riley word (``_longitude_word``), the L-degree removed as repeated
+    factors, and whether the reducible-locus factor ``L - 1`` was
+    adjoined.  The presentation check of the same command reads the word
+    (``data.check_presentation``); ``longitude_eigenvalue`` is its
+    upper-left entry ``lam(t)`` as a ``TPoly``, built when read."""
 
     apoly: BiLaurent
     resultant: BiLaurent
     riley_polynomial: TPoly
-    longitude_eigenvalue: TPoly
+    longitude_word: np.ndarray = field(compare=False, repr=False)
     multiplicity_removed: int
     includes_reducible: bool
+
+    @property
+    def longitude_eigenvalue(self) -> TPoly:
+        return _riley_entry(self.longitude_word[0, 0])
 
 
 def _riley_generators(pres: KnotPresentation) -> tuple[str, str]:
@@ -1567,16 +1594,29 @@ def _divides_all(g: TPoly, entries: list[np.ndarray]) -> bool:
                    for e in entries)
 
 
-def longitude_commutes(pres: KnotPresentation, phi: TPoly) -> bool:
+def _longitude_word(pres: KnotPresentation) -> np.ndarray:
+    """The longitude's ``_riley_word`` with one spare letter, so that
+    ``np.roll`` in ``longitude_commutes`` wraps zeros: built once per
+    command, the elimination reads its upper-left entry and the check all
+    four."""
+    return _riley_word(pres.longitude, _riley_generators(pres),
+                       len(pres.longitude.letters) + 1)
+
+
+def longitude_commutes(pres: KnotPresentation, phi: TPoly,
+                       word: np.ndarray | None = None) -> bool:
     """Whether the longitude commutes with the meridian on every Riley
     representation, exactly: ``[[a, b], [c, d]]`` commutes with ``[[M, 1],
     [0, 1/M]]`` when ``c = 0`` and ``e = (M - 1/M)·b - a + d = 0``, so when
     the monic Riley polynomial ``phi`` (of degree >= 1) divides both
-    (``_divides_all``).  A ``phi`` that is not monic raises
+    (``_divides_all``).  ``word`` is the longitude's ``_longitude_word``,
+    as the elimination built it (``ApolyResult.longitude_word``), and is
+    built here when not given.  A ``phi`` that is not monic raises
     ``riley_polynomial``'s ``ApolyError``."""
     _check_monic(phi)
-    n = len(pres.longitude.letters) + 1  # spare column: np.roll wraps zeros
-    (a, b), (c, d) = _riley_word(pres.longitude, _riley_generators(pres), n)
+    if word is None:
+        word = _longitude_word(pres)
+    (a, b), (c, d) = word
     e = np.roll(b, 1, axis=1) - np.roll(b, -1, axis=1) - a + d
     return _divides_all(phi, [c, e])
 
@@ -1621,11 +1661,11 @@ def riley_polynomial(pres: KnotPresentation,
     # the entry of least t-degree, divided by a unit leading coefficient,
     # is the gcd when it has no factor t and divides every other entry; the
     # gcd is defined up to a Laurent unit
-    g = _unit_divided(_riley_entry(min(
-        entries, key=lambda e: np.flatnonzero(e.any(axis=1))[-1])
-    ).primitive_part())
+    source = min(range(len(entries)),
+                 key=lambda i: np.flatnonzero(entries[i].any(axis=1))[-1])
+    g = _unit_divided(_riley_entry(entries[source]).primitive_part())
     if not (g.leading == BiLaurent.one() and not g.coeffs[0].is_zero
-            and _divides_all(g, entries)):
+            and _divides_all(g, entries[:source] + entries[source + 1:])):
         polys = [_riley_entry(e) for e in entries]
         g = polys[0]
         for e in polys[1:]:
@@ -1645,9 +1685,9 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
                                      with_reducible: bool = False) -> ApolyResult:
     """Eliminate t between the monic Riley polynomial and the longitude
     eigenvalue by ``_resultant_modular``; see the module docstring."""
-    generators = _riley_generators(pres)
     phi = riley_polynomial(pres)
-    entry = _riley_word(pres.longitude, generators)[0, 0]
+    word = _longitude_word(pres)
+    entry = word[0, 0]
     # prod (L - r(a)) over phi's roots: monic in L, so never zero
     raw = _resultant_modular(*_dense(phi), entry, -(entry.shape[1] // 2))
 
@@ -1669,8 +1709,7 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
         includes = True
 
     return ApolyResult(apoly=apoly.canonical(), resultant=primitive,
-                       riley_polynomial=phi,
-                       longitude_eigenvalue=_riley_entry(entry),
+                       riley_polynomial=phi, longitude_word=word,
                        multiplicity_removed=removed,
                        includes_reducible=includes)
 

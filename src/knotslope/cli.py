@@ -37,6 +37,8 @@ import sys
 from pathlib import Path
 from random import Random
 
+import numpy as np
+
 from . import data as data_mod
 from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
                     format_bilaurent, bilaurent_to_json, ideal_point_slopes,
@@ -101,16 +103,19 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
         f"presentation ({', '.join(data_mod.builtin_names())}) nor a file"))
 
 
-def _check_presentation_file(name_or_path: str, plan: Route1Plan) -> None:
-    """``data.check_presentation`` with the plan's Riley polynomial, on a
-    file in Riley form: bundled presentations are checked when loaded, and
-    outside Riley form route 1 reports the error at every sample."""
+def _check_presentation_file(name_or_path: str, plan: Route1Plan,
+                             longitude: np.ndarray | None = None) -> None:
+    """``data.check_presentation`` with the plan's Riley polynomial and the
+    elimination's longitude word when there is one, on a file in Riley
+    form: bundled presentations are checked when loaded, and outside Riley
+    form route 1 reports the error at every sample."""
     try:
         _, phi = plan.riley
     except RepresentationError:
         return
     if data_mod.resolve_builtin(name_or_path) is None:
-        data_mod.check_presentation(plan.words.presentation, name_or_path, phi)
+        data_mod.check_presentation(plan.words.presentation, name_or_path,
+                                    phi, longitude)
 
 
 def _check_tol(tol: float) -> None:
@@ -279,7 +284,8 @@ def _cmd_apoly(args) -> int:
     result = compute_apoly_twobridge_detailed(
         pres, with_reducible=args.with_reducible)
     if data_mod.resolve_builtin(args.pres) is None:  # bundled: checked on load
-        data_mod.check_presentation(pres, args.pres, result.riley_polynomial)
+        data_mod.check_presentation(pres, args.pres, result.riley_polynomial,
+                                    result.longitude_word)
     polygon = newton_polygon(result.apoly)
     report = ideal_point_slopes(polygon)
     payload = {
@@ -310,13 +316,14 @@ def _cmd_verify(args) -> int:
         A = _read_apoly_arg(args.apoly).canonical()
         if A.is_zero or A.degree_in("L") == 0:
             raise ApolyError("supplied A-polynomial has no L-dependence")
-        plan = Route1Plan(pres)
+        plan, longitude = Route1Plan(pres), None
         apoly_source = "supplied"
     else:
         result = compute_apoly_twobridge_detailed(pres)
         A, plan = result.apoly, Route1Plan(pres, result.riley_polynomial)
+        longitude = result.longitude_word
         apoly_source = "computed"
-    _check_presentation_file(args.pres, plan)
+    _check_presentation_file(args.pres, plan, longitude)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
 

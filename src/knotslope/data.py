@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 from .apoly import ApolyError, TPoly, longitude_commutes, riley_polynomial
 from .presentation import KnotPresentation, parse_presentation
 
@@ -36,11 +38,14 @@ def resolve_builtin(name: str) -> str | None:
 
 
 def check_presentation(pres: KnotPresentation, label: str,
-                       phi: TPoly | None = None) -> None:
+                       phi: TPoly | None = None,
+                       longitude: np.ndarray | None = None) -> None:
     """Exact consistency check of a presentation in Riley form, with its
     Riley polynomial ``phi`` (computed here when not given): it has Riley
     representations, and on each the longitude commutes with the meridian
-    (``apoly.longitude_commutes``).  The relators hold there by
+    (``apoly.longitude_commutes``, on ``longitude``, the longitude's Riley
+    word as the elimination built it, ``ApolyResult.longitude_word``, or
+    built there when not given).  The relators hold there by
     construction, as ``phi`` divides every relator entry.  Raises
     ``DataError`` prefixed by ``label``, also outside Riley form and for
     a ``phi`` that is not monic."""
@@ -50,7 +55,7 @@ def check_presentation(pres: KnotPresentation, label: str,
         if phi.degree < 1:
             raise ApolyError("no Riley representations: the Riley "
                              "polynomial is constant")
-        commutes = longitude_commutes(pres, phi)
+        commutes = longitude_commutes(pres, phi, longitude)
     except ApolyError as exc:
         raise DataError(f"{label}: {exc}") from exc
     if not commutes:

@@ -39,7 +39,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .apoly import ApolyError, TPoly, _riley_generators, riley_polynomial
+from .apoly import (ApolyError, TPoly, _check_monic, _riley_generators,
+                    riley_polynomial)
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_coordinates, sl2_inverse
 from .presentation import KnotPresentation, Word
 
@@ -272,12 +273,19 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
     monic ``phi`` is evaluated at every ``M`` by ``_coefficients``, its
     leading coefficient to exactly 1, rooted by one ``_roots`` call and
     ordered and merged by ``_merged_roots``; a constant ``phi`` (no Riley
-    locus) gives no roots.  Returns ``t``, per meridian its roots or its
-    error: ``M = 0``, or a ``NonFiniteError`` where ``phi``, its roots or
-    the commutators overflow.  Then, over the roots of the meridians
+    locus) gives no roots, and a caller's ``phi`` of degree >= 1 that is
+    not monic raises a ``RepresentationError`` with ``riley_polynomial``'s
+    message.  Returns ``t``, per meridian its roots or its error: ``M =
+    0``, or a ``NonFiniteError`` where ``phi``, its roots or the
+    commutators overflow.  Then, over the roots of the meridians
     without one, in order, the images ``(K, 2, 2, 2)`` of the (meridian
     generator, partner) pair, and whether each commutator trace is within
     ``tol`` of 2.  No meridian's values or error depend on the others."""
+    if phi.degree >= 1:
+        try:
+            _check_monic(phi)
+        except ApolyError as exc:
+            raise RepresentationError(str(exc)) from exc
     Ms = [complex(M) for M in meridians]
     overflow = "values overflow floating point at M = {}".format
     # a meridian's error, until its roots are found

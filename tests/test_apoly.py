@@ -29,7 +29,8 @@ from knotslope.cli import main
 from knotslope.data import DataError, check_presentation, load_builtin
 from knotslope.presentation import (KnotPresentation, Word, parse_presentation,
                                     parse_word)
-from knotslope.representations import (prefix_images, riley_family,
+from knotslope.representations import (RepresentationError, prefix_images,
+                                       riley_family, riley_stack,
                                        word_letters)
 from knotslope.slope import Route1Plan, boundary_data
 
@@ -601,6 +602,73 @@ def test_modular_product_is_exact_at_its_bound():
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 
+def det_mod(A: list[list[int]], q: int) -> int:
+    """The determinant of ``A`` modulo the prime ``q``, by elimination on
+    Python ints."""
+    A, det = [row[:] for row in A], 1
+    for k in range(len(A)):
+        pivot = next((i for i in range(k, len(A)) if A[i][k] % q), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            A[k], A[pivot], det = A[pivot], A[k], -det
+        det = det * A[k][k] % q
+        inv = pow(A[k][k], -1, q)
+        for i in range(k + 1, len(A)):
+            f = A[i][k] * inv % q
+            A[i] = [(x - f * y) % q for x, y in zip(A[i], A[k])]
+    return det % q
+
+
+def charpoly_mod(a: list[int], r: list[int], q: int) -> list[int]:
+    """``det(L·I - r(C))`` modulo ``q``, ``C`` the companion matrix of the
+    monic ``t^n + sum a_k t^k``, ascending in ``L``, on Python ints: the
+    determinant at ``L = 0 … n - 1``, then the Vandermonde system for the
+    coefficients below the leading 1, both by elimination."""
+    n = len(a)
+    col, X = r + [0] * (n - len(r)), []
+    for _ in range(n):  # column j of r(C) is t^j·r mod P
+        X.append(col)
+        col = [(c - col[-1] * ak) % q for c, ak in zip([0] + col[:-1], a)]
+    # sum_(k<n) c_k L^k = det(L·I - X) - L^n, as the augmented column
+    system = [[pow(L, k, q) for k in range(n)]
+              + [det_mod([[(L * (i == j) - X[j][i]) % q for j in range(n)]
+                          for i in range(n)], q) - pow(L, n, q)]
+              for L in range(n)]
+    for k in range(n):
+        inv = pow(system[k][k], -1, q)
+        system[k] = [x * inv % q for x in system[k]]
+        for i in range(n):
+            if i != k:
+                f = system[i][k]
+                system[i] = [(x - f * y) % q
+                             for x, y in zip(system[i], system[k])]
+    return [row[-1] for row in system] + [1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+def test_charpoly_power_sums_are_exact_at_the_overflow_bound(n):
+    """``_charpoly_at`` against a Python-int determinant of ``L·I - r(C)``
+    at the widest primes that ``_descending_primes`` gives for ``n``, on
+    all-``(q - 1)`` residues and on random ones: every matrix–vector
+    product and Newton sum stays below ``2^63``."""
+    primes = list(itertools.islice(apoly._descending_primes(n, 8), 3))
+    bits = (63 - (n + 1).bit_length()) // 2
+    assert all(q.bit_length() == bits for q in primes)
+    rng = np.random.default_rng(n)
+    q = np.array(primes, dtype=np.int64)[:, None, None]
+    top = q - 1 + np.zeros((3, n, 4), dtype=np.int64)
+    for a, r in [(top, top), (rng.integers(0, q, (3, n, 4)),
+                              rng.integers(0, q, (3, n, 4))),
+                 (rng.integers(0, q, (3, n, 4)), top[:, :1])]:
+        got = apoly._charpoly_at(a, r, primes)
+        assert got.shape == (3, n + 1, 4)
+        for i, p in enumerate(primes):
+            for m in range(4):
+                assert got[i, :, m].tolist() == charpoly_mod(
+                    a[i, :, m].tolist(), r[i, :, m].tolist(), p)
+
+
 def test_unit_roots_evaluate_and_interpolate():
     """Evaluation on a coset ``c·ω^i`` agrees with Python ints at every
     point, for Laurent exponents folded modulo ``K``, and interpolation
@@ -967,6 +1035,39 @@ def test_non_monic_riley_polynomial_is_refused(monkeypatch, tmp_path, capsys,
     monkeypatch.setattr(apoly, "_monic_rem", None)  # must not run
     with pytest.raises(DataError, match=re.escape(NON_MONIC_LEAD)):
         check_presentation(pres, str(path), phi)
+
+
+def test_route1_refuses_a_phi_that_is_not_monic():
+    """Route 1 given the refused presentation's relator gcd, whose leading
+    coefficient nearly vanishes at ``M = e^(iπ/3)``: ``riley_stack`` raises
+    the monic check's message rather than rooting ``phi`` as if it were
+    monic, which gave a spurious root near ``1.9e15``, and the plan
+    reports that error at every meridian."""
+    pres = parse_presentation(NON_MONIC.format("b a b^-1 a^-1"))
+    phi = relator_gcd(pres)
+    meridians = [cmath.exp(1j * math.pi / 3), 1.3]
+    with pytest.raises(RepresentationError, match=re.escape(NON_MONIC_LEAD)):
+        riley_stack(phi, meridians)
+    errors = Route1Plan(pres, phi).evaluate_meridians(meridians)
+    assert [type(e) for e in errors] == [RepresentationError] * 2
+    assert all(NON_MONIC_LEAD in str(e) for e in errors)
+    # a constant phi still means no Riley locus, not a refusal
+    assert riley_stack(TPoly.constant(parse_bilaurent("M^2 + 1")),
+                       meridians)[0] == [[], []]
+
+
+def test_riley_polynomial_does_not_reduce_its_source_entry(monkeypatch):
+    """The entry ``phi`` is made from is divisible by it by construction:
+    only the other relator entries are reduced."""
+    pres = parse_presentation(two_bridge_text(9, 5))
+    reduced = []
+    monic_rem = apoly._monic_rem
+    monkeypatch.setattr(apoly, "_monic_rem", lambda A, *args: (
+        reduced.append(A) or monic_rem(A, *args)))
+    phi = riley_polynomial(pres)
+    assert reduced  # b(9,5) has one other nonzero entry
+    assert all(apoly._unit_divided(apoly._riley_entry(A).primitive_part())
+               != phi for A in reduced)
 
 
 def test_resultant_t_matches_sympy_on_a_non_monic_phi():

@@ -13,6 +13,7 @@ import pytest
 
 from knotslope.cli import main
 from knotslope.data import load_builtin
+from knotslope.presentation import parse_presentation
 from knotslope.representations import (Representation, RepresentationError,
                                        riley_family)
 
@@ -494,6 +495,35 @@ def test_riley_words_are_built_once_per_command(monkeypatch, capsys):
             code, _, _ = run(capsys, *argv)
             assert code == 0
             assert len(calls) == expected, argv
+
+
+def test_longitude_word_is_built_once_per_file_command(monkeypatch, tmp_path,
+                                                      capsys):
+    """On a file, ``apoly`` and ``verify`` run the elimination and the
+    exact presentation check on one Riley word of the longitude; ``scan``
+    has no elimination and builds it for the check alone."""
+    import knotslope.apoly as apoly_mod
+
+    text = two_bridge_text(9, 5)
+    path = tmp_path / "b9_5.txt"
+    path.write_text(text, encoding="utf-8")
+    path, longitude = str(path), parse_presentation(text).longitude
+    words = []
+    original = apoly_mod._riley_word
+
+    def counted(*args, **kwargs):
+        words.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(apoly_mod, "_riley_word", counted)
+    for argv in (["apoly", path], ["verify", path, "--samples", "3"],
+                 ["scan", path, "--samples", "3"]):
+        words.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert words.count(longitude) == 1, argv
+        # the rest are the relator's two sides, for the Riley polynomial
+        assert len(words) == 3, argv
 
 
 def _agree(a, b, rel: float = 1e-12) -> bool:
