@@ -24,7 +24,8 @@ from .apoly import (ApolyError, ApolyResult, BiLaurent, IdealSlopeReport,
                     compute_apoly_twobridge_detailed, format_bilaurent,
                     ideal_point_slopes, log_gauss, log_gauss_stack,
                     newton_polygon, parse_bilaurent, resultant_t,
-                    riley_polynomial, side_slopes, squarefree_part)
+                    RileyLocus, riley_locus, riley_polynomial, side_slopes,
+                    squarefree_part)
 from .data import DataError, builtin_names, load_builtin, resolve_builtin
 from .linalg import (KILLING_GRAM, SL2_BASIS, adjoint_of, nullspace,
                      sl2_coordinates)
@@ -64,7 +65,8 @@ __all__ = [
     "ApolyError", "ApolyResult", "BiLaurent", "NewtonPolygon",
     "IdealSlopeReport", "parse_bilaurent", "format_bilaurent",
     "bilaurent_to_json", "bilaurent_from_json", "bilaurent_gcd",
-    "resultant_t", "squarefree_part", "riley_polynomial",
+    "resultant_t", "squarefree_part", "RileyLocus", "riley_locus",
+    "riley_polynomial",
     "compute_apoly_twobridge", "compute_apoly_twobridge_detailed",
     "newton_polygon", "side_slopes", "ideal_point_slopes", "log_gauss",
     "log_gauss_stack",

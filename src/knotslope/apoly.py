@@ -22,22 +22,24 @@ i.e. a distinguished associate under Laurent units.
 relator entries of a 2-generator meridional presentation generate a
 polynomial ``phi(t)`` (their gcd), the longitude image has upper-left
 entry ``lam(t)``, and the resultant ``Res_t(phi, L - lam)``, with
-M-content removed and repeated factors collapsed, is the defining
-polynomial of the eigenvalue variety's closure.  ``riley_polynomial``
-takes the entry of least degree as the gcd when, divided by a unit
-leading coefficient, its remainder on every other one is zero (on the
-dense arrays of the Riley words), and the pseudo-remainder gcd
-otherwise.
+repeated factors collapsed, is the defining polynomial of the eigenvalue
+variety's closure.  Both routes and the exact presentation check read
+one ``RileyLocus`` per command: the Riley generators, ``phi`` and the
+longitude's Riley word.  ``riley_locus`` takes the entry of least degree
+as the gcd when, divided by a unit leading coefficient, its remainder on
+every other one is zero (on the dense arrays of the Riley words), and
+the pseudo-remainder gcd otherwise.
 
 ``phi`` is monic in ``t`` up to a unit ``±M^k`` on a two-bridge knot
 (Riley, 1984), and a knot group generated by two meridians is a
-two-bridge knot group (Boileau–Zimmermann, 1989): ``riley_polynomial``
-divides out the unit and refuses any other leading coefficient with an
-``ApolyError`` that names it.  The elimination (``_resultant_modular``)
-reduces ``lam``, the dense integer array of the longitude's Riley word,
-modulo ``phi`` to ``r``, and evaluates the characteristic polynomial of
-``r(C)``, ``C`` the companion matrix of ``phi``, from power sums and
-Newton's identities in ``O(n^3)`` for ``n = deg phi`` (``_charpoly_at``).
+two-bridge knot group (Boileau–Zimmermann, 1989): ``riley_locus``
+divides out the unit, and ``RileyLocus`` refuses any other leading
+coefficient with an ``ApolyError`` that names it.  The elimination
+(``_resultant_modular``) reduces ``lam``, the dense integer array of the
+longitude's Riley word, modulo ``phi`` to ``r``, and evaluates the
+characteristic polynomial of ``r(C)``, ``C`` the companion matrix of
+``phi``, from power sums and Newton's identities in ``O(n^3)`` for ``n =
+deg phi`` (``_charpoly_at``).
 It does so in ``x = M^d``, ``d`` the gcd of the M-exponents of ``phi``
 and ``r`` (at least 2 on every two-bridge knot tried), at the ``K``-th
 roots of unity modulo word-size primes ``q ≡ 1 (mod K)``
@@ -46,10 +48,7 @@ and rebuilds each coefficient by the Chinese remainder theorem, on as
 many points as ``phi``'s Newton polygon bounds the resultant's span in
 ``x`` and as many primes as a Hadamard bound asks, so the result is the
 exact determinant.  ``resultant_t``, the fraction-free (Bareiss)
-elimination of the Sylvester matrix, is its reference.  The longitude's
-word is built once per command (``_longitude_word``): the exact
-presentation check (``longitude_commutes``) reads the same array from
-``ApolyResult.longitude_word``.
+elimination of the Sylvester matrix, is its reference.
 
 Collapsing repeated factors is ``A / gcd(A, dA/dL)``.  ``squarefree_part``
 first tries a certificate that the gcd is trivial: some L-coefficient of
@@ -81,9 +80,10 @@ integer array over (row, column, t-exponent, M-exponent) and applies each
 letter as a column operation, a slice shift and an add, which adds one
 column to the other: so the word bounds each column's coefficients, and
 the array is ``int64`` while that bound leaves room for the sums that
-callers form, Python ints beyond.  Both routes share
-``riley_polynomial``: ``representations.riley_stack`` roots the same
-``phi`` with its coefficients evaluated at each meridian eigenvalue.
+callers form, Python ints beyond.  Its size and each letter's work grow
+with the word, so the locus reads freely reduced words.
+``representations.riley_stack`` roots the locus's ``phi`` with its
+coefficients evaluated at each meridian eigenvalue.
 """
 
 from __future__ import annotations
@@ -1505,25 +1505,62 @@ def squarefree_part(p: BiLaurent) -> tuple[BiLaurent, int]:
 # A-polynomial of a 2-generator meridional presentation
 
 @dataclass(frozen=True)
+class RileyLocus:
+    """A presentation's (meridian generator, partner) pair and its Riley
+    polynomial ``phi`` (``riley_locus``), monic in ``t`` or constant; any
+    other ``phi`` is refused with an ``ApolyError`` naming its leading
+    coefficient, as no two-bridge knot has one.  Built once per command,
+    it is read by both routes and by the exact presentation check."""
+
+    presentation: KnotPresentation
+    generators: tuple[str, str]
+    phi: TPoly
+
+    def __post_init__(self):
+        if self.phi.degree >= 1 and self.phi.leading != BiLaurent.one():
+            raise ApolyError(
+                f"Riley polynomial is not monic: its leading coefficient in "
+                f"t is {format_bilaurent(self.phi.leading)}, not M^k up to "
+                f"sign as on a two-bridge knot")
+
+    @functools.cached_property
+    def longitude(self) -> np.ndarray:
+        """The reduced longitude's ``_riley_word`` with one spare letter,
+        so that ``np.roll`` in ``commutes`` wraps zeros."""
+        word = self.presentation.longitude.reduced()
+        return _riley_word(word, self.generators, len(word.letters) + 1)
+
+    def commutes(self) -> bool:
+        """Whether the longitude commutes with the meridian on every Riley
+        representation: ``[[a, b], [c, d]]`` commutes with ``[[M, 1], [0,
+        1/M]]`` when ``phi`` (of degree >= 1) divides ``c`` and ``(M -
+        1/M)·b - a + d`` (``_divides_all``)."""
+        (a, b), (c, d) = self.longitude
+        e = np.roll(b, 1, axis=1) - np.roll(b, -1, axis=1) - a + d
+        return _divides_all(self.phi, [c, e])
+
+
+@dataclass(frozen=True)
 class ApolyResult:
-    """Full elimination data: the A-polynomial, the primitive resultant it
-    was distilled from, the Riley polynomial ``phi(t)``, the longitude's
-    Riley word (``_longitude_word``), the L-degree removed as repeated
-    factors, and whether the reducible-locus factor ``L - 1`` was
-    adjoined.  The presentation check of the same command reads the word
-    (``data.check_presentation``); ``longitude_eigenvalue`` is its
-    upper-left entry ``lam(t)`` as a ``TPoly``, built when read."""
+    """Full elimination data: the A-polynomial, the resultant it was
+    distilled from, the Riley locus, which the same command's route 1 and
+    check read, the L-degree removed as repeated factors, and whether the
+    factor ``L - 1`` was adjoined.  ``longitude_eigenvalue`` is ``lam(t)``,
+    built when read."""
 
     apoly: BiLaurent
     resultant: BiLaurent
-    riley_polynomial: TPoly
-    longitude_word: np.ndarray = field(compare=False, repr=False)
+    locus: RileyLocus = field(repr=False)
     multiplicity_removed: int
     includes_reducible: bool
 
     @property
+    def riley_polynomial(self) -> TPoly:
+        return self.locus.phi
+
+    @property
     def longitude_eigenvalue(self) -> TPoly:
-        return _riley_entry(self.longitude_word[0, 0])
+        return _riley_entry(self.locus.longitude[0, 0])
 
 
 def _riley_generators(pres: KnotPresentation) -> tuple[str, str]:
@@ -1552,7 +1589,7 @@ def _riley_word(word: Word, generators: tuple[str, str],
     a larger one given.  After ``k < n`` letters the t-degree is at most
     ``k`` and the M-exponents lie in ``[-k, k]``: no shift loses a term.
     ``bound`` bounds each column's coefficients in absolute value; below
-    ``2^61`` a sum of four entries, as in ``longitude_commutes``, fits
+    ``2^61`` a sum of four entries, as in ``RileyLocus.commutes``, fits
     ``int64``."""
     n = len(word.letters) if n is None else n
     bound = [1, 1]  # a u-letter adds column 0 to column 1, a v-letter 1 to 0
@@ -1594,33 +1631,6 @@ def _divides_all(g: TPoly, entries: list[np.ndarray]) -> bool:
                    for e in entries)
 
 
-def _longitude_word(pres: KnotPresentation) -> np.ndarray:
-    """The longitude's ``_riley_word`` with one spare letter, so that
-    ``np.roll`` in ``longitude_commutes`` wraps zeros: built once per
-    command, the elimination reads its upper-left entry and the check all
-    four."""
-    return _riley_word(pres.longitude, _riley_generators(pres),
-                       len(pres.longitude.letters) + 1)
-
-
-def longitude_commutes(pres: KnotPresentation, phi: TPoly,
-                       word: np.ndarray | None = None) -> bool:
-    """Whether the longitude commutes with the meridian on every Riley
-    representation, exactly: ``[[a, b], [c, d]]`` commutes with ``[[M, 1],
-    [0, 1/M]]`` when ``c = 0`` and ``e = (M - 1/M)·b - a + d = 0``, so when
-    the monic Riley polynomial ``phi`` (of degree >= 1) divides both
-    (``_divides_all``).  ``word`` is the longitude's ``_longitude_word``,
-    as the elimination built it (``ApolyResult.longitude_word``), and is
-    built here when not given.  A ``phi`` that is not monic raises
-    ``riley_polynomial``'s ``ApolyError``."""
-    _check_monic(phi)
-    if word is None:
-        word = _longitude_word(pres)
-    (a, b), (c, d) = word
-    e = np.roll(b, 1, axis=1) - np.roll(b, -1, axis=1) - a + d
-    return _divides_all(phi, [c, e])
-
-
 def _unit_divided(g: TPoly) -> TPoly:
     """``g`` divided by its leading coefficient when that is a unit
     ``±M^k``, and ``g`` itself otherwise."""
@@ -1631,27 +1641,15 @@ def _unit_divided(g: TPoly) -> TPoly:
                   for x in g.coeffs])
 
 
-def _check_monic(phi: TPoly) -> None:
-    """Raise ``ApolyError``, naming the leading coefficient, unless monic."""
-    if phi.leading != BiLaurent.one():
-        raise ApolyError(f"Riley polynomial is not monic: its leading "
-                         f"coefficient in t is {format_bilaurent(phi.leading)}"
-                         f", not M^k up to sign as on a two-bridge knot")
-
-
-def riley_polynomial(pres: KnotPresentation,
-                     allow_constant: bool = False) -> TPoly:
-    """The gcd of all relator entry polynomials in t (primitive in M),
-    monic: divided by its leading coefficient, a unit ``±M^k``.
-
-    Raises ``ApolyError`` when the presentation is not in Riley form, when the
-    relators impose no polynomial condition, when the gcd is constant (no
-    irreducible Riley locus) unless ``allow_constant``, or when it is not
-    monic up to a unit (``_check_monic``).
-    """
+def riley_locus(pres: KnotPresentation) -> RileyLocus:
+    """The Riley locus of ``pres``, ``phi`` the gcd of its reduced relator
+    sides' entry polynomials in t (primitive in M), divided by a unit
+    leading coefficient ``±M^k``.  ``ApolyError`` outside Riley form, when
+    the relators impose no condition, or for a ``phi`` not monic."""
     generators = _riley_generators(pres)
     entries: list[np.ndarray] = []
     for lhs, rhs in pres.relators:
+        lhs, rhs = lhs.reduced(), rhs.reduced()
         n = max(len(lhs.letters), len(rhs.letters))
         D = _riley_word(lhs, generators, n) - _riley_word(rhs, generators, n)
         entries += [d for d in D.reshape(4, n + 1, -1) if d.any()]
@@ -1673,27 +1671,32 @@ def riley_polynomial(pres: KnotPresentation,
             if g.degree == 0:
                 break
         g = _unit_divided(g.primitive_part())
-    if g.degree >= 1:
-        _check_monic(g)
-    elif not allow_constant:
+    return RileyLocus(pres, generators, g)
+
+
+def _irreducible(locus: RileyLocus) -> RileyLocus:
+    """``locus``, or an ``ApolyError`` when its ``phi`` is constant."""
+    if locus.phi.degree < 1:
         raise ApolyError("Riley polynomial is constant: the presentation "
                          "has no irreducible Riley locus")
-    return g
+    return locus
+
+
+def riley_polynomial(pres: KnotPresentation) -> TPoly:
+    """``riley_locus(pres).phi``, refused also when constant."""
+    return _irreducible(riley_locus(pres)).phi
 
 
 def compute_apoly_twobridge_detailed(pres: KnotPresentation,
                                      with_reducible: bool = False) -> ApolyResult:
     """Eliminate t between the monic Riley polynomial and the longitude
     eigenvalue by ``_resultant_modular``; see the module docstring."""
-    phi = riley_polynomial(pres)
-    word = _longitude_word(pres)
-    entry = word[0, 0]
-    # prod (L - r(a)) over phi's roots: monic in L, so never zero
-    raw = _resultant_modular(*_dense(phi), entry, -(entry.shape[1] // 2))
-
-    # remove M-content (gcd of the L-coefficients)
-    as_l = _as_L_tpoly(raw)
-    primitive = _from_L_tpoly(as_l.primitive_part()).canonical()
+    locus = _irreducible(riley_locus(pres))
+    entry = locus.longitude[0, 0]
+    # prod (L - r(a)) over phi's roots, monic in L, listed by (L, -M)
+    raw = _resultant_modular(*_dense(locus.phi), entry, -(entry.shape[1] // 2))
+    primitive = BiLaurent._normalised(dict(sorted(
+        raw.terms.items(), key=lambda kv: (kv[0][0], -kv[0][1])))).canonical()
 
     if _is_univariate(primitive, 0):
         raise ApolyError("eliminated polynomial has no L-dependence")
@@ -1709,8 +1712,7 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
         includes = True
 
     return ApolyResult(apoly=apoly.canonical(), resultant=primitive,
-                       riley_polynomial=phi, longitude_word=word,
-                       multiplicity_removed=removed,
+                       locus=locus, multiplicity_removed=removed,
                        includes_reducible=includes)
 
 

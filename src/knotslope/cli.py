@@ -18,9 +18,12 @@ unreadable input (a missing file, a directory, or a file that is not
 UTF-8), or computation errors.  A record's ``L`` is the longitude
 eigenvalue paired with its own sampled ``M``.
 
-Route 1 runs on one ``Route1Plan`` per command, given route 2's Riley
-polynomial where the command has computed it, ``CHUNK_SAMPLES`` meridians
-per stacked pass; no ``Representation`` is built.  ``verify`` evaluates
+Each command builds one Riley locus (``apoly.RileyLocus``): ``apoly`` and
+``verify`` in the elimination, ``slope`` and ``scan`` in the plan.  Route
+1 runs on one ``Route1Plan`` per command, given route 2's locus where the
+command has computed it, ``CHUNK_SAMPLES`` meridians per stacked pass; no
+``Representation`` is built.  A file's exact check reads the same locus
+(``_check_presentation_file``).  ``verify`` evaluates
 route 2 on each chunk's compared branches with one ``log_gauss_stack``.
 """
 
@@ -40,7 +43,7 @@ from random import Random
 import numpy as np
 
 from . import data as data_mod
-from .apoly import (ApolyError, compute_apoly_twobridge_detailed,
+from .apoly import (ApolyError, RileyLocus, compute_apoly_twobridge_detailed,
                     format_bilaurent, bilaurent_to_json, ideal_point_slopes,
                     ideal_report_to_json, log_gauss_stack, newton_polygon,
                     parse_bilaurent, polygon_to_json)
@@ -103,19 +106,23 @@ def _load_presentation(name_or_path: str) -> KnotPresentation:
         f"presentation ({', '.join(data_mod.builtin_names())}) nor a file"))
 
 
-def _check_presentation_file(name_or_path: str, plan: Route1Plan,
-                             longitude: np.ndarray | None = None) -> None:
-    """``data.check_presentation`` with the plan's Riley polynomial and the
-    elimination's longitude word when there is one, on a file in Riley
-    form: bundled presentations are checked when loaded, and outside Riley
-    form route 1 reports the error at every sample."""
+def _check_presentation_file(name_or_path: str, locus: RileyLocus) -> None:
+    """``data.check_presentation`` on the command's Riley locus when the
+    presentation came from a file: bundled presentations are checked when
+    loaded."""
+    if data_mod.resolve_builtin(name_or_path) is None:
+        data_mod.check_presentation(locus, name_or_path)
+
+
+def _check_planned_file(name_or_path: str, plan: Route1Plan) -> None:
+    """``_check_presentation_file`` on the plan's Riley locus; outside
+    Riley form there is none, and route 1 reports the error at every
+    sample."""
     try:
-        _, phi = plan.riley
+        locus = plan.locus
     except RepresentationError:
         return
-    if data_mod.resolve_builtin(name_or_path) is None:
-        data_mod.check_presentation(plan.words.presentation, name_or_path,
-                                    phi, longitude)
+    _check_presentation_file(name_or_path, locus)
 
 
 def _check_tol(tol: float) -> None:
@@ -250,7 +257,7 @@ def _cmd_slope(args) -> int:
     if M == 0:
         raise CLIError("meridian eigenvalue must be nonzero")
     plan = Route1Plan(pres)
-    _check_presentation_file(args.pres, plan)
+    _check_planned_file(args.pres, plan)
     (family,) = plan.evaluate_meridians([M], args.tol)
     # no record can be computed where the words overflow: at the one
     # meridian asked for, that is an error
@@ -271,7 +278,7 @@ def _cmd_scan(args) -> int:
     plan = Route1Plan(_load_presentation(args.pres))
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
-    _check_presentation_file(args.pres, plan)
+    _check_planned_file(args.pres, plan)
     records = [rec for chunk in _chunks(meridians) for M, family in
                zip(chunk, plan.evaluate_meridians(chunk, args.tol))
                for rec in _records(M, family)]
@@ -283,9 +290,7 @@ def _cmd_apoly(args) -> int:
     pres = _load_presentation(args.pres)
     result = compute_apoly_twobridge_detailed(
         pres, with_reducible=args.with_reducible)
-    if data_mod.resolve_builtin(args.pres) is None:  # bundled: checked on load
-        data_mod.check_presentation(pres, args.pres, result.riley_polynomial,
-                                    result.longitude_word)
+    _check_presentation_file(args.pres, result.locus)
     polygon = newton_polygon(result.apoly)
     report = ideal_point_slopes(polygon)
     payload = {
@@ -316,14 +321,13 @@ def _cmd_verify(args) -> int:
         A = _read_apoly_arg(args.apoly).canonical()
         if A.is_zero or A.degree_in("L") == 0:
             raise ApolyError("supplied A-polynomial has no L-dependence")
-        plan, longitude = Route1Plan(pres), None
+        plan = Route1Plan(pres)
         apoly_source = "supplied"
     else:
         result = compute_apoly_twobridge_detailed(pres)
-        A, plan = result.apoly, Route1Plan(pres, result.riley_polynomial)
-        longitude = result.longitude_word
+        A, plan = result.apoly, Route1Plan(pres, result.locus)
         apoly_source = "computed"
-    _check_presentation_file(args.pres, plan, longitude)
+    _check_planned_file(args.pres, plan)
     arc = _parse_arc(args.arc)
     meridians = _sample_meridians(args.samples, args.seed, arc)
 
@@ -388,7 +392,7 @@ def _cmd_presentation_check(args) -> int:
     path = Path(args.path)
     pres = parse_presentation(_read_text(path, f"file {str(path)!r} not found"))
     weights = pres.validate()
-    data_mod.check_presentation(pres, str(path))
+    data_mod.check_parsed(pres, str(path))
     payload = {
         "ok": True,
         "generators": list(pres.generators),

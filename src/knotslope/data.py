@@ -1,13 +1,12 @@
-"""Bundled reference presentations with an exact check on load."""
+"""Bundled reference presentations with an exact check on load, and the
+exact check of a Riley locus (``apoly.RileyLocus``) that files get too."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
-from .apoly import ApolyError, TPoly, longitude_commutes, riley_polynomial
+from .apoly import ApolyError, RileyLocus, riley_locus
 from .presentation import KnotPresentation, parse_presentation
 
 _BUILTIN_FILES = {
@@ -37,35 +36,34 @@ def resolve_builtin(name: str) -> str | None:
     return _ALIASES.get(name)
 
 
-def check_presentation(pres: KnotPresentation, label: str,
-                       phi: TPoly | None = None,
-                       longitude: np.ndarray | None = None) -> None:
-    """Exact consistency check of a presentation in Riley form, with its
-    Riley polynomial ``phi`` (computed here when not given): it has Riley
-    representations, and on each the longitude commutes with the meridian
-    (``apoly.longitude_commutes``, on ``longitude``, the longitude's Riley
-    word as the elimination built it, ``ApolyResult.longitude_word``, or
-    built there when not given).  The relators hold there by
+def check_presentation(locus: RileyLocus, label: str) -> None:
+    """Exact consistency check of a presentation's Riley ``locus``: it has
+    Riley representations, and on each the longitude commutes with the
+    meridian (``RileyLocus.commutes``).  The relators hold there by
     construction, as ``phi`` divides every relator entry.  Raises
-    ``DataError`` prefixed by ``label``, also outside Riley form and for
-    a ``phi`` that is not monic."""
-    try:
-        if phi is None:
-            phi = riley_polynomial(pres, allow_constant=True)
-        if phi.degree < 1:
-            raise ApolyError("no Riley representations: the Riley "
-                             "polynomial is constant")
-        commutes = longitude_commutes(pres, phi, longitude)
-    except ApolyError as exc:
-        raise DataError(f"{label}: {exc}") from exc
-    if not commutes:
+    ``DataError`` prefixed by ``label``."""
+    if locus.phi.degree < 1:
+        raise DataError(f"{label}: no Riley representations: the Riley "
+                        f"polynomial is constant")
+    if not locus.commutes():
         raise DataError(f"{label}: longitude does not commute with the meridian; "
                         f"is it only conjugate to a peripheral element?")
 
 
+def check_parsed(pres: KnotPresentation, label: str) -> None:
+    """``check_presentation`` on ``apoly.riley_locus(pres)``; a presentation
+    outside Riley form, or whose ``phi`` is not monic, raises the
+    ``ApolyError``'s message as a ``DataError`` prefixed by ``label``."""
+    try:
+        locus = riley_locus(pres)
+    except ApolyError as exc:
+        raise DataError(f"{label}: {exc}") from exc
+    check_presentation(locus, label)
+
+
 @lru_cache(maxsize=None)
 def load_builtin(name: str) -> KnotPresentation:
-    """Parse a bundled presentation and run ``check_presentation`` on it."""
+    """Parse a bundled presentation and run ``check_parsed`` on it."""
     canonical = resolve_builtin(name)
     if canonical is None:
         raise DataError(f"unknown builtin presentation {name!r}; "
@@ -73,5 +71,5 @@ def load_builtin(name: str) -> KnotPresentation:
     text = (resources.files("knotslope") / "_data" / _BUILTIN_FILES[canonical]) \
         .read_text(encoding="utf-8")
     pres = parse_presentation(text)
-    check_presentation(pres, f"builtin {canonical!r}")
+    check_parsed(pres, f"builtin {canonical!r}")
     return pres

@@ -3,18 +3,19 @@
 Riley representations of a 2-generator presentation whose generators are
 conjugate meridians send the meridian generator to ``[[M, 1], [0, 1/M]]``
 and the other generator to ``[[M, 0], [t, 1/M]]``, ``t`` a root of the
-exact Riley polynomial ``phi(t, M)`` of ``apoly.riley_polynomial``.
-``riley_stack`` finds them for a chunk of meridians ``M`` in one stacked
-pass, as generator-image stacks; ``riley_family`` is its one-meridian view,
-one ``Representation`` per root.  ``Representation.relator_residual``
-evaluates the relators numerically and is the check on those roots that
-does not go through ``phi``.
+exact Riley polynomial ``phi(t, M)`` of the presentation's Riley locus
+(``apoly.RileyLocus``).  ``riley_stack`` finds them on a locus for a chunk
+of meridians ``M`` in one stacked pass, as generator-image stacks;
+``riley_family`` is its one-meridian view, one ``Representation`` per
+root.  ``Representation.relator_residual`` evaluates the relators
+numerically and is the check on those roots that does not go through
+``phi``.
 
 Words are evaluated on stacks: ``WordPlan`` compiles a presentation's
-words to generator-index and sign arrays once, and ``prefix_images``
-multiplies along a word for ``N`` representations at a time, images
-stacked ``(N, #generators, 2, 2)``.  The single-representation functions
-are its ``N = 1`` case.
+words, freely reduced, to generator-index and sign arrays once, and
+``prefix_images`` multiplies along a word for ``N`` representations at a
+time, images stacked ``(N, #generators, 2, 2)``.  The
+single-representation functions are its ``N = 1`` case.
 
 ``peripheral_stack`` reads, in closed form, everything route 1 needs
 from ``(N, 2, 2)`` stacks of meridian and longitude images ``m`` and
@@ -39,8 +40,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .apoly import (ApolyError, TPoly, _check_monic, _riley_generators,
-                    riley_polynomial)
+from .apoly import ApolyError, RileyLocus, TPoly, riley_locus
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_coordinates, sl2_inverse
 from .presentation import KnotPresentation, Word
 
@@ -153,8 +153,10 @@ def evaluate_word(images: Mapping[str, np.ndarray], word: Word) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WordPlan:
-    """The words of a presentation compiled against its generator order,
-    once, for evaluating representations of it as stacks."""
+    """The words of a presentation, freely reduced and compiled against its
+    generator order, once, for evaluating representations of it as stacks:
+    a cancelling pair ``g^k g^-k`` would cost letters and, in floats, the
+    digits that ``g^k`` drowns."""
 
     presentation: KnotPresentation
     meridian: Letters
@@ -163,10 +165,11 @@ class WordPlan:
 
     @classmethod
     def compile(cls, pres: KnotPresentation) -> "WordPlan":
-        gens = pres.generators
-        return cls(pres, word_letters(pres.meridian, gens),
-                   word_letters(pres.longitude, gens),
-                   tuple((word_letters(lhs, gens), word_letters(rhs, gens))
+        def letters(word: Word) -> Letters:
+            return word_letters(word.reduced(), pres.generators)
+
+        return cls(pres, letters(pres.meridian), letters(pres.longitude),
+                   tuple((letters(lhs), letters(rhs))
                          for lhs, rhs in pres.relators))
 
     def stack(self, reps: Sequence[Representation]) -> np.ndarray:
@@ -266,26 +269,21 @@ def _coefficients(phi: TPoly, M: complex) -> list[complex]:
         return [complex(math.nan, math.nan)] * len(phi.coeffs)
 
 
-def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
-                ) -> tuple[list, np.ndarray, np.ndarray]:
+def riley_stack(locus: RileyLocus, meridians: Sequence[complex],
+                tol: float = 1e-8) -> tuple[list, np.ndarray, np.ndarray]:
     """The Riley representations at every meridian eigenvalue, one stacked
-    pass over the roots ``t`` of ``phi(t, M)``.  ``riley_polynomial``'s
-    monic ``phi`` is evaluated at every ``M`` by ``_coefficients``, its
-    leading coefficient to exactly 1, rooted by one ``_roots`` call and
-    ordered and merged by ``_merged_roots``; a constant ``phi`` (no Riley
-    locus) gives no roots, and a caller's ``phi`` of degree >= 1 that is
-    not monic raises a ``RepresentationError`` with ``riley_polynomial``'s
-    message.  Returns ``t``, per meridian its roots or its error: ``M =
-    0``, or a ``NonFiniteError`` where ``phi``, its roots or the
-    commutators overflow.  Then, over the roots of the meridians
-    without one, in order, the images ``(K, 2, 2, 2)`` of the (meridian
-    generator, partner) pair, and whether each commutator trace is within
-    ``tol`` of 2.  No meridian's values or error depend on the others."""
-    if phi.degree >= 1:
-        try:
-            _check_monic(phi)
-        except ApolyError as exc:
-            raise RepresentationError(str(exc)) from exc
+    pass over the roots ``t`` of ``phi(t, M)``.  The ``locus``'s monic
+    ``phi`` is evaluated at every ``M`` by ``_coefficients``, its leading
+    coefficient to exactly 1, rooted by one ``_roots`` call and ordered and
+    merged by ``_merged_roots``; a constant ``phi`` (no irreducible Riley
+    representation) gives no roots.  Returns ``t``, per meridian its
+    roots or its error: ``M = 0``, or a ``NonFiniteError`` where ``phi``,
+    its roots or the commutators overflow.  Then, over the roots of the
+    meridians without one, in order, the images ``(K, 2, 2, 2)`` of the
+    (meridian generator, partner) pair, and whether each commutator trace
+    is within ``tol`` of 2.  No meridian's values or error depend on the
+    others."""
+    phi = locus.phi
     Ms = [complex(M) for M in meridians]
     overflow = "values overflow floating point at M = {}".format
     # a meridian's error, until its roots are found
@@ -316,31 +314,20 @@ def riley_stack(phi: TPoly, meridians: Sequence[complex], tol: float = 1e-8
     return t, images[keep], reducible[keep]
 
 
-def _riley_locus(pres: KnotPresentation, phi: TPoly | None = None
-                 ) -> tuple[tuple[str, str], TPoly]:
-    """The (meridian generator, partner) pair of a presentation in Riley
-    form and its Riley polynomial: ``phi``, or computed here when it is
-    not given.  ``RepresentationError`` outside Riley form."""
-    try:
-        generators = _riley_generators(pres)
-        if phi is None:
-            phi = riley_polynomial(pres, allow_constant=True)
-    except ApolyError as exc:
-        raise RepresentationError(str(exc)) from exc
-    return generators, phi
-
-
 def riley_family(pres: KnotPresentation, M: complex,
                  tol: float = 1e-8) -> list[Representation]:
     """All Riley representations at meridian eigenvalue ``M``, with
     ``riley_t`` and ``reducible`` set: ``riley_stack`` at one meridian.
     Raises the meridian's error, or a ``RepresentationError`` for a
-    presentation outside Riley form."""
-    generators, phi = _riley_locus(pres)
-    (ts,), images, reducible = riley_stack(phi, [M], tol)
+    presentation outside Riley form (``apoly.riley_locus``)."""
+    try:
+        locus = riley_locus(pres)
+    except ApolyError as exc:
+        raise RepresentationError(str(exc)) from exc
+    (ts,), images, reducible = riley_stack(locus, [M], tol)
     if isinstance(ts, RepresentationError):
         raise ts
-    return [Representation(pres, dict(zip(generators, img)), riley_t=t0,
+    return [Representation(pres, dict(zip(locus.generators, img)), riley_t=t0,
                            reducible=bool(red))
             for t0, img, red in zip(ts, images, reducible)]
 

@@ -29,10 +29,11 @@ magnitude: correct slices reach gaps of 5e-6, a change of rank gives ~1.
 
 ``Route1Plan`` compiles what depends only on the presentation once: its
 words as generator-index and sign arrays, the augmented relators with
-their Fox coefficients (``augment``), the Riley generators and the Riley
-polynomial ``phi``.  ``Route1Plan.evaluate_meridians`` runs route 1 from
-meridian eigenvalues: ``riley_stack`` roots ``phi`` for all of them at
-once, and its generator-image stack goes straight into
+their Fox coefficients (``augment``), all freely reduced, and the Riley
+locus (``apoly.RileyLocus``: the Riley generators and ``phi``).
+``Route1Plan.evaluate_meridians`` runs route 1 from meridian eigenvalues:
+``riley_stack`` roots ``phi`` for all of them at once, and its
+generator-image stack goes straight into
 ``Route1Plan.evaluate``, which runs route 1 on ``N`` representations
 together, as ``(N, ...)`` stacks.  The
 meridian and longitude images feed ``peripheral_stack``: the
@@ -58,13 +59,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .apoly import TPoly
+from .apoly import ApolyError, RileyLocus, riley_locus
 from .linalg import adjoint_of, sl2_coordinates, sl2_inverse, svd_stack
 from .presentation import KnotPresentation, Word
 from .representations import (Letters, NonFiniteError, Representation,
-                              RepresentationError, WordPlan, _riley_locus,
-                              peripheral_stack, prefix_images, riley_stack,
-                              word_letters)
+                              RepresentationError, WordPlan, peripheral_stack,
+                              prefix_images, riley_stack, word_letters)
 
 
 class SlopeError(ValueError):
@@ -85,8 +85,8 @@ class AugmentedPresentation:
 
     ``generators`` starts with the fresh longitude name, then the meridian
     generator, then the remaining generators in presentation order.
-    ``relators`` holds single relator words: the base relators, then
-    ``ell * longitude^-1``, then the commutator ``m ell m^-1 ell^-1``.
+    ``relators`` holds single reduced relator words: the base relators,
+    then ``ell * longitude^-1``, then the commutator ``m ell m^-1 ell^-1``.
     ``letters`` and ``fox`` hold, per relator, its letters compiled
     against ``generators`` and its Fox coefficients (``_fox_coefficients``).
     """
@@ -112,7 +112,7 @@ def augment(pres: KnotPresentation) -> AugmentedPresentation:
     ell = Word([(fresh, 1)])
     m = Word([(mgen, 1)])
     relators = pres.relator_words() + (
-        ell * pres.longitude.inverse(),
+        (ell * pres.longitude.inverse()).reduced(),
         m * ell * m.inverse() * ell.inverse(),
     )
     gens = (fresh, mgen) + tuple(g for g in pres.generators if g != mgen)
@@ -298,27 +298,29 @@ class Route1Plan:
     """Route 1's presentation-only data, compiled once per presentation.
 
     ``words`` holds its words as letter arrays.  ``augmented`` and
-    ``riley`` are compiled on first use, as they raise for presentations
-    that lack them.  A command that has ``phi`` from route 2 passes it
-    here; otherwise ``riley`` computes it.
+    ``locus`` are compiled on first use, as they raise for presentations
+    that lack them.  A command that has the Riley locus from route 2
+    passes it here; otherwise ``locus`` builds it.
     """
 
-    def __init__(self, pres: KnotPresentation, phi: TPoly | None = None):
+    def __init__(self, pres: KnotPresentation,
+                 locus: RileyLocus | None = None):
         self.words = WordPlan.compile(pres)
-        self._phi = phi
+        if locus is not None:  # the cached value of ``locus``
+            self.locus = locus
 
     @cached_property
     def augmented(self) -> AugmentedPresentation:
         return augment(self.words.presentation)
 
     @cached_property
-    def riley(self) -> tuple[list[int], TPoly]:
-        """Each generator's place in the Riley pair (meridian generator,
-        partner), and the Riley polynomial ``phi``; ``RepresentationError``
-        outside Riley form."""
-        pres = self.words.presentation
-        generators, phi = _riley_locus(pres, self._phi)
-        return [generators.index(g) for g in pres.generators], phi
+    def locus(self) -> RileyLocus:
+        """The presentation's Riley locus (``apoly.riley_locus``);
+        ``RepresentationError`` outside Riley form."""
+        try:
+            return riley_locus(self.words.presentation)
+        except ApolyError as exc:
+            raise RepresentationError(str(exc)) from exc
 
     def _augmented_images(self, images: np.ndarray,
                           longitude: np.ndarray) -> np.ndarray:
@@ -334,10 +336,12 @@ class Route1Plan:
         stacked pass: per meridian, ``riley_family``'s branches as ``(t,
         Route1Result)`` pairs, or the error it raises there."""
         try:
-            order, phi = self.riley
-            roots, images, _ = riley_stack(phi, meridians)
+            locus = self.locus
         except RepresentationError as exc:
             return [exc] * len(meridians)
+        roots, images, _ = riley_stack(locus, meridians)
+        order = [locus.generators.index(g)
+                 for g in self.words.presentation.generators]
         results = iter(self.evaluate(images[:, order], tol))
         return [ts if isinstance(ts, RepresentationError)
                 else [(t, next(results)) for t in ts] for ts in roots]

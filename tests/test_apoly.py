@@ -17,7 +17,8 @@ import pytest
 
 from helpers import TWO_BRIDGE, two_bridge_text
 from knotslope import apoly
-from knotslope.apoly import (ApolyError, BiLaurent, TPoly, bilaurent_from_json,
+from knotslope.apoly import (ApolyError, BiLaurent, RileyLocus, TPoly,
+                             bilaurent_from_json,
                              bilaurent_gcd, bilaurent_to_json,
                              compute_apoly_twobridge,
                              compute_apoly_twobridge_detailed, format_bilaurent,
@@ -29,8 +30,8 @@ from knotslope.cli import main
 from knotslope.data import DataError, check_presentation, load_builtin
 from knotslope.presentation import (KnotPresentation, Word, parse_presentation,
                                     parse_word)
-from knotslope.representations import (RepresentationError, prefix_images,
-                                       riley_family, riley_stack,
+from knotslope.representations import (prefix_images, riley_family,
+                                       riley_stack,
                                        word_letters)
 from knotslope.slope import Route1Plan, boundary_data
 
@@ -497,7 +498,7 @@ def test_log_gauss_stack_is_the_derivative_quotient_at_route1_points(p, q):
     gives the same bits alone as in its meridian's stack."""
     pres = parse_presentation(two_bridge_text(p, q))
     res = compute_apoly_twobridge_detailed(pres)
-    A, plan = res.apoly, Route1Plan(pres, res.riley_polynomial)
+    A, plan = res.apoly, Route1Plan(pres, res.locus)
     dL, dM = A.derivative("L"), A.derivative("M")
     meridians = [1.3 + 0.2j, 1.8 + 0.9j, 0.7 + 0.4j, -1.2 + 0.1j]
     for family in plan.evaluate_meridians(meridians):
@@ -1009,13 +1010,11 @@ def relator_gcd(pres: KnotPresentation) -> TPoly:
 
 @pytest.mark.parametrize("longitude", ["b a b^-1 a^-1", "b a^-1"],
                          ids=["commutator", "constant-lam"])
-def test_non_monic_riley_polynomial_is_refused(monkeypatch, tmp_path, capsys,
-                                               longitude):
+def test_non_monic_riley_polynomial_is_refused(tmp_path, capsys, longitude):
     """A ``phi`` whose leading coefficient is not a unit ``±M^k`` is no
     two-bridge knot's: the library call, ``apoly`` and the file check
     refuse it with an error that names the coefficient, and ``scan``
-    reports that error at every sample.  ``check_presentation`` refuses
-    such a ``phi`` from a caller before any remainder is taken."""
+    reports that error at every sample."""
     text = NON_MONIC.format(longitude)
     pres = parse_presentation(text)
     with pytest.raises(ApolyError, match=re.escape(NON_MONIC_LEAD)):
@@ -1030,30 +1029,33 @@ def test_non_monic_riley_polynomial_is_refused(monkeypatch, tmp_path, capsys,
     records = json.loads(capsys.readouterr().out)
     assert [r["verdict"] for r in records] == ["error"] * 3
     assert all(NON_MONIC_LEAD in r["error"] for r in records)
+
+
+def test_riley_locus_refuses_a_phi_that_is_not_monic():
+    """``check_presentation``, ``riley_stack`` and ``Route1Plan`` read a
+    ``RileyLocus``, which refuses, naming the coefficient, the refused
+    presentation's relator gcd (its leading coefficient nearly vanishes at
+    ``M = e^(iπ/3)``, where rooting it as if monic gave a spurious root
+    near ``1.9e15``) and a unit multiple of the trefoil's ``phi``.  A
+    constant ``phi`` is a locus without irreducible representations, not
+    a refusal."""
+    pres = parse_presentation(NON_MONIC.format("b a b^-1 a^-1"))
+    generators = apoly._riley_generators(pres)
     phi = relator_gcd(pres)
     assert phi.leading == parse_bilaurent(NON_MONIC_LEAD)
-    monkeypatch.setattr(apoly, "_monic_rem", None)  # must not run
-    with pytest.raises(DataError, match=re.escape(NON_MONIC_LEAD)):
-        check_presentation(pres, str(path), phi)
-
-
-def test_route1_refuses_a_phi_that_is_not_monic():
-    """Route 1 given the refused presentation's relator gcd, whose leading
-    coefficient nearly vanishes at ``M = e^(iπ/3)``: ``riley_stack`` raises
-    the monic check's message rather than rooting ``phi`` as if it were
-    monic, which gave a spurious root near ``1.9e15``, and the plan
-    reports that error at every meridian."""
-    pres = parse_presentation(NON_MONIC.format("b a b^-1 a^-1"))
-    phi = relator_gcd(pres)
+    with pytest.raises(ApolyError, match=re.escape(NON_MONIC_LEAD)):
+        RileyLocus(pres, generators, phi)
+    trefoil = load_builtin("trefoil")
+    with pytest.raises(ApolyError, match=re.escape("in t is -M^2,")):
+        RileyLocus(trefoil, ("u", "v"), riley_polynomial(trefoil).scale(
+            parse_bilaurent("-M^2")))
+    constant = RileyLocus(pres, generators,
+                          TPoly.constant(parse_bilaurent("M^2 + 1")))
     meridians = [cmath.exp(1j * math.pi / 3), 1.3]
-    with pytest.raises(RepresentationError, match=re.escape(NON_MONIC_LEAD)):
-        riley_stack(phi, meridians)
-    errors = Route1Plan(pres, phi).evaluate_meridians(meridians)
-    assert [type(e) for e in errors] == [RepresentationError] * 2
-    assert all(NON_MONIC_LEAD in str(e) for e in errors)
-    # a constant phi still means no Riley locus, not a refusal
-    assert riley_stack(TPoly.constant(parse_bilaurent("M^2 + 1")),
-                       meridians)[0] == [[], []]
+    assert riley_stack(constant, meridians)[0] == [[], []]
+    assert Route1Plan(pres, constant).evaluate_meridians(meridians) == [[], []]
+    with pytest.raises(DataError, match="Riley polynomial is constant"):
+        check_presentation(constant, "constant")
 
 
 def test_riley_polynomial_does_not_reduce_its_source_entry(monkeypatch):
@@ -1086,6 +1088,34 @@ def test_resultant_t_matches_sympy_on_a_non_monic_phi():
     # M^16 clears the negative powers of M
     poly = sympy.Poly(sympy.expand(expected * M ** 16), L, M)
     assert BiLaurent(poly.terms()) == resultant_t(phi, l_minus(lam)).shift(0, 16)
+
+
+#: pairs ``q < q'`` of odd ``q`` with ``qq' ≡ ±1 (mod p)``, ``p <= 17``
+SCHUBERT_PAIRS = [(p, q, r) for p in range(3, 18, 2)
+                  for q in range(1, p, 2) for r in range(q + 2, p, 2)
+                  if math.gcd(p, q) == 1 and q * r % p in (1, p - 1)]
+
+
+def test_schubert_pairs_are_the_ten_expected():
+    assert SCHUBERT_PAIRS == [(7, 3, 5), (9, 5, 7), (11, 3, 7), (11, 5, 9),
+                              (13, 3, 9), (13, 7, 11), (15, 7, 13),
+                              (17, 3, 11), (17, 5, 7), (17, 9, 15)]
+
+
+@pytest.mark.parametrize("p, q, r", SCHUBERT_PAIRS,
+                         ids=[f"b{p}_{q}-b{p}_{r}" for p, q, r in SCHUBERT_PAIRS])
+def test_schubert_classification_is_an_oracle(p, q, r):
+    """Schubert: ``b(p, q)`` and ``b(p, q')`` are the same knot when ``qq'
+    ≡ 1 (mod p)``, with the same ``A``, and mirror images when ``qq' ≡ -1``;
+    a mirror image has ``A(L, 1/M)``.  The two Schubert texts have
+    different words, so the elimination runs on different input."""
+    A, B = (compute_apoly_twobridge(parse_presentation(two_bridge_text(p, k)))
+            for k in (q, r))
+    if q * r % p == 1:
+        assert B == A
+    else:
+        assert B == BiLaurent({(i, -j): c for (i, j), c
+                               in A.terms.items()}).canonical()
 
 
 #: b(17,5), and the knots past it whose file check once failed in floats

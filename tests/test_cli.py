@@ -412,66 +412,71 @@ def test_verify_passes_on_the_two_bridge_family(p, q, seed, tmp_path, capsys):
     assert report["sample_count"] == 20 * (p - 1) // 2
 
 
-def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
-                                                      tmp_path):
-    import knotslope.apoly as apoly_mod
-    import knotslope.representations as reps_mod
-
-    calls = []
-    original = apoly_mod.riley_polynomial
+def count_calls(monkeypatch, calls: dict, modules, name: str) -> None:
+    """Count the calls of ``name`` in ``calls``, through every module of
+    ``modules`` that holds a reference to it."""
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls[name] = calls.get(name, 0) + 1
         return original(*args, **kwargs)
 
-    # a bundled presentation is checked, with its own phi, on its first
-    # load in the process only: load both before counting
-    for name in ("trefoil", "figure8"):
-        load_builtin(name)
-    for mod in (apoly_mod, reps_mod):
-        monkeypatch.setattr(mod, "riley_polynomial", counted)
-    # a file-loaded presentation is checked with the command's phi too
-    path = two_bridge_file(tmp_path, "b9_7")
-    for argv in (["scan", "figure8", "--samples", "5"],
-                 ["verify", "figure8", "--samples", "3"],
-                 ["verify", "trefoil", "--samples", "3",
-                  "--apoly", "L*M^6 + 1"],
-                 ["apoly", "figure8"],
-                 ["scan", path, "--samples", "3"],
-                 ["verify", path, "--samples", "3"],
-                 ["apoly", path]):
-        calls.clear()
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert len(calls) == 1, argv
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
 
 
-def test_route1_is_planned_once_per_command(monkeypatch, capsys):
+def count_riley_locus(monkeypatch, calls: dict) -> None:
+    """Count ``riley_locus`` and the Riley generators it derives."""
+    import knotslope.apoly as apoly_mod
+    import knotslope.data as data_mod
     import knotslope.representations as reps_mod
     import knotslope.slope as slope_mod
 
+    count_calls(monkeypatch, calls, (apoly_mod, data_mod, reps_mod, slope_mod),
+                "riley_locus")
+    count_calls(monkeypatch, calls, (apoly_mod,), "_riley_generators")
+
+
+def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
+                                                      tmp_path):
+    """Each command builds one Riley locus, and derives the Riley
+    generators once: both routes and the file check read it."""
+    # a bundled presentation is checked, with its own locus, on its first
+    # load in the process only: load both before counting
+    for name in ("trefoil", "figure8"):
+        load_builtin(name)
     calls: dict[str, int] = {}
+    count_riley_locus(monkeypatch, calls)
+    path = two_bridge_file(tmp_path, "b9_7")
+    for pres in ("figure8", path):
+        for argv in (["scan", pres, "--samples", "5"],
+                     ["verify", pres, "--samples", "3"],
+                     ["verify", pres, "--samples", "3", "--apoly",
+                      "L*M^6 + 1"],
+                     ["apoly", pres],
+                     ["slope", pres, "--M", "1.3"]):
+            calls.clear()
+            run(capsys, *argv)
+            assert calls == {"riley_locus": 1, "_riley_generators": 1}, argv
 
-    def count(mod, name):
-        original = getattr(mod, name)
 
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
+def test_route1_is_planned_once_per_command(monkeypatch, capsys, tmp_path):
+    import knotslope.slope as slope_mod
 
-        monkeypatch.setattr(mod, name, counted)
-
-    # route 1's own calls; route 2 derives the Riley generators separately
-    count(slope_mod, "augment")
-    count(slope_mod, "_fox_coefficients")
-    count(reps_mod, "_riley_generators")
-    for argv in (["scan", "figure8", "--samples", "40"],
-                 ["verify", "figure8", "--samples", "40"]):
-        calls.clear()
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert calls == {"augment": 1, "_fox_coefficients": 1,
-                         "_riley_generators": 1}, argv
+    load_builtin("figure8")
+    calls: dict[str, int] = {}
+    count_calls(monkeypatch, calls, (slope_mod,), "augment")
+    count_calls(monkeypatch, calls, (slope_mod,), "_fox_coefficients")
+    count_riley_locus(monkeypatch, calls)
+    path = two_bridge_file(tmp_path, "b9_7")
+    for pres in ("figure8", path):
+        for argv in (["scan", pres, "--samples", "40"],
+                     ["verify", pres, "--samples", "40"]):
+            calls.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert calls == {"augment": 1, "_fox_coefficients": 1,
+                             "riley_locus": 1, "_riley_generators": 1}, argv
 
 
 def test_riley_words_are_built_once_per_command(monkeypatch, capsys):
@@ -524,6 +529,45 @@ def test_longitude_word_is_built_once_per_file_command(monkeypatch, tmp_path,
         assert words.count(longitude) == 1, argv
         # the rest are the relator's two sides, for the Riley polynomial
         assert len(words) == 3, argv
+
+
+#: the trefoil as the torus knot T(2,3), with text to pad its longitude
+TORUS = ("gens: a b ; rel: a b a = b a b ; meridian: a ; "
+         "longitude: b a^2 b a^-4{}")
+
+
+def test_cancelling_letters_are_reduced_where_words_are_compiled(
+        monkeypatch, tmp_path, capsys):
+    """A longitude padded with ``a^50 a^-50`` is the same element: its
+    records equal the reduced file's, where in floats ``M^50·M^-50`` lost
+    the digits that the commutation test needs (``not-admissible`` at ``M
+    = 1.3``, and ``verify`` failed), and no Riley word is built longer than
+    the reduced longitude."""
+    import knotslope.apoly as apoly_mod
+
+    paths = []
+    for pad in ("", " a^50 a^-50"):
+        paths.append(tmp_path / f"torus{len(paths)}.txt")
+        paths[-1].write_text(TORUS.format(pad), encoding="utf-8")
+    reduced, padded = map(str, paths)
+    lengths = []
+    original = apoly_mod._riley_word
+
+    def counted(word, *args):
+        lengths.append(len(word.letters))
+        return original(word, *args)
+
+    monkeypatch.setattr(apoly_mod, "_riley_word", counted)
+    for argv in (["scan", "--samples", "16"], ["slope", "--M", "1.3"],
+                 ["apoly"], ["verify", "--samples", "4"]):
+        want = run(capsys, argv[0], reduced, *argv[1:])
+        lengths.clear()
+        assert run(capsys, argv[0], padded, *argv[1:]) == want, argv
+        assert max(lengths) == 8, argv  # b a a b a^-1 a^-1 a^-1 a^-1
+        assert want[0] == 0, argv
+    (record,) = records(run(capsys, "slope", padded, "--M", "1.3")[1])
+    assert record["verdict"] == "admissible"
+    assert abs(record["slope"][0] + 6) < 1e-12
 
 
 def _agree(a, b, rel: float = 1e-12) -> bool:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
-from knotslope.apoly import BiLaurent, TPoly, parse_bilaurent, riley_polynomial
+from knotslope.apoly import BiLaurent, RileyLocus, TPoly, parse_bilaurent
 from knotslope.data import (DataError, builtin_names, check_presentation,
                             load_builtin, resolve_builtin)
 from knotslope.presentation import parse_presentation
@@ -47,14 +45,5 @@ def test_check_presentation_needs_both_commutation_conditions():
                               "longitude: u v^-1")
     phi = TPoly([parse_bilaurent("M^2 - 1"), BiLaurent.one()])
     with pytest.raises(DataError, match="longitude does not commute"):
-        check_presentation(pres, "u v^-1", phi)
+        check_presentation(RileyLocus(pres, ("u", "v"), phi), "u v^-1")
 
-
-def test_check_presentation_refuses_a_phi_that_is_not_monic():
-    """A unit multiple of the trefoil's monic ``phi`` is refused, naming its
-    leading coefficient, before the monic remainder, which reads ``phi``'s
-    last row as 1, could give a verdict."""
-    pres = load_builtin("trefoil")
-    phi = riley_polynomial(pres).scale(parse_bilaurent("-M^2"))
-    with pytest.raises(DataError, match=re.escape("in t is -M^2,")):
-        check_presentation(pres, "trefoil", phi)

@@ -9,7 +9,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from knotslope.apoly import riley_polynomial
+from knotslope.apoly import riley_locus, riley_polynomial
 from knotslope.data import load_builtin
 from knotslope.presentation import KnotPresentation, Word, parse_presentation
 from knotslope.representations import (NonFiniteError, Representation,
@@ -112,15 +112,14 @@ def test_riley_family_requires_two_bridge_shape():
 
 
 def test_riley_stack_keeps_each_meridian_to_itself():
-    pres = load_builtin("figure8")
-    phi = riley_polynomial(pres, allow_constant=True)
+    locus = riley_locus(load_builtin("figure8"))
     meridians = [1.3, 0.0, 1e200, GOLDEN, 0.9 + 0.3j, 1.0, -1.0]
-    roots, images, reducible = riley_stack(phi, meridians)
+    roots, images, reducible = riley_stack(locus, meridians)
     assert type(roots[1]) is RepresentationError
     assert type(roots[2]) is NonFiniteError
     start = 0
     for M, ts in zip(meridians, roots):
-        (alone,), alone_images, alone_reducible = riley_stack(phi, [M])
+        (alone,), alone_images, alone_reducible = riley_stack(locus, [M])
         if isinstance(ts, RepresentationError):
             assert type(alone) is type(ts) and str(alone) == str(ts)
             continue
@@ -133,8 +132,8 @@ def test_riley_stack_keeps_each_meridian_to_itself():
 
 
 def test_no_meridians_give_no_representations():
-    phi = riley_polynomial(load_builtin("figure8"), allow_constant=True)
-    roots, images, reducible = riley_stack(phi, [])
+    locus = riley_locus(load_builtin("figure8"))
+    roots, images, reducible = riley_stack(locus, [])
     assert roots == [] and images.shape == (0, 2, 2, 2) and len(reducible) == 0
     assert Route1Plan(load_builtin("figure8")).evaluate_meridians([]) == []
 
@@ -153,7 +152,8 @@ def _mp_roots(phi, M: complex, dps: int = 50) -> list[complex]:
 @pytest.mark.parametrize("name", ["b13_5", "b15_11"])
 def test_riley_roots_match_high_precision_roots_of_phi(name):
     pres = parse_presentation(TWO_BRIDGE[name])
-    phi = riley_polynomial(pres)
+    locus = riley_locus(pres)
+    phi = locus.phi
     rng = Random(0)
     for _ in range(6):
         M = rng.uniform(1.1, 2.0) * cmath.exp(1j * rng.uniform(0.1, 1.0))
@@ -164,7 +164,7 @@ def test_riley_roots_match_high_precision_roots_of_phi(name):
             r = min(exact, key=lambda r: abs(r - rep.riley_t))
             assert abs(rep.riley_t - r) <= 3e-13 * abs(r)
             assert rep.relator_residual() <= 1e-9
-        (given,) = Route1Plan(pres, phi).evaluate_meridians([M])
+        (given,) = Route1Plan(pres, locus).evaluate_meridians([M])
         assert [t for t, _ in given] == [r.riley_t for r in reps]
 
 
