@@ -27,7 +27,7 @@ from knotslope.apoly import (ApolyError, BiLaurent, RileyLocus, TPoly,
                              riley_polynomial, side_slopes, squarefree_part,
                              tpoly_gcd)
 from knotslope.cli import main
-from knotslope.data import DataError, check_presentation, load_builtin
+from knotslope.data import load_builtin
 from knotslope.presentation import (KnotPresentation, Word, parse_presentation,
                                     parse_word)
 from knotslope.representations import (prefix_images, riley_family,
@@ -1031,31 +1031,24 @@ def test_non_monic_riley_polynomial_is_refused(tmp_path, capsys, longitude):
     assert all(NON_MONIC_LEAD in r["error"] for r in records)
 
 
-def test_riley_locus_refuses_a_phi_that_is_not_monic():
-    """``check_presentation``, ``riley_stack`` and ``Route1Plan`` read a
-    ``RileyLocus``, which refuses, naming the coefficient, the refused
-    presentation's relator gcd (its leading coefficient nearly vanishes at
-    ``M = e^(iπ/3)``, where rooting it as if monic gave a spurious root
-    near ``1.9e15``) and a unit multiple of the trefoil's ``phi``.  A
-    constant ``phi`` is a locus without irreducible representations, not
-    a refusal."""
+def test_route1_refuses_a_phi_that_is_not_monic():
+    """``riley_stack`` and ``Route1Plan`` read a ``RileyLocus``, which
+    refuses the refused presentation's relator gcd, naming its leading
+    coefficient, rather than let Route 1 root it as if monic: it nearly
+    vanishes at ``M = e^(iπ/3)``, where that gave a spurious root near
+    ``1.9e15``.  A constant ``phi`` still means no Riley locus, not a
+    refusal."""
     pres = parse_presentation(NON_MONIC.format("b a b^-1 a^-1"))
     generators = apoly._riley_generators(pres)
     phi = relator_gcd(pres)
     assert phi.leading == parse_bilaurent(NON_MONIC_LEAD)
     with pytest.raises(ApolyError, match=re.escape(NON_MONIC_LEAD)):
         RileyLocus(pres, generators, phi)
-    trefoil = load_builtin("trefoil")
-    with pytest.raises(ApolyError, match=re.escape("in t is -M^2,")):
-        RileyLocus(trefoil, ("u", "v"), riley_polynomial(trefoil).scale(
-            parse_bilaurent("-M^2")))
     constant = RileyLocus(pres, generators,
                           TPoly.constant(parse_bilaurent("M^2 + 1")))
     meridians = [cmath.exp(1j * math.pi / 3), 1.3]
     assert riley_stack(constant, meridians)[0] == [[], []]
     assert Route1Plan(pres, constant).evaluate_meridians(meridians) == [[], []]
-    with pytest.raises(DataError, match="Riley polynomial is constant"):
-        check_presentation(constant, "constant")
 
 
 def test_riley_polynomial_does_not_reduce_its_source_entry(monkeypatch):

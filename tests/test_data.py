@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from knotslope.apoly import BiLaurent, RileyLocus, TPoly, parse_bilaurent
-from knotslope.data import (DataError, builtin_names, check_presentation,
-                            load_builtin, resolve_builtin)
+from knotslope.apoly import (ApolyError, BiLaurent, RileyLocus, TPoly,
+                             parse_bilaurent, riley_polynomial)
+from knotslope.data import (DataError, builtin_names, check_parsed,
+                            check_presentation, load_builtin, resolve_builtin)
 from knotslope.presentation import parse_presentation
 
 
@@ -35,6 +38,30 @@ def test_load_builtin_validates_and_caches():
 def test_load_builtin_unknown():
     with pytest.raises(DataError):
         load_builtin("granny")
+
+
+def test_check_presentation_refuses_a_phi_that_is_not_monic():
+    """A unit multiple of the trefoil's monic ``phi`` is refused, naming its
+    leading coefficient, by the ``RileyLocus`` that ``check_presentation``
+    reads, before the monic remainder, which reads ``phi``'s last row as 1,
+    could give a verdict; ``check_parsed`` reports a presentation whose
+    ``phi`` is not monic as a ``DataError`` under its label.  A constant
+    ``phi`` has no Riley representations."""
+    pres = load_builtin("trefoil")
+    phi = riley_polynomial(pres).scale(parse_bilaurent("-M^2"))
+    with pytest.raises(ApolyError, match=re.escape("in t is -M^2,")):
+        RileyLocus(pres, ("u", "v"), phi)
+    non_monic = parse_presentation(
+        "gens: a b ; rel: b^-1 a^-1 b a^2 = b^2 a b^-1 a^-1 ; "
+        "meridian: a ; longitude: b a b^-1 a^-1")
+    with pytest.raises(DataError, match=re.escape(
+            "non-monic: Riley polynomial is not monic: its leading "
+            "coefficient in t is -M^2 - 1 - M^-2,")):
+        check_parsed(non_monic, "non-monic")
+    constant = RileyLocus(pres, ("u", "v"),
+                          TPoly.constant(parse_bilaurent("M^2 + 1")))
+    with pytest.raises(DataError, match="Riley polynomial is constant"):
+        check_presentation(constant, "constant")
 
 
 def test_check_presentation_needs_both_commutation_conditions():
