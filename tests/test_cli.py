@@ -448,15 +448,20 @@ def test_riley_polynomial_is_computed_once_per_command(monkeypatch, capsys,
     calls: dict[str, int] = {}
     count_riley_locus(monkeypatch, calls)
     path = two_bridge_file(tmp_path, "b9_7")
-    for pres in ("figure8", path):
+    for pres in ("trefoil", "figure8", path):
+        calls.clear()
+        code, out, _ = run(capsys, "apoly", pres)
+        assert code == 0
+        assert calls == {"riley_locus": 1, "_riley_generators": 1}, pres
+        # a supplied A is the presentation's own, so verify passes
+        apoly = json.loads(out)["polynomial"]
         for argv in (["scan", pres, "--samples", "5"],
                      ["verify", pres, "--samples", "3"],
-                     ["verify", pres, "--samples", "3", "--apoly",
-                      "L*M^6 + 1"],
-                     ["apoly", pres],
+                     ["verify", pres, "--samples", "3", "--apoly", apoly],
                      ["slope", pres, "--M", "1.3"]):
             calls.clear()
-            run(capsys, *argv)
+            code, _, _ = run(capsys, *argv)
+            assert code == 0, argv
             assert calls == {"riley_locus": 1, "_riley_generators": 1}, argv
 
 
