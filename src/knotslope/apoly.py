@@ -71,8 +71,11 @@ monic in ``L`` or that the modular path cannot prove.
 points ``(L, M)``.  In log coordinates ``v = log L``, ``u = log M`` the
 partials multiply a term ``t = c L^i M^j`` by ``i`` and ``j``, so the
 log-Gauss map ``-(Σ j·t) / (Σ i·t)`` and the on-curve residual come from
-one pass over ``A``'s terms, with no derivative polynomial and without
-``BiLaurent.evaluate``, which route 1 uses for ``phi``'s coefficients.
+one pass over ``A``'s terms, with no derivative polynomial.  These sums,
+and ``phi``'s coefficients at each meridian (``sum_terms``), which
+``representations.riley_stack`` roots, add the terms in
+``summation_order``, so their bits do not depend on the order in which a
+producer or the parser listed them.
 
 This module is the only place that builds the Riley matrices as
 polynomials in ``(t, M)``.  ``_riley_word`` holds a word's image as a dense
@@ -82,8 +85,6 @@ column to the other: so the word bounds each column's coefficients, and
 the array is ``int64`` while that bound leaves room for the sums that
 callers form, Python ints beyond.  Its size and each letter's work grow
 with the word, so the locus reads freely reduced words.
-``representations.riley_stack`` roots the locus's ``phi`` with its
-coefficients evaluated at each meridian eigenvalue.
 """
 
 from __future__ import annotations
@@ -114,6 +115,20 @@ def _integral_values(terms: dict) -> dict:
         if type(c) is not int and c.denominator == 1:
             terms[e] = c.numerator
     return terms
+
+
+def summation_order(p: "BiLaurent") -> list[tuple[Exponents, Fraction | int]]:
+    """``p``'s terms in the order of every float sum over them, L-exponent
+    ascending, then M-exponent descending (as the elimination emits them)."""
+    return sorted(p.terms.items(), key=lambda kv: (kv[0][0], -kv[0][1]))
+
+
+def sum_terms(terms: list, L: complex, M: complex) -> complex:
+    """``Σ c L^i M^j`` over ``summation_order``'s ``terms``, in that order."""
+    out = 0j
+    for (i, j), c in terms:
+        out += complex(c) * (L ** i) * (M ** j)
+    return out
 
 
 class BiLaurent:
@@ -175,9 +190,6 @@ class BiLaurent:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[Exponents]:
-        return sorted(self.terms)
 
     def coefficient(self, i: int, j: int) -> Fraction | int:
         return self.terms.get((i, j), 0)
@@ -347,10 +359,8 @@ class BiLaurent:
         return BiLaurent._normalised(_integral_values(out))
 
     def evaluate(self, L: complex, M: complex) -> complex:
-        out = 0j
-        for (i, j), c in self.terms.items():
-            out += complex(c) * (L ** i) * (M ** j)
-        return out
+        """The value at ``(L, M)``, summed in ``summation_order``."""
+        return sum_terms(summation_order(self), L, M)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +623,11 @@ def log_gauss_stack(p: BiLaurent, L, M) -> tuple[np.ndarray, np.ndarray, list]:
     term overflows; the log-Gauss map ``-(Σ j·t) / (Σ i·t)``, ``inf`` where
     ``|Σ i·t| <= 1e-8 (|L| + Σ|i·t|)``; an ``ApolyError`` (a zero coordinate,
     a term beyond floating point, a singular point) or ``None``.  A point's
-    sums run over its own terms: it gives the same bits alone as in a stack."""
+    sums run over its own terms, in ``summation_order``: it gives the same
+    bits alone as in a stack, and for any dict order of the same terms."""
     L, M = np.asarray(L, complex), np.asarray(M, complex)
     try:
-        i, j, c = np.array([(*e, c) for e, c in p.terms.items()],
+        i, j, c = np.array([(*e, c) for e, c in summation_order(p)],
                            dtype=float).reshape(-1, 3).T
     except OverflowError:
         i = j = c = np.full(len(p.terms), np.inf)
@@ -749,10 +760,8 @@ class TPoly:
         if self.is_zero:
             return self
         g = self.content()
-        if g == BiLaurent.one():  # exact_div by one lists terms descending
-            return TPoly([BiLaurent._normalised(dict(sorted(
-                c.terms.items(), reverse=True))) for c in self.coeffs])
-        return TPoly([c.exact_div(g) for c in self.coeffs])
+        return self if g == BiLaurent.one() else TPoly(
+            [c.exact_div(g) for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TPoly):
@@ -1464,12 +1473,8 @@ def _squarefree_modular(p: BiLaurent, dp: BiLaurent
             dp.exact_div(G)
         except ApolyError:
             continue
-        if not _certified_squarefree_in_L(S):
-            return None
-        # the PRS path's exact quotient lists its terms descending; a
-        # float sum over the terms, as in log_gauss_stack, keeps its bits
-        S = BiLaurent._normalised(dict(sorted(S.terms.items(), reverse=True)))
-        return S, n - max(i for i, _ in S.terms)
+        return ((S, n - max(i for i, _ in S.terms))
+                if _certified_squarefree_in_L(S) else None)
     return None
 
 
@@ -1693,27 +1698,24 @@ def compute_apoly_twobridge_detailed(pres: KnotPresentation,
     eigenvalue by ``_resultant_modular``; see the module docstring."""
     locus = _irreducible(riley_locus(pres))
     entry = locus.longitude[0, 0]
-    # prod (L - r(a)) over phi's roots, monic in L, listed by (L, -M)
+    # prod (L - r(a)) over phi's roots, monic in L
     raw = _resultant_modular(*_dense(locus.phi), entry, -(entry.shape[1] // 2))
-    primitive = BiLaurent._normalised(dict(sorted(
-        raw.terms.items(), key=lambda kv: (kv[0][0], -kv[0][1])))).canonical()
+    primitive = raw.canonical()
 
     if _is_univariate(primitive, 0):
         raise ApolyError("eliminated polynomial has no L-dependence")
     apoly, removed = squarefree_part(primitive)
 
-    includes = False
     if with_reducible:
         l_minus_1 = BiLaurent([((1, 0), Fraction(1)), ((0, 0), Fraction(-1))])
         try:
             apoly.exact_div(l_minus_1)
         except ApolyError:
             apoly = (apoly * l_minus_1).canonical()
-        includes = True
 
-    return ApolyResult(apoly=apoly.canonical(), resultant=primitive,
+    return ApolyResult(apoly=apoly, resultant=primitive,
                        locus=locus, multiplicity_removed=removed,
-                       includes_reducible=includes)
+                       includes_reducible=with_reducible)
 
 
 def compute_apoly_twobridge(pres: KnotPresentation,

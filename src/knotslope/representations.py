@@ -40,7 +40,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .apoly import ApolyError, RileyLocus, TPoly, riley_locus
+from .apoly import (ApolyError, RileyLocus, riley_locus, sum_terms,
+                    summation_order)
 from .linalg import adjoint_of, as_sl2, nullspace, sl2_coordinates, sl2_inverse
 from .presentation import KnotPresentation, Word
 
@@ -260,20 +261,20 @@ def _roots(c: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _coefficients(phi: TPoly, M: complex) -> list[complex]:
-    """``phi``'s coefficients at ``M`` (``BiLaurent.evaluate``); NaN where
-    they overflow."""
+def _coefficients(terms: list[list], M: complex) -> list[complex]:
+    """``phi``'s coefficients at ``M`` (``sum_terms``); NaN on overflow."""
     try:
-        return [c.evaluate(1.0, M) for c in phi.coeffs]
+        return [sum_terms(c, 1.0, M) for c in terms]
     except (OverflowError, ZeroDivisionError):  # |M| far from 1, or 0
-        return [complex(math.nan, math.nan)] * len(phi.coeffs)
+        return [complex(math.nan, math.nan)] * len(terms)
 
 
 def riley_stack(locus: RileyLocus, meridians: Sequence[complex],
                 tol: float = 1e-8) -> tuple[list, np.ndarray, np.ndarray]:
     """The Riley representations at every meridian eigenvalue, one stacked
     pass over the roots ``t`` of ``phi(t, M)``.  The ``locus``'s monic
-    ``phi`` is evaluated at every ``M`` by ``_coefficients``, its leading
+    ``phi``, its terms put in ``summation_order`` once per call, is
+    evaluated at every ``M`` by ``_coefficients``, its leading
     coefficient to exactly 1, rooted by one ``_roots`` call and ordered and
     merged by ``_merged_roots``; a constant ``phi`` (no irreducible Riley
     representation) gives no roots.  Returns ``t``, per meridian its
@@ -283,14 +284,14 @@ def riley_stack(locus: RileyLocus, meridians: Sequence[complex],
     (meridian generator, partner) pair, and whether each commutator trace
     is within ``tol`` of 2.  No meridian's values or error depend on the
     others."""
-    phi = locus.phi
     Ms = [complex(M) for M in meridians]
     overflow = "values overflow floating point at M = {}".format
     # a meridian's error, until its roots are found
     t: list = [NonFiniteError(overflow(M)) if M else RepresentationError(
         "meridian eigenvalue must be nonzero") for M in Ms]
-    coeffs = np.array([_coefficients(phi, M) for M in Ms],
-                      dtype=complex).reshape(len(Ms), phi.degree + 1).T
+    terms = [summation_order(c) for c in locus.phi.coeffs]
+    coeffs = np.array([_coefficients(terms, M) for M in Ms],
+                      dtype=complex).reshape(len(Ms), len(terms)).T
     with np.errstate(all="ignore"):
         rows = np.flatnonzero(np.isfinite(coeffs).all(axis=0)
                               & (np.array(Ms) != 0))

@@ -280,6 +280,33 @@ def test_verify_accepts_apoly_from_file(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("name", ["figure8", "b7_3", "b13_5"])
+def test_verify_given_apolys_own_polynomial_reproduces_verify(name, tmp_path,
+                                                             capsys):
+    """``A`` is summed in one order however its terms were listed, so
+    ``verify --apoly`` given the text ``apoly`` prints for the same
+    presentation prints what ``verify`` prints, sample for sample; only
+    the source of ``A`` differs."""
+    if name.startswith("b"):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(two_bridge_text(*map(int, name[1:].split("_"))),
+                        encoding="utf-8")
+        name = str(path)
+    code, out, _ = run(capsys, "apoly", name)
+    assert code == 0
+    polynomial = json.loads(out)["polynomial"]
+    argv = ["verify", name, "--samples", "12", "--seed", "4"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    computed = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--apoly", polynomial)
+    assert code == 0
+    supplied = json.loads(out)
+    assert (computed.pop("apoly_source"), supplied.pop("apoly_source")) == \
+        ("computed", "supplied")
+    assert supplied == computed
+
+
 @pytest.mark.parametrize("name", ["trefoil", "figure8", "b7_3", "b9_5"])
 @pytest.mark.parametrize("arc", ["0.6,0.9,0.1,1.0", "1,1,-1.0,-0.1"],
                          ids=["inside", "unit-circle-below"])

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
 import pytest
 
-from knotslope.apoly import riley_locus, riley_polynomial
+from knotslope.apoly import BiLaurent, TPoly, riley_locus
 from knotslope.data import load_builtin
 from knotslope.presentation import KnotPresentation, Word, parse_presentation
 from knotslope.representations import (NonFiniteError, Representation,
@@ -176,17 +177,25 @@ TERM_ORDER_KNOTS = ["trefoil", "figure8", *(
 
 @pytest.mark.parametrize("name", TERM_ORDER_KNOTS)
 def test_riley_polynomial_terms_descend_in_M(name):
-    """``riley_stack`` sums each coefficient of ``phi`` in its dict order
-    (``BiLaurent.evaluate``): a producer that reorders the same terms moves
-    the last bits of the roots and can flip a borderline verdict.  Every
-    coefficient lists its terms by descending M-exponent."""
+    """``riley_stack`` sums each coefficient of ``phi`` in
+    ``apoly.summation_order`` (descending M-exponent, since ``phi`` has no
+    L), whatever the order of its dict: a copy of ``phi`` whose coefficient
+    dicts list the same terms reversed gives bit-identical roots, images
+    and commutator flags."""
     if name.startswith("b"):
         pres = parse_presentation(two_bridge_text(*map(int, name[1:].split("_"))))
     else:
         pres = load_builtin(name)
-    for c in riley_polynomial(pres).coeffs:
-        exponents = [j for _, j in c.terms]
-        assert all(a > b for a, b in zip(exponents, exponents[1:]))
+    locus = riley_locus(pres)
+    phi = TPoly([BiLaurent._normalised(dict(reversed(c.terms.items())))
+                 for c in locus.phi.coeffs])
+    assert phi == locus.phi
+    meridians = [1.3 + 0.2j, GOLDEN, 1.8 + 0.9j, 0.7 + 0.4j, -1.2 + 0.1j]
+    got = riley_stack(replace(locus, phi=phi), meridians)
+    want = riley_stack(locus, meridians)
+    assert got[0] == want[0]
+    for x, y in zip(got[1:], want[1:]):
+        assert x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------
